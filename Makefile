@@ -1,15 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet lint fmt test race bench bench-obs bench-routes bench-parallel bench-persist bench-eigen-sparse bench-eigen-diff bench-spans bench-diff bench-clean examples clean
+.PHONY: check build vet lint fmt test race bench bench-smoke examples clean
 
 ## check: everything CI runs — build, vet, the invariant analyzers,
-## gofmt cleanliness, tests, the race pass, then the routing,
-## parallel-layer and durability benches plus the gated sparse-eigensolver
-## bench (bench-eigen-diff regenerates BENCH_eigen_sparse.new.json and
-## fails on any tracked latency/iteration regression against the
-## committed snapshot; bench-persist writes a *.new.json scratch file —
-## gate it with bench-diff)
-check: build vet lint fmt test race bench-routes bench-parallel bench-persist bench-eigen-diff
+## gofmt cleanliness, tests, the race pass, then the benchmark's own
+## vet and smoke tests (bench-smoke)
+check: build vet lint fmt test race bench-smoke
 
 build:
 	$(GO) build ./...
@@ -43,72 +39,11 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-## bench-obs: replay the Tao stream through the engine bare and
-## instrumented, print the overhead, and dump the full metrics registry
-bench-obs:
-	$(GO) run ./cmd/elink-experiments -only obs -obs-out BENCH_obs.json
-
-## bench-routes: routed-message throughput (shared routing tables vs
-## per-message BFS; sync and async runtimes) dumped to BENCH_routes.json
-bench-routes:
-	$(GO) run ./cmd/elink-experiments -only routes -routes-out BENCH_routes.json
-
-## bench-parallel: serial-vs-parallel Jacobi eigensolver wall times at the
-## spectral baseline's sizes plus the -j 1 vs -j N figure harness, dumped
-## to BENCH_parallel.json (speedups depend on the host's GOMAXPROCS,
-## which the dump records)
-bench-parallel:
-	$(GO) run ./cmd/elink-experiments -only parbench -par-out BENCH_parallel.json
-
-## bench-persist: snapshot encode / restore decode latency and snapshot
-## size on bootstrapped engines at 500/2500/10000 nodes, dumped to the
-## BENCH_persist.new.json scratch file (gitignored). Compare against the
-## committed BENCH_persist.json with bench-diff; promote an accepted run
-## with  cp BENCH_persist.new.json BENCH_persist.json
-bench-persist:
-	$(GO) run ./cmd/elink-experiments -only persistbench -persist-out BENCH_persist.new.json
-
-## bench-eigen-sparse: the sparse spectral engine — LOBPCG bottom-k
-## ladder on grid Laplacians up to n=20000, the legacy subspace-iteration
-## comparison arm, the sparsification pre-pass, and the end-to-end
-## spectral baseline on a 10k-node grid — dumped to the
-## BENCH_eigen_sparse.new.json scratch file (gitignored). Compare against
-## the committed BENCH_eigen_sparse.json with bench-eigen-diff; promote
-## an accepted run with  cp BENCH_eigen_sparse.new.json BENCH_eigen_sparse.json
-bench-eigen-sparse:
-	$(GO) run ./cmd/elink-experiments -only eigensparse -paper -eigen-sparse-out BENCH_eigen_sparse.new.json
-
-## bench-eigen-diff: regenerate the sparse-eigensolver benchmark and gate
-## it against the committed BENCH_eigen_sparse.json snapshot
-bench-eigen-diff:
-	$(MAKE) bench-diff BENCH_OLD=BENCH_eigen_sparse.json BENCH_NEW=BENCH_eigen_sparse.new.json \
-		BENCH_REGEN='$(GO) run ./cmd/elink-experiments -only eigensparse -paper -eigen-sparse-out BENCH_eigen_sparse.new.json'
-
-## bench-spans: replay the Tao stream bare and span-traced, print the
-## per-phase p50/p95/max latency attribution table with the measured
-## tracing overhead, and dump both to BENCH_spans.json
-bench-spans:
-	$(GO) run ./cmd/elink-experiments -only spans -spans-out BENCH_spans.json
-
-## bench-diff: regenerate the durability benchmark into BENCH_NEW
-## (bench-persist's scratch file by default) and gate it against the
-## committed BENCH_persist.json snapshot — any tracked latency/size
-## metric more than BENCH_TOL percent worse fails the target. Override
-## the variables to diff other snapshots, e.g.
-##   make bench-diff BENCH_OLD=BENCH_routes.json BENCH_NEW=new.json BENCH_REGEN=
-BENCH_OLD ?= BENCH_persist.json
-BENCH_NEW ?= BENCH_persist.new.json
-BENCH_TOL ?= 25
-BENCH_REGEN ?= $(GO) run ./cmd/elink-experiments -only persistbench -persist-out $(BENCH_NEW)
-bench-diff:
-	$(BENCH_REGEN)
-	$(GO) run ./cmd/elink-benchdiff -tol $(BENCH_TOL) $(BENCH_OLD) $(BENCH_NEW)
-
-## bench-clean: sweep the gitignored *.new.json scratch files the gated
-## bench targets leave behind (committed BENCH_*.json baselines are
-## untouched)
-bench-clean:
-	rm -f BENCH_*.new.json
+## bench-smoke: vet the benchmark in bench/ and run its smoke tests,
+## which drive every workload briefly (elink-serve is built into a temp
+## dir). Full runs: sh bench/run.sh -workload <name>; see bench/README.md
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## examples: compile every example without running them
 examples:

@@ -1,146 +1,16 @@
 package elink_test
 
-// One benchmark per paper figure/table (§8), plus micro-benchmarks for
-// the core building blocks. Each figure bench runs its experiment at
-// QuickScale and reports the headline quantity as a custom metric, so
-// `go test -bench=.` regenerates every result the paper plots. Run the
-// full-scale versions with cmd/elink-experiments -paper.
+// Micro-benchmarks for the core building blocks, run through the public
+// facade. End-to-end numbers (the quick figures, the paper-scale Death
+// Valley run, stream ingest and elink-serve under load) come from the
+// benchmark in bench/: sh bench/run.sh -workload <name>.
 
 import (
 	"math/rand"
 	"testing"
 
 	"elink"
-	"elink/internal/experiments"
 )
-
-func benchFigure(b *testing.B, run func(experiments.Scale) (*experiments.Table, error), headline func(*experiments.Table) (string, float64)) {
-	b.Helper()
-	sc := experiments.QuickScale()
-	var tbl *experiments.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	name, v := headline(tbl)
-	b.ReportMetric(v, name)
-}
-
-// BenchmarkFig08TaoQuality regenerates Fig 8 (clusters vs δ on Tao data).
-func BenchmarkFig08TaoQuality(b *testing.B) {
-	benchFigure(b, experiments.Fig08, func(t *experiments.Table) (string, float64) {
-		return "elink-clusters@mid-delta", t.Column(experiments.SeriesELinkImplicit)[len(t.Rows)/2]
-	})
-}
-
-// BenchmarkFig09DeathValleyQuality regenerates Fig 9.
-func BenchmarkFig09DeathValleyQuality(b *testing.B) {
-	benchFigure(b, experiments.Fig09, func(t *experiments.Table) (string, float64) {
-		return "elink-clusters@mid-delta", t.Column(experiments.SeriesELinkImplicit)[len(t.Rows)/2]
-	})
-}
-
-// BenchmarkFig10UpdateCost regenerates Fig 10 (update cost vs slack).
-func BenchmarkFig10UpdateCost(b *testing.B) {
-	benchFigure(b, experiments.Fig10, func(t *experiments.Table) (string, float64) {
-		el := t.Column("elink-update")
-		ce := t.Column("centralized-update")
-		return "centralized/elink-cost-ratio", ce[0] / el[0]
-	})
-}
-
-// BenchmarkFig11SlackQuality regenerates Fig 11 (quality vs slack).
-func BenchmarkFig11SlackQuality(b *testing.B) {
-	benchFigure(b, experiments.Fig11, func(t *experiments.Table) (string, float64) {
-		el := t.Column(experiments.SeriesELinkImplicit)
-		return "clusters@max-slack", el[len(el)-1]
-	})
-}
-
-// BenchmarkFig12TimeScalability regenerates Fig 12 (cumulative messages
-// over the Tao stream).
-func BenchmarkFig12TimeScalability(b *testing.B) {
-	benchFigure(b, experiments.Fig12, func(t *experiments.Table) (string, float64) {
-		last := t.Rows[len(t.Rows)-1]
-		return "raw/elink-cost-ratio", last.Values[0] / last.Values[2]
-	})
-}
-
-// BenchmarkFig13SizeScalability regenerates Fig 13 (messages vs N).
-func BenchmarkFig13SizeScalability(b *testing.B) {
-	benchFigure(b, experiments.Fig13, func(t *experiments.Table) (string, float64) {
-		last := t.Rows[len(t.Rows)-1]
-		ce := t.Column(experiments.SeriesCentralized)
-		el := t.Column(experiments.SeriesELinkImplicit)
-		_ = last
-		return "centralized/elink@maxN", ce[len(ce)-1] / el[len(el)-1]
-	})
-}
-
-// BenchmarkFig14TaoRangeQueries regenerates Fig 14.
-func BenchmarkFig14TaoRangeQueries(b *testing.B) {
-	benchFigure(b, experiments.Fig14, func(t *experiments.Table) (string, float64) {
-		el := t.Column(experiments.SeriesELinkImplicit)
-		tag := t.Column("tag")
-		return "tag/elink-gain@0.7delta", tag[0] / el[0]
-	})
-}
-
-// BenchmarkFig15SyntheticRangeQueries regenerates Fig 15.
-func BenchmarkFig15SyntheticRangeQueries(b *testing.B) {
-	benchFigure(b, experiments.Fig15, func(t *experiments.Table) (string, float64) {
-		el := t.Column(experiments.SeriesELinkImplicit)
-		tag := t.Column("tag")
-		return "tag/elink-gain@0.3delta", tag[0] / el[0]
-	})
-}
-
-// BenchmarkPathQueries regenerates the path-query table (deferred to the
-// tech report in the paper, reproduced here).
-func BenchmarkPathQueries(b *testing.B) {
-	benchFigure(b, experiments.PathQueries, func(t *experiments.Table) (string, float64) {
-		el := t.Column("elink-path")
-		fl := t.Column("bfs-flood")
-		return "flood/elink-gain@mid-gamma", fl[len(fl)/2] / el[len(el)/2]
-	})
-}
-
-// BenchmarkComplexityBounds regenerates the Theorem 2/3 check.
-func BenchmarkComplexityBounds(b *testing.B) {
-	benchFigure(b, experiments.Complexity, func(t *experiments.Table) (string, float64) {
-		tm := t.Column("time-implicit")
-		bound := t.Column("bound-2*kappa*alpha")
-		return "time/bound@maxN", tm[len(tm)-1] / bound[len(bound)-1]
-	})
-}
-
-// BenchmarkAblationUnordered regenerates the ordered-vs-unordered
-// ablation.
-func BenchmarkAblationUnordered(b *testing.B) {
-	benchFigure(b, experiments.AblationUnordered, func(t *experiments.Table) (string, float64) {
-		or := t.Column("clusters-ordered")
-		un := t.Column("clusters-unordered")
-		var o, u float64
-		for i := range or {
-			o += or[i]
-			u += un[i]
-		}
-		return "unordered/ordered-clusters", u / o
-	})
-}
-
-// BenchmarkAblationSwitches regenerates the switch-budget ablation.
-func BenchmarkAblationSwitches(b *testing.B) {
-	benchFigure(b, experiments.AblationSwitches, func(t *experiments.Table) (string, float64) {
-		cl := t.Column("clusters")
-		return "clusters@c=8/c=1", cl[len(cl)-1] / cl[0]
-	})
-}
-
-// --- Micro-benchmarks for the core building blocks ---
 
 func benchGraphAndFeatures(n int, seed int64) (*elink.Graph, []elink.Feature) {
 	g := elink.NewRandomNetwork(n, 4, seed)
@@ -273,22 +143,6 @@ func BenchmarkMaintainerUpdate(b *testing.B) {
 		vals[u] += rng.NormFloat64() * 0.05
 		m.Update(u, elink.Feature{vals[u]})
 	}
-}
-
-// BenchmarkKMedoidsComparison regenerates the §9 related-work table.
-func BenchmarkKMedoidsComparison(b *testing.B) {
-	benchFigure(b, experiments.KMedoidsComparison, func(t *experiments.Table) (string, float64) {
-		el := t.Column("elink-messages")
-		km := t.Column("kmedoids-messages")
-		return "kmedoids/elink-cost@mid-delta", km[len(km)/2] / el[len(el)/2]
-	})
-}
-
-// BenchmarkReclusterPolicy regenerates the re-clustering policy table.
-func BenchmarkReclusterPolicy(b *testing.B) {
-	benchFigure(b, experiments.ReclusterPolicy, func(t *experiments.Table) (string, float64) {
-		return "daily/never-cost-ratio", t.Rows[2].Values[0] / t.Rows[0].Values[0]
-	})
 }
 
 func BenchmarkIndexRefresh(b *testing.B) {

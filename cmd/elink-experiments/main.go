@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -30,10 +29,12 @@ import (
 	"elink/internal/par"
 )
 
-var figures = []struct {
+type figure struct {
 	name string
 	run  func(experiments.Scale) (*experiments.Table, error)
-}{
+}
+
+var figures = []figure{
 	{"fig08", experiments.Fig08},
 	{"fig09", experiments.Fig09},
 	{"fig10", experiments.Fig10},
@@ -52,12 +53,6 @@ var figures = []struct {
 	{"sampling", experiments.RepresentativeSampling},
 	{"hotspot", experiments.HotspotSpread},
 	{"optimality", experiments.OptimalityGap},
-	{"obs", experiments.ObsReplay},
-	{"spans", experiments.Spans},
-	{"routes", experiments.RoutesBench},
-	{"parbench", experiments.ParallelBench},
-	{"persistbench", experiments.PersistBench},
-	{"eigensparse", experiments.EigenSparseBench},
 }
 
 func validNames() string {
@@ -68,23 +63,10 @@ func validNames() string {
 	return strings.Join(names, ", ")
 }
 
-// dumpTo wraps a *To-style figure so its JSON payload lands in the named
-// file.
-func dumpTo(path string, run func(experiments.Scale, io.Writer) (*experiments.Table, error)) func(experiments.Scale) (*experiments.Table, error) {
-	return func(sc experiments.Scale) (*experiments.Table, error) {
-		out, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		defer out.Close()
-		return run(sc, out)
-	}
-}
-
 func main() {
 	var (
 		paper    = flag.Bool("paper", false, "run at the paper's full scale (2500-node Death Valley, 100k readings; the spectral baseline dominates and takes many minutes)")
-		only     = flag.String("only", "", "comma-separated figure names to run (default all); names: fig08..fig15, path, complexity, ablation-*")
+		only     = flag.String("only", "", "comma-separated figure names to run (default all); names: "+validNames())
 		seed     = flag.Int64("seed", 1, "random seed")
 		jobs     = flag.Int("j", 0, "worker count for the parallel execution layer and the figure runner (0 = GOMAXPROCS or ELINK_WORKERS); results are identical for every value")
 		queries  = flag.Int("queries", 0, "queries per data point (0 = scale default)")
@@ -93,12 +75,6 @@ func main() {
 		dvTopos  = flag.Int("dv-topologies", 0, "override Death Valley topology count")
 		readings = flag.Int("readings", 0, "override synthetic readings per node")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		obsOut   = flag.String("obs-out", "", "with the obs figure: write the instrumented run's full metrics registry to this file as JSON")
-		spansOut = flag.String("spans-out", "", "with the spans figure: write the tracing overhead and per-phase p50/p95/max attribution table to this file as JSON")
-		routeOut = flag.String("routes-out", "", "with the routes figure: write the routing benchmark results to this file as JSON")
-		parOut   = flag.String("par-out", "", "with the parbench figure: write the parallel-layer benchmark results to this file as JSON (run it via -only parbench so concurrent figures don't distort timings)")
-		persOut  = flag.String("persist-out", "", "with the persistbench figure: write the snapshot/restore benchmark results to this file as JSON (run it via -only persistbench so concurrent figures don't distort timings)")
-		eigenOut = flag.String("eigen-sparse-out", "", "with the eigensparse figure: write the sparse eigensolver ladder results to this file as JSON (run it via -only eigensparse -paper for the committed n=20000 ladder shape)")
 	)
 	flag.Parse()
 
@@ -151,31 +127,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	type figEntry struct {
-		name string
-		run  func(experiments.Scale) (*experiments.Table, error)
-	}
-	var selected []figEntry
+	var selected []figure
 	for _, f := range figures {
 		if len(want) > 0 && !want[f.name] {
 			continue
 		}
-		run := f.run
-		switch {
-		case f.name == "obs" && *obsOut != "":
-			run = dumpTo(*obsOut, experiments.ObsReplayTo)
-		case f.name == "spans" && *spansOut != "":
-			run = dumpTo(*spansOut, experiments.SpansTo)
-		case f.name == "routes" && *routeOut != "":
-			run = dumpTo(*routeOut, experiments.RoutesBenchTo)
-		case f.name == "parbench" && *parOut != "":
-			run = dumpTo(*parOut, experiments.ParallelBenchTo)
-		case f.name == "persistbench" && *persOut != "":
-			run = dumpTo(*persOut, experiments.PersistBenchTo)
-		case f.name == "eigensparse" && *eigenOut != "":
-			run = dumpTo(*eigenOut, experiments.EigenSparseBenchTo)
-		}
-		selected = append(selected, figEntry{name: f.name, run: run})
+		selected = append(selected, f)
 	}
 
 	// Run the selected figures concurrently, buffering each figure's
@@ -185,7 +142,7 @@ func main() {
 		text string
 		err  error
 	}
-	renderOne := func(f figEntry) figResult {
+	renderOne := func(f figure) figResult {
 		start := time.Now()
 		tbl, err := f.run(sc)
 		if err != nil {

@@ -142,8 +142,9 @@ func containsStr(s, sub string) bool {
 // BenchmarkEigenParallel times the serial and parallel Jacobi paths at
 // the sizes the spectral baseline actually sees. MaxSweeps is capped so
 // the large sizes time per-sweep throughput rather than full
-// convergence; `make bench-parallel` records full-solve wall times in
-// BENCH_parallel.json.
+// convergence:
+//
+//	go test -run '^$' -bench EigenParallel ./internal/linalg
 func BenchmarkEigenParallel(b *testing.B) {
 	for _, n := range []int{256, 700} {
 		a := randomSym(n, int64(n))

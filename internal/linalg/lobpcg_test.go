@@ -345,6 +345,29 @@ func TestEigenBottomKPrecondDeterminism(t *testing.T) {
 	}
 }
 
+// TestEigenBottomKIterationsPinned pins the production configuration's
+// convergence on the 50x50 grid: k=8 at the spectral baseline's sparse
+// tolerance, Chebyshev-preconditioned, default coarse-grid warm start.
+// The solve is deterministic at any worker count, so a change to the
+// preconditioner, the coarsening or the warm start that costs (or saves)
+// iterations shows up here as an exact mismatch.
+func TestEigenBottomKIterationsPinned(t *testing.T) {
+	l := gridLaplacian(50, 50)
+	for _, workers := range []int{1, 4} {
+		par.SetWorkers(workers)
+		res, err := l.EigenBottomK(8, rand.New(rand.NewSource(2501)), BottomKOptions{
+			Tol: 2e-4, Precond: NewChebyshev(l, 0, 0, 0),
+		})
+		par.SetWorkers(0)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.Iters != 5 || res.CoarseLevels != 3 {
+			t.Errorf("workers=%d: iters/levels = %d/%d, want 5/3", workers, res.Iters, res.CoarseLevels)
+		}
+	}
+}
+
 // TestEigenBottomKDenseFallback covers the small-n path and k clamping.
 func TestEigenBottomKDenseFallback(t *testing.T) {
 	l := gridLaplacian(4, 5) // n=20 <= 64: dense fallback

@@ -9,8 +9,9 @@ import (
 
 // bfsShortestPath is the pre-cache implementation: a full O(N+E) BFS per
 // routed message plus the smallest-id walk. It is kept here as the
-// benchmark baseline BenchmarkRouting compares the shared routing tables
-// against.
+// baseline BenchmarkRouting compares the shared routing tables against:
+//
+//	go test -run '^$' -bench Routing ./internal/sim
 func bfsShortestPath(g *topology.Graph, u, v topology.NodeID) []topology.NodeID {
 	d := make([]int, g.N())
 	for i := range d {

@@ -65,7 +65,7 @@ func validNames() string {
 
 func main() {
 	var (
-		paper    = flag.Bool("paper", false, "run at the paper's full scale (2500-node Death Valley, 100k readings; the spectral baseline dominates and takes many minutes)")
+		paper    = flag.Bool("paper", false, "run at the paper's full scale (2500-node Death Valley, 100k readings; takes minutes)")
 		only     = flag.String("only", "", "comma-separated figure names to run (default all); names: "+validNames())
 		seed     = flag.Int64("seed", 1, "random seed")
 		jobs     = flag.Int("j", 0, "worker count for the parallel execution layer and the figure runner (0 = GOMAXPROCS or ELINK_WORKERS); results are identical for every value")

@@ -457,7 +457,7 @@ func MessageBuckets() []float64 { return obs.MessageBuckets() }
 func RoundBuckets() []float64 { return obs.RoundBuckets() }
 
 // SetParallelism pins the worker count of the shared parallel execution
-// layer (the Jacobi eigensolver, k-means, AR fitting and query fan-out
+// layer (the spectral eigensolver, k-means, AR fitting and query fan-out
 // all run on it). n <= 0 restores automatic resolution: the
 // ELINK_WORKERS environment variable if set, else GOMAXPROCS. Results
 // are bitwise identical for every worker count; only throughput changes.

@@ -32,28 +32,14 @@ type SpectralConfig struct {
 	// (The paper's affinity table uses raw distances on edges; we use the
 	// Gaussian kernel the cited NJW algorithm requires — see DESIGN.md.)
 	Sigma float64
-	// Seed drives k-means and sparse-eigensolver initialization.
+	// Seed drives k-means and eigensolver initialization.
 	Seed int64
 	// MaxK caps the cluster search (defaults to N). The search explores
 	// the whole range even past the embedding-dimension cap: above it,
 	// k-means still partitions into k clusters over the capped embedding
 	// and the δ-repair pass does the fine splitting.
 	MaxK int
-	// SparsifyTargetDegree tunes the spectral-sparsification pre-pass of
-	// the sparse eigensolver path (networks above denseEigenLimit
-	// nodes): when the affinity graph's average degree exceeds the
-	// target, edges are importance-sampled by effective-resistance proxy
-	// down to roughly this average degree before the decomposition.
-	// 0 applies the default (32); negative disables the pre-pass. The
-	// dense path never sparsifies.
-	SparsifyTargetDegree float64
 }
-
-// defaultSparsifyDegree is the sparsification target when the caller
-// leaves SparsifyTargetDegree at zero. Sensor-network affinity graphs
-// (grids, geometric radii) sit far below it, so the pre-pass only
-// engages on genuinely dense affinities.
-const defaultSparsifyDegree = 32
 
 // Spectral runs the centralized algorithm: nodes ship features to the
 // base station (cost accounted separately by the CentralizedCost model),
@@ -82,50 +68,14 @@ func Spectral(g *topology.Graph, cfg SpectralConfig) (*cluster.Result, error) {
 	}
 	rng := detrand.New(cfg.Seed)
 
-	// Normalized affinity L = D^-1/2 A D^-1/2 with Gaussian edge affinity.
-	aff := linalg.NewSparseSym(n)
-	for u := 0; u < n; u++ {
-		aff.Set(u, u, 1)
-		for _, v := range g.Neighbors(topology.NodeID(u)) {
-			if int(v) <= u {
-				continue
-			}
-			d := cfg.Metric.Distance(cfg.Features[u], cfg.Features[v])
-			aff.Set(u, int(v), math.Exp(-d*d/(2*cfg.Sigma*cfg.Sigma)))
-		}
-	}
-	deg := aff.RowSums()
-	lap := linalg.NewSparseSym(n)
-	for i := 0; i < n; i++ {
-		for kidx, j := range aff.Cols[i] {
-			if int(j) < i {
-				continue
-			}
-			v := aff.Vals[i][kidx] / math.Sqrt(deg[i]*deg[int(j)])
-			lap.Set(i, int(j), v)
-		}
-	}
-
-	// The eigenvectors do not depend on k, so compute them once: a full
-	// dense decomposition for small networks, or a generous sparse
-	// bottom-K of the normalized Laplacian (grown on demand, LOBPCG over
-	// the CSR engine) for large ones. Each k in the search then only
-	// costs a k-means over the first k columns plus the repair pass.
-	solver, err := newEigenCache(aff, lap, cfg, rng)
+	// The embedding dimension is capped, but the k-search itself runs all
+	// the way to cfg.MaxK. The eigenvectors do not depend on k, so the
+	// cache computes them once and each k in the search only costs a
+	// k-means over the first k columns plus the repair pass.
+	embCap := min(embedCap, cfg.MaxK)
+	solver, err := newEigenCache(affinity(g, cfg), embCap, rng)
 	if err != nil {
 		return nil, err
-	}
-
-	// The embedding dimension is capped (the repair pass does the fine
-	// splitting more cheaply than extra eigenvectors would), but the
-	// k-search itself runs all the way to cfg.MaxK — the cap no longer
-	// silently truncates the search range.
-	embCap := kmeansCap
-	if solver.sparse() {
-		embCap = sparseEmbedCap
-	}
-	if embCap > cfg.MaxK {
-		embCap = cfg.MaxK
 	}
 
 	try := func(k, embDim int) (*cluster.Clustering, error) {
@@ -145,17 +95,32 @@ func Spectral(g *topology.Graph, cfg SpectralConfig) (*cluster.Result, error) {
 	}, nil
 }
 
-// kmeansCap bounds the embedding dimension of the dense eigensolver
-// path; sparseEmbedCap bounds it on the sparse path, where every extra
+// affinity builds the Gaussian affinity matrix A over the communication
+// graph: exp(-d²/2σ²) on every edge plus unit self-loops, each position
+// set exactly once.
+func affinity(g *topology.Graph, cfg SpectralConfig) *linalg.SparseSym {
+	n := g.N()
+	aff := linalg.NewSparseSym(n)
+	for u := 0; u < n; u++ {
+		aff.Set(u, u, 1)
+		for _, v := range g.Neighbors(topology.NodeID(u)) {
+			if int(v) <= u {
+				continue
+			}
+			d := cfg.Metric.Distance(cfg.Features[u], cfg.Features[v])
+			aff.Set(u, int(v), math.Exp(-d*d/(2*cfg.Sigma*cfg.Sigma)))
+		}
+	}
+	return aff
+}
+
+// embedCap bounds the spectral embedding's dimension: every extra
 // eigenvector costs LOBPCG block width and iterations (the bottom of a
 // sensor-network Laplacian spectrum has tiny gaps, so wide solves are
 // the dominant cost at 10k+ nodes). Beyond the cap the δ-repair pass
 // does the splitting more cheaply than k-means over a wider embedding
 // would.
-const (
-	kmeansCap      = 256
-	sparseEmbedCap = 16
-)
+const embedCap = 16
 
 // spectralSearch runs the k search: a doubling sweep over [1, maxK],
 // then a local refinement around the best k, keeping the clustering with
@@ -253,180 +218,60 @@ func clusterSatisfiesDelta(members []topology.NodeID, feats []metric.Feature, m 
 	return true
 }
 
-// eigenSolverKind names one of the cache's decomposition strategies.
-type eigenSolverKind int
-
+// solveTol is the convergence tolerance the eigensolve requests: looser
+// than the solver's 1e-6 default because k-means over the embedding is
+// insensitive to eigenvector perturbations at this level while the
+// bottom of a sensor-network Laplacian spectrum converges slowly (tiny
+// gaps), so the tight default costs 2-3x the iterations for no
+// clustering difference. residualBudget is the residual the baseline
+// still accepts from an iteration-starved solve; anything worse
+// propagates the solver's ErrNoConvergence.
 const (
-	// eigenSolverDense runs one full Jacobi decomposition of the
-	// normalized affinity.
-	eigenSolverDense eigenSolverKind = iota
-	// eigenSolverSubspace runs legacy 400-iteration block subspace
-	// iteration (EigenTopK) on the shifted operator 2I - L.
-	eigenSolverSubspace
-	// eigenSolverLOBPCG runs the preconditioned multilevel LOBPCG engine
-	// (EigenBottomK with Chebyshev preconditioning and the coarse-grid
-	// warm start) on the normalized Laplacian.
-	eigenSolverLOBPCG
+	solveTol       = 2e-4
+	residualBudget = 1e-3
 )
 
 // eigenCache computes the spectral embedding's eigenvectors lazily and
-// reuses them across the whole k search. The solver is chosen per
-// network by chooseEigenSolver's measured decision table; every
-// iterative path works on the CSR normalized Laplacian, optionally
-// thinned by the sparsification pre-pass, and its bottom eigenvectors
-// are exactly the NJW top eigenvectors.
+// reuses them across the whole k search. It runs exactly one
+// EigenBottomK solve (Chebyshev-preconditioned LOBPCG with the
+// coarse-grid warm start) on the normalized Laplacian
+// L = I - D^-1/2 A D^-1/2, whose bottom eigenvectors are exactly the NJW
+// top eigenvectors of the normalized affinity.
 type eigenCache struct {
-	kind     eigenSolverKind
-	denseAff *linalg.SparseSym // normalized affinity (dense kind only)
-	lap      *linalg.CSR       // normalized Laplacian (iterative kinds)
-	maxDim   int               // iterative kinds: the one solve's width
-	rng      *rand.Rand
-	vecs     *linalg.Matrix // top eigenvectors as columns
+	lap    *linalg.CSR
+	maxDim int // the one solve's width: the widest embedding the search requests
+	rng    *rand.Rand
+	vecs   *linalg.Matrix // bottom eigenvectors as columns
 }
 
-// denseEigenLimit bounds the dense region of the solver decision. The
-// measured crossover is far lower — multilevel LOBPCG beats the dense
-// decomposition from a few hundred nodes up (n=500: 25 ms vs 5.4 s on
-// the bench host) — but every figure harness golden was pinned with
-// dense solves up to this size, so the dense region stays put and the
-// decision table only governs the solvers above it. A variable only so
-// the sparse-vs-dense equivalence test can force the sparse path at
-// test-friendly sizes.
-var denseEigenLimit = 700
-
-// chooseEigenSolver picks the decomposition strategy for an n-node
-// network whose normalized Laplacian holds nnz stored entries, solving
-// for a k-wide embedding. The decision encodes the measured cost table
-// (bench host, grid Laplacians, k=8; see DESIGN.md):
-//
-//	n      nnz     dense      subspace   lobpcg
-//	500    2410    5403 ms    83 ms      25 ms
-//	700    3394    17027 ms   118 ms     56 ms
-//	1200   5860    131199 ms  260 ms     154 ms
-//	2500   12300   —          562 ms     250 ms
-//	10000  49600   —          2446 ms    1024 ms
-//
-// Multilevel LOBPCG wins at every feasible size — both iterative costs
-// scale with nnz·(k+8) and LOBPCG's measured per-nnz constant is
-// 0.3–0.6× the subspace one — so subspace iteration survives only as
-// the escape hatch for blocks too wide for LOBPCG's 3(k+8)-vector
-// Rayleigh–Ritz basis, where EigenBottomK above denseBottomKLimit
-// refuses to densify but blocked subspace iteration still runs.
-func chooseEigenSolver(n, nnz, k int) eigenSolverKind {
-	if n <= denseEigenLimit {
-		return eigenSolverDense
-	}
-	if k+8 > (n-1)/3 {
-		return eigenSolverSubspace
-	}
-	return eigenSolverLOBPCG
-}
-
-// sparseSolveTol is the convergence tolerance the sparse path requests:
-// looser than the solver's 1e-6 default because k-means over the
-// embedding is insensitive to eigenvector perturbations at this level
-// while the bottom of a sensor-network Laplacian spectrum converges
-// slowly (tiny gaps), so the tight default costs 2-3x the iterations
-// for no clustering difference. sparseResidualBudget is the residual
-// the path still accepts from an iteration-starved solve; anything
-// worse propagates the solver's ErrNoConvergence.
-const (
-	sparseSolveTol       = 2e-4
-	sparseResidualBudget = 1e-3
-)
-
-// newEigenCache picks the decomposition path. aff is the raw affinity
-// (self-loops included), lap the normalized affinity; both are built
-// duplicate-free by Spectral, which FinalizeStrict verifies on the
-// sparse path.
-func newEigenCache(aff, lap *linalg.SparseSym, cfg SpectralConfig, rng *rand.Rand) (*eigenCache, error) {
-	maxDim := sparseEmbedCap
-	if maxDim > cfg.MaxK {
-		maxDim = cfg.MaxK
-	}
-	if maxDim > aff.N {
-		maxDim = aff.N
-	}
-	if kind := chooseEigenSolver(aff.N, aff.StoredEntries(), maxDim); kind == eigenSolverDense {
-		return &eigenCache{kind: kind, denseAff: lap, rng: rng}, nil
-	}
+// newEigenCache finalizes the affinity into its normalized Laplacian.
+// affinity sets every position once, which FinalizeStrict verifies.
+func newEigenCache(aff *linalg.SparseSym, maxDim int, rng *rand.Rand) (*eigenCache, error) {
 	csr, err := aff.FinalizeStrict()
 	if err != nil {
 		return nil, fmt.Errorf("baseline: affinity build: %w", err)
 	}
-	target := cfg.SparsifyTargetDegree
-	if target == 0 {
-		target = defaultSparsifyDegree
-	}
-	if target > 0 {
-		csr = linalg.Sparsify(csr, target, rng)
-	}
-	l := csr.NormalizedLaplacian()
-	// Re-decide on the post-sparsification entry count: the pre-pass can
-	// only shrink nnz, so the kind can only move along the measured table,
-	// never back to dense.
-	kind := chooseEigenSolver(aff.N, l.NNZ(), maxDim)
-	return &eigenCache{kind: kind, lap: l, maxDim: maxDim, rng: rng}, nil
+	return &eigenCache{lap: csr.NormalizedLaplacian(), maxDim: maxDim, rng: rng}, nil
 }
 
-// sparse reports whether the cache runs one of the sparse iterative
-// engines.
-func (e *eigenCache) sparse() bool { return e.kind != eigenSolverDense }
-
-// topK returns the top-k eigenvectors of the normalized affinity,
-// computing the cache on first use. The dense kind decomposes fully;
-// the iterative kinds run exactly one solve at maxDim — the widest
-// embedding the search will ever request — so the slow-gap bottom
+// topK returns the first k embedding eigenvectors, computing the cache
+// on first use. The solve runs once at maxDim, so the slow-gap bottom
 // spectrum is paid for once, not per search step.
 func (e *eigenCache) topK(k int) (*linalg.Matrix, error) {
-	n := e.n()
-	if k > n {
-		k = n
-	}
 	if e.vecs == nil {
-		switch e.kind {
-		case eigenSolverDense:
-			_, vecs, err := linalg.EigenSym(e.denseAff.Dense())
-			if err != nil {
-				return nil, err
+		res, err := e.lap.EigenBottomK(e.maxDim, e.rng, linalg.BottomKOptions{Tol: solveTol})
+		if err != nil {
+			// Accept iteration-starved solves inside the documented
+			// residual budget; anything else is a hard failure.
+			var ce *linalg.ConvergenceError
+			if !errors.As(err, &ce) || worstResidual(ce.Residuals) > residualBudget {
+				return nil, fmt.Errorf("baseline: eigensolve (k=%d): %w", e.maxDim, err)
 			}
-			e.vecs = vecs
-		case eigenSolverSubspace:
-			// Top of 2I - L is the bottom of L: the legacy path cannot
-			// solve for smallest eigenvalues directly, so it iterates on
-			// the spectrum-reversing shift (the Laplacian spectrum lies in
-			// [0, 2]).
-			_, vecs, err := shiftedComplement(e.lap).EigenTopK(e.maxDim, e.rng)
-			if err != nil {
-				var ce *linalg.ConvergenceError
-				if !errors.As(err, &ce) || worstResidual(ce.Residuals) > sparseResidualBudget {
-					return nil, fmt.Errorf("baseline: subspace eigensolve (k=%d): %w", e.maxDim, err)
-				}
-			}
-			e.vecs = vecs
-		default:
-			opt := linalg.BottomKOptions{
-				Tol: sparseSolveTol,
-				// The normalized Laplacian's [0, 2] spectrum is exactly
-				// what the Chebyshev preconditioner is built for; the
-				// coarse-grid warm start stays on (the default).
-				Precond: linalg.NewChebyshev(e.lap, 0, 0, 0),
-			}
-			res, err := e.lap.EigenBottomK(e.maxDim, e.rng, opt)
-			if err != nil {
-				// Accept iteration-starved solves inside the documented
-				// residual budget; anything else is a hard failure.
-				var ce *linalg.ConvergenceError
-				if !errors.As(err, &ce) || worstResidual(ce.Residuals) > sparseResidualBudget {
-					return nil, fmt.Errorf("baseline: sparse eigensolve (k=%d): %w", e.maxDim, err)
-				}
-			}
-			e.vecs = res.Vectors
 		}
+		e.vecs = res.Vectors
 	}
-	if k > e.vecs.Cols {
-		k = e.vecs.Cols
-	}
+	k = min(k, e.vecs.Cols)
+	n := e.lap.N
 	out := linalg.NewMatrix(n, k)
 	for c := 0; c < k; c++ {
 		for r := 0; r < n; r++ {
@@ -434,39 +279,6 @@ func (e *eigenCache) topK(k int) (*linalg.Matrix, error) {
 		}
 	}
 	return out, nil
-}
-
-func (e *eigenCache) n() int {
-	if e.sparse() {
-		return e.lap.N
-	}
-	return e.denseAff.N
-}
-
-// shiftedComplement rebuilds 2I - L as a SparseSym builder for the
-// legacy top-k subspace path, emitting each stored upper-triangle entry
-// once in row/column order (deterministic by construction).
-func shiftedComplement(l *linalg.CSR) *linalg.SparseSym {
-	s := linalg.NewSparseSym(l.N)
-	for i := 0; i < l.N; i++ {
-		diag := false
-		for k := l.RowPtr[i]; k < l.RowPtr[i+1]; k++ {
-			j := int(l.ColIdx[k])
-			if j < i {
-				continue
-			}
-			v := -l.Vals[k]
-			if j == i {
-				v += 2
-				diag = true
-			}
-			s.Set(i, j, v)
-		}
-		if !diag {
-			s.Set(i, i, 2)
-		}
-	}
-	return s
 }
 
 func worstResidual(res []float64) float64 {

@@ -69,173 +69,116 @@ func TestSpectralSearchExploresAboveEmbeddingCap(t *testing.T) {
 	}
 }
 
-// TestChooseEigenSolver pins the solver decision table: dense up to the
-// figure-compat limit, LOBPCG everywhere above it, and subspace iteration
-// only as the escape hatch for blocks too wide for LOBPCG's 3(k+8)-vector
-// Rayleigh–Ritz basis.
-func TestChooseEigenSolver(t *testing.T) {
-	cases := []struct {
-		name   string
-		n, nnz int
-		k      int
-		want   eigenSolverKind
-	}{
-		{"tiny dense", 50, 250, 8, eigenSolverDense},
-		{"at the dense limit", 700, 3394, 8, eigenSolverDense},
-		{"just above dense", 701, 3400, 8, eigenSolverLOBPCG},
-		{"mid ladder", 2500, 12300, 8, eigenSolverLOBPCG},
-		{"engine scale", 20000, 99400, 16, eigenSolverLOBPCG},
-		// k+8 > (n-1)/3: the 3(k+8)-wide basis would not fit, so the
-		// legacy blocked subspace iteration takes over.
-		{"block too wide", 800, 4000, 300, eigenSolverSubspace},
-		{"block fits again", 3000, 15000, 300, eigenSolverLOBPCG},
-	}
-	for _, tc := range cases {
-		if got := chooseEigenSolver(tc.n, tc.nnz, tc.k); got != tc.want {
-			t.Errorf("%s: chooseEigenSolver(%d, %d, %d) = %v, want %v",
-				tc.name, tc.n, tc.nnz, tc.k, got, tc.want)
-		}
-	}
-	// The limit is a test seam: lowering it moves the dense/LOBPCG
-	// boundary with it.
-	saved := denseEigenLimit
-	denseEigenLimit = 50
-	defer func() { denseEigenLimit = saved }()
-	if got := chooseEigenSolver(200, 1000, 8); got != eigenSolverLOBPCG {
-		t.Errorf("lowered limit: chooseEigenSolver(200, ...) = %v, want LOBPCG", got)
-	}
-}
-
-// TestEigenCacheSubspaceBranch drives the subspace escape hatch directly:
-// the region is unreachable through SpectralConfig (sparseEmbedCap keeps
-// k small), so the cache is constructed by hand and its embedding checked
-// against the LOBPCG kind on the same Laplacian.
-func TestEigenCacheSubspaceBranch(t *testing.T) {
+// TestSpectralSparseMatchesDense checks the one eigensolver path against
+// a dense reference: on a banded 216-node grid the embedding the k-search
+// uses (LOBPCG at the baseline's tolerance) must span the bottom
+// eigenspace of a full dense Jacobi decomposition of the same normalized
+// Laplacian, and the clustering built on it must recover the bands.
+func TestSpectralSparseMatchesDense(t *testing.T) {
 	g := topology.NewGrid(12, 18)
-	rng := rand.New(rand.NewSource(5))
-	feats := bandedFeatures(g, 3, 10, rng)
+	feats := bandedFeatures(g, 3, 10, rand.New(rand.NewSource(5)))
+	cfg := SpectralConfig{Delta: 2, Metric: metric.Scalar{}, Features: feats, Sigma: 1, Seed: 6, MaxK: 8}
 	n := g.N()
-	aff := linalg.NewSparseSym(n)
-	m := metric.Scalar{}
-	for u := 0; u < n; u++ {
-		aff.Set(u, u, 1)
-		for _, v := range g.Neighbors(topology.NodeID(u)) {
-			if int(v) <= u {
-				continue
-			}
-			d := m.Distance(feats[u], feats[int(v)])
-			aff.Set(u, int(v), math.Exp(-d*d/2))
-		}
-	}
-	csr, err := aff.FinalizeStrict()
+
+	const dim = 6
+	cache, err := newEigenCache(affinity(g, cfg), dim, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lap := csr.NormalizedLaplacian()
-
-	const dim = 6
-	embed := func(kind eigenSolverKind) *linalg.Matrix {
-		e := &eigenCache{kind: kind, lap: lap, maxDim: dim, rng: rand.New(rand.NewSource(3))}
-		vecs, err := e.topK(dim)
-		if err != nil {
-			t.Fatalf("kind %v: %v", kind, err)
-		}
-		return vecs
+	sparse, err := cache.topK(dim)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sub := embed(eigenSolverSubspace)
-	lob := embed(eigenSolverLOBPCG)
-	if sub.Rows != n || sub.Cols != dim {
-		t.Fatalf("subspace embedding is %dx%d, want %dx%d", sub.Rows, sub.Cols, n, dim)
+	if sparse.Rows != n || sparse.Cols != dim {
+		t.Fatalf("embedding is %dx%d, want %dx%d", sparse.Rows, sparse.Cols, n, dim)
 	}
-	// The two engines may rotate within eigenspaces and flip signs, so
-	// compare the subspaces: every subspace-path column must lie in the
-	// span of the LOBPCG columns (projection mass ~ 1).
+	_, dense, err := linalg.EigenSym(cache.lap.Dense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dense eigenvalues come back descending, so the bottom eigenspace is
+	// the trailing dim columns. The solvers may rotate within eigenspaces
+	// and flip signs, so compare subspaces: every LOBPCG column must lie
+	// in the span of the dense bottom eigenvectors (projection mass ~ 1).
 	for c := 0; c < dim; c++ {
 		var mass, norm float64
 		for r := 0; r < n; r++ {
-			norm += sub.At(r, c) * sub.At(r, c)
+			norm += sparse.At(r, c) * sparse.At(r, c)
 		}
-		for cc := 0; cc < dim; cc++ {
+		for cc := n - dim; cc < n; cc++ {
 			var d float64
 			for r := 0; r < n; r++ {
-				d += sub.At(r, c) * lob.At(r, cc)
+				d += sparse.At(r, c) * dense.At(r, cc)
 			}
 			mass += d * d
 		}
 		if mass < 0.98*norm {
-			t.Errorf("subspace column %d has only %.3f of its mass in the LOBPCG span", c, mass/norm)
+			t.Errorf("LOBPCG column %d has only %.3f of its mass in the dense bottom eigenspace", c, mass/norm)
 		}
+	}
+
+	res, err := Spectral(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkValid(t, "spectral", g, res, feats, 2)
+	if k := res.Clustering.NumClusters(); k < 3 || k > 7 {
+		t.Errorf("NumClusters = %d, want near the 3 bands", k)
 	}
 }
 
-// pairwiseAgreement is the Rand index between two assignments: the
-// fraction of node pairs on which the clusterings agree (together in
-// both, or separated in both).
-func pairwiseAgreement(a, b []int) float64 {
-	agree, total := 0, 0
-	for i := 0; i < len(a); i++ {
-		for j := i + 1; j < len(a); j++ {
-			total++
-			if (a[i] == a[j]) == (b[i] == b[j]) {
-				agree++
+// TestEigenCacheServesPrefixes pins the cache contract the k search leans
+// on: one solve at maxDim serves every narrower request as a column
+// prefix of the same embedding, wider requests clamp to maxDim, and the
+// columns are orthonormal.
+func TestEigenCacheServesPrefixes(t *testing.T) {
+	g := topology.NewGrid(12, 18)
+	feats := bandedFeatures(g, 3, 10, rand.New(rand.NewSource(5)))
+	cfg := SpectralConfig{Delta: 2, Metric: metric.Scalar{}, Features: feats, Sigma: 1, Seed: 6, MaxK: 8}
+	n := g.N()
+
+	const dim = 6
+	cache, err := newEigenCache(affinity(g, cfg), dim, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := cache.topK(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := cache.vecs
+	for _, k := range []int{1, 3, dim, dim + 4} {
+		got, err := cache.topK(k)
+		if err != nil {
+			t.Fatalf("topK(%d): %v", k, err)
+		}
+		if cache.vecs != solved {
+			t.Fatalf("topK(%d) re-ran the eigensolve", k)
+		}
+		if want := min(k, dim); got.Rows != n || got.Cols != want {
+			t.Fatalf("topK(%d) is %dx%d, want %dx%d", k, got.Rows, got.Cols, n, want)
+		}
+		for c := 0; c < got.Cols; c++ {
+			for r := 0; r < n; r++ {
+				if got.At(r, c) != full.At(r, c) {
+					t.Fatalf("topK(%d) column %d row %d is not a prefix of the full embedding", k, c, r)
+				}
 			}
 		}
 	}
-	return float64(agree) / float64(total)
-}
-
-// TestSpectralSparseMatchesDense is the sparse-vs-dense golden: forcing
-// the sparse engine (CSR + LOBPCG) on a network the dense path normally
-// handles must reproduce essentially the same clustering — same band
-// structure, near-identical pair assignments.
-func TestSpectralSparseMatchesDense(t *testing.T) {
-	g := topology.NewGrid(10, 20)
-	rng := rand.New(rand.NewSource(14))
-	feats := bandedFeatures(g, 3, 10, rng)
-	cfg := SpectralConfig{Delta: 2, Metric: metric.Scalar{}, Features: feats, Seed: 6, MaxK: 8}
-
-	dense, err := Spectral(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := denseEigenLimit
-	denseEigenLimit = 50 // force the sparse engine on this 200-node grid
-	defer func() { denseEigenLimit = saved }()
-	sparse, err := Spectral(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	checkValid(t, "spectral (dense)", g, dense, feats, 2)
-	checkValid(t, "spectral (sparse)", g, sparse, feats, 2)
-	dn, sn := dense.Clustering.NumClusters(), sparse.Clustering.NumClusters()
-	if dn < 3 || dn > 7 || sn < 3 || sn > 7 {
-		t.Errorf("cluster counts dense=%d sparse=%d, want both near the 3 bands", dn, sn)
-	}
-	if agree := pairwiseAgreement(dense.Clustering.Assign, sparse.Clustering.Assign); agree < 0.9 {
-		t.Errorf("sparse and dense clusterings agree on only %.3f of pairs, want >= 0.9", agree)
-	}
-}
-
-// TestSpectralSparsifyKnob covers the config plumbing of the
-// sparsification pre-pass: explicit disable and explicit target both
-// yield valid clusterings on the sparse path.
-func TestSpectralSparsifyKnob(t *testing.T) {
-	g := topology.NewGrid(8, 16)
-	rng := rand.New(rand.NewSource(23))
-	feats := bandedFeatures(g, 3, 10, rng)
-	saved := denseEigenLimit
-	denseEigenLimit = 50
-	defer func() { denseEigenLimit = saved }()
-	for _, target := range []float64{-1, 6} {
-		cfg := SpectralConfig{
-			Delta: 2, Metric: metric.Scalar{}, Features: feats, Seed: 9,
-			MaxK: 8, SparsifyTargetDegree: target,
+	for a := 0; a < dim; a++ {
+		for b := a; b < dim; b++ {
+			var d float64
+			for r := 0; r < n; r++ {
+				d += full.At(r, a) * full.At(r, b)
+			}
+			want := 0.0
+			if a == b {
+				want = 1
+			}
+			if math.Abs(d-want) > 1e-9 {
+				t.Errorf("<v%d, v%d> = %v, want %v", a, b, d, want)
+			}
 		}
-		res, err := Spectral(g, cfg)
-		if err != nil {
-			t.Fatalf("target %v: %v", target, err)
-		}
-		checkValid(t, "spectral (sparsify knob)", g, res, feats, 2)
 	}
 }

@@ -108,8 +108,9 @@ type Scale struct {
 	// TaoDays is the length of the Tao stream (paper: 30).
 	TaoDays int
 	// DVNodes and DVTopologies size the Death Valley runs (paper: 2500
-	// nodes, 5 topologies). The centralized spectral baseline dominates
-	// the running time at 2500 nodes.
+	// nodes, 5 topologies). At 2500 nodes the centralized spectral and
+	// hierarchical baselines and explicit ELink take most of the running
+	// time.
 	DVNodes      int
 	DVTopologies int
 	// SynSizes are the synthetic network sizes (paper: 100–800).

@@ -34,7 +34,6 @@ func TestPrecondApplyZeroAlloc(t *testing.T) {
 		name string
 		pre  Preconditioner
 	}{
-		{"jacobi", NewJacobi(l)},
 		{"chebyshev", NewChebyshev(l, 0, 0, 0)},
 	} {
 		name, pre := tc.name, tc.pre

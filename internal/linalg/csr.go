@@ -11,8 +11,8 @@ import (
 // CSR is a finalized symmetric sparse matrix in compressed-sparse-row
 // form: per-row column indices are sorted and duplicate-free, both
 // triangles are stored, and the layout is immutable after construction.
-// It is the input type of the sparse spectral engine (EigenBottomK,
-// Sparsify): the append-with-duplicates SparseSym is the mutable builder,
+// It is the input type of the sparse spectral engine (EigenBottomK): the
+// append-with-duplicates SparseSym is the mutable builder,
 // Finalize / FinalizeStrict is the one-way door into CSR.
 type CSR struct {
 	N      int

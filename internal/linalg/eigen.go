@@ -4,62 +4,18 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"elink/internal/par"
 )
-
-// parEigenCutoff is the matrix size at and above which EigenSym switches
-// from the plain serial sweep to the phase-parallel sweep. It is a
-// variable only so tests can lower it; the cutoff choice never affects
-// correctness, but the two paths may differ in the last bits (the
-// parallel path's off-diagonal norm is a fixed-chunk reduction), so path
-// selection depends only on n — never on the worker count — keeping
-// results bitwise identical across worker counts at every size.
-var parEigenCutoff = 256
-
-// eigenNormGrain is the fixed row-chunk size of the parallel path's
-// off-diagonal norm reduction. Partial sums are combined in chunk order,
-// so the norm depends only on this constant, not on the worker count.
-const eigenNormGrain = 256
-
-// eigenVecLogCap bounds the deferred eigenvector rotation log (32 bytes
-// per rotation) between parallel flushes.
-const eigenVecLogCap = 4096
-
-// EigenOptions tunes EigenSymOpt. The zero value reproduces EigenSym.
-type EigenOptions struct {
-	// MaxSweeps caps the cyclic Jacobi sweeps (0 = 100, the default
-	// convergence budget). The benchmark harness uses small caps to time
-	// per-sweep cost at sizes where full convergence takes minutes.
-	MaxSweeps int
-	// Workers fixes the parallel path's worker count (0 = par.Workers()).
-	// Results are bitwise identical for every value.
-	Workers int
-	// ForceSerial routes the decomposition through the plain serial sweep
-	// regardless of size. The parallel benchmark uses it for its baseline;
-	// note the serial path's off-diagonal norm groups differently, so
-	// results may differ from the parallel path in the last bits.
-	ForceSerial bool
-}
 
 // EigenSym computes the full eigendecomposition of a symmetric matrix
 // using the cyclic Jacobi rotation method. It returns eigenvalues in
 // descending order and the matching eigenvectors as the columns of the
 // returned matrix. The input is not modified.
 //
-// Jacobi is O(n^3) per sweep and converges in a handful of sweeps for
-// the graph Laplacians used by the spectral-clustering baseline. At
-// n >= parEigenCutoff the sweep runs on the shared parallel execution
-// layer (internal/par): the rotation *order* is exactly the serial
-// cyclic order — only the independent element updates inside each (p,q)
-// step fan out — so eigenvalues and eigenvectors are bitwise identical
-// for any worker count.
+// Jacobi is O(n^3) per sweep, so it serves small matrices only: the
+// projected Rayleigh–Ritz problems and the small-n fallback of
+// EigenBottomK, and the dense references tests compare against. Every
+// spectral solve on a network goes through EigenBottomK.
 func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
-	return EigenSymOpt(a, EigenOptions{})
-}
-
-// EigenSymOpt is EigenSym with explicit options.
-func EigenSymOpt(a *Matrix, opt EigenOptions) (values []float64, vectors *Matrix, err error) {
 	n := a.Rows
 	if a.Cols != n {
 		return nil, nil, fmt.Errorf("linalg: EigenSym requires a square matrix, got %dx%d", a.Rows, a.Cols)
@@ -67,19 +23,10 @@ func EigenSymOpt(a *Matrix, opt EigenOptions) (values []float64, vectors *Matrix
 	if err := checkSymmetric(a); err != nil {
 		return nil, nil, err
 	}
-	maxSweeps := opt.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = 100
-	}
 
 	m := a.Clone()
 	v := Identity(n)
-
-	if n >= parEigenCutoff && !opt.ForceSerial {
-		jacobiSweepsPar(m, v, n, maxSweeps, opt.Workers)
-	} else {
-		jacobiSweepsSerial(m, v, n, maxSweeps)
-	}
+	jacobiSweeps(m, v, n, 100)
 
 	values = make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -148,10 +95,11 @@ func jacobiParams(m *Matrix, p, q int) (c, s float64, ok bool) {
 	return c, s, true
 }
 
-// jacobiSweepsSerial is the original single-core sweep loop, kept
-// verbatim as the small-matrix fast path (and the reference the parallel
-// path must reproduce rotation for rotation).
-func jacobiSweepsSerial(m, v *Matrix, n, maxSweeps int) {
+// jacobiSweeps runs cyclic Jacobi sweeps over m, accumulating every
+// rotation into the eigenvector matrix v, until the off-diagonal norm
+// drops below 1e-11 or maxSweeps sweeps have run. It is serial, so the
+// result depends only on the input.
+func jacobiSweeps(m, v *Matrix, n, maxSweeps int) {
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := offDiagNorm(m)
 		if off < 1e-11 {
@@ -200,157 +148,4 @@ func offDiagNorm(m *Matrix) float64 {
 		}
 	}
 	return math.Sqrt(sum)
-}
-
-// vecRotation is one deferred eigenvector update. The two-sided matrix
-// updates must be applied eagerly (later rotation parameters read the
-// matrix), but v is write-only until the decomposition ends, so its
-// rotations are logged and replayed in batches: each row of v applies
-// the whole log in rotation order, rows fan out across the pool. Per-row
-// operation order is exactly the serial order, so the replay is bitwise
-// identical to rotating eagerly.
-type vecRotation struct {
-	p, q int
-	c, s float64
-}
-
-// parJacobi carries one decomposition's parallel sweep state so the pool
-// phase bodies are method values (bound once, no per-rotation closure
-// allocations).
-type parJacobi struct {
-	m, v *Matrix
-	n    int
-	pool *par.Pool
-	// Current rotation, read by the phase bodies.
-	p, q int
-	c, s float64
-	// Deferred eigenvector rotations.
-	vlog []vecRotation
-	// Off-diagonal norm partials, one per fixed eigenNormGrain chunk.
-	normPartial []float64
-}
-
-// jacobiSweepsPar runs the cyclic Jacobi sweeps with the element updates
-// inside each rotation fanned out over a spin pool. Rotation order, the
-// per-element arithmetic, and the convergence test are identical for
-// every worker count (including 1), so the decomposition is bitwise
-// reproducible regardless of -j.
-func jacobiSweepsPar(m, v *Matrix, n, maxSweeps, workers int) {
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	j := &parJacobi{
-		m: m, v: v, n: n,
-		pool:        par.NewPool(workers),
-		vlog:        make([]vecRotation, 0, eigenVecLogCap),
-		normPartial: make([]float64, (n+eigenNormGrain-1)/eigenNormGrain),
-	}
-	defer j.pool.Close()
-
-	colPhase, rowPhase := j.colPhase, j.rowPhase
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		if j.offDiagNorm() < 1e-11 {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				c, s, ok := jacobiParams(m, p, q)
-				if !ok {
-					continue
-				}
-				j.p, j.q, j.c, j.s = p, q, c, s
-				j.pool.Run(colPhase)
-				j.pool.Run(rowPhase)
-				j.vlog = append(j.vlog, vecRotation{p: p, q: q, c: c, s: s})
-				if len(j.vlog) == eigenVecLogCap {
-					j.flushVecLog()
-				}
-			}
-		}
-	}
-	j.flushVecLog()
-}
-
-// colPhase applies the current rotation to columns p and q (the serial
-// loop over rows k). Each worker owns a contiguous row range; every
-// element's arithmetic matches the serial path exactly.
-func (j *parJacobi) colPhase(w int) {
-	m, p, q, c, s := j.m, j.p, j.q, j.c, j.s
-	lo, hi := par.Span(j.n, j.pool.Workers(), w)
-	for k := lo; k < hi; k++ {
-		mkp, mkq := m.At(k, p), m.At(k, q)
-		m.Set(k, p, c*mkp-s*mkq)
-		m.Set(k, q, s*mkp+c*mkq)
-	}
-}
-
-// rowPhase applies the current rotation to rows p and q (the serial loop
-// over columns k), after colPhase has fully completed.
-func (j *parJacobi) rowPhase(w int) {
-	m, p, q, c, s := j.m, j.p, j.q, j.c, j.s
-	lo, hi := par.Span(j.n, j.pool.Workers(), w)
-	for k := lo; k < hi; k++ {
-		mpk, mqk := m.At(p, k), m.At(q, k)
-		m.Set(p, k, c*mpk-s*mqk)
-		m.Set(q, k, s*mpk+c*mqk)
-	}
-}
-
-// flushVecLog replays the deferred eigenvector rotations: each worker
-// applies the whole log, in order, to its own rows of v. A row of v is
-// touched by no other state, so the replay is embarrassingly parallel
-// and bitwise identical to the eager serial update.
-func (j *parJacobi) flushVecLog() {
-	if len(j.vlog) == 0 {
-		return
-	}
-	j.pool.Run(j.vecPhase)
-	j.vlog = j.vlog[:0]
-}
-
-func (j *parJacobi) vecPhase(w int) {
-	v, log := j.v, j.vlog
-	lo, hi := par.Span(j.n, j.pool.Workers(), w)
-	for k := lo; k < hi; k++ {
-		row := v.Data[k*v.Cols : (k+1)*v.Cols]
-		for _, r := range log {
-			vkp, vkq := row[r.p], row[r.q]
-			row[r.p] = r.c*vkp - r.s*vkq
-			row[r.q] = r.s*vkp + r.c*vkq
-		}
-	}
-}
-
-// offDiagNorm computes the off-diagonal Frobenius norm as a fixed-chunk
-// reduction: workers fill per-chunk partials (each partial's summation
-// order matches the serial row-major scan), and the driver combines them
-// in chunk order. The result depends only on eigenNormGrain — not on the
-// worker count — so the sweep-termination decision, and therefore the
-// whole decomposition, is worker-count independent.
-func (j *parJacobi) offDiagNorm() float64 {
-	j.pool.Run(j.normPhase)
-	var sum float64
-	for _, p := range j.normPartial {
-		sum += p
-	}
-	return math.Sqrt(sum)
-}
-
-func (j *parJacobi) normPhase(w int) {
-	m, n, workers := j.m, j.n, j.pool.Workers()
-	for chunk := w; chunk < len(j.normPartial); chunk += workers {
-		lo := chunk * eigenNormGrain
-		hi := lo + eigenNormGrain
-		if hi > n {
-			hi = n
-		}
-		var sum float64
-		for i := lo; i < hi; i++ {
-			for jj := i + 1; jj < n; jj++ {
-				v := m.At(i, jj)
-				sum += 2 * v * v
-			}
-		}
-		j.normPartial[chunk] = sum
-	}
 }

@@ -88,19 +88,21 @@ func seedPlusPlus(points *Matrix, k int, rng *rand.Rand) [][]float64 {
 	first := rng.Intn(n)
 	centers = append(centers, append([]float64(nil), points.Data[first*dim:(first+1)*dim]...))
 	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	for len(centers) < k {
-		// Refresh the squared distances in parallel, then total them
-		// serially in index order so the sampling threshold (and hence
-		// the seeding) is bitwise worker-count independent.
+		// Fold the newest center into each point's squared distance to
+		// its nearest center, in parallel — O(n) per center rather than
+		// rescanning all of them, and the same values, since a minimum
+		// is exact — then total them serially in index order so the
+		// sampling threshold (and hence the seeding) is bitwise
+		// worker-count independent.
+		newest := centers[len(centers)-1]
 		par.For(n, func(i int) {
-			row := points.Data[i*dim : (i+1)*dim]
-			best := math.Inf(1)
-			for _, c := range centers {
-				if d := sqDist(row, c); d < best {
-					best = d
-				}
+			if d := sqDist(points.Data[i*dim:(i+1)*dim], newest); d < d2[i] {
+				d2[i] = d
 			}
-			d2[i] = best
 		})
 		var total float64
 		for i := 0; i < n; i++ {

@@ -3,8 +3,11 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"elink/internal/par"
 )
 
 func TestMatrixBasics(t *testing.T) {
@@ -202,6 +205,80 @@ func TestEigenSymRejectsAsymmetric(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	if _, _, err := EigenSym(a); err == nil {
 		t.Error("EigenSym accepted an asymmetric matrix")
+	}
+}
+
+// TestCheckSymmetricRelative: large well-scaled entries may differ by a
+// relative 1e-9 without rejection, and the error for a real violation
+// names the offending row/column pair.
+func TestCheckSymmetricRelative(t *testing.T) {
+	// Large magnitudes with tiny relative asymmetry: must pass (an
+	// absolute 1e-9 threshold would falsely reject this).
+	m := NewMatrix(2, 2)
+	m.Set(0, 0, 1e6)
+	m.Set(1, 1, 1e6)
+	m.Set(0, 1, 1e6)
+	m.Set(1, 0, 1e6+1e-4) // relative diff 1e-10 < 1e-9
+	if _, _, err := EigenSym(m); err != nil {
+		t.Fatalf("well-scaled matrix falsely rejected: %v", err)
+	}
+
+	// A genuine violation must fail and name the worst pair.
+	bad := NewMatrix(3, 3)
+	bad.Set(1, 2, 1.0)
+	bad.Set(2, 1, 2.0)
+	_, _, err := EigenSym(bad)
+	if err == nil {
+		t.Fatal("asymmetric matrix accepted")
+	}
+	for _, want := range []string{"(1,2)", "a[1][2]=1", "a[2][1]=2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not report %q", err.Error(), want)
+		}
+	}
+}
+
+// TestEigenSymBitIdenticalAcrossWorkers pins the determinism contract of
+// the dense Jacobi solve the spectral reference and the small-n fallback
+// rely on: eigenvalues and eigenvectors are bitwise identical for every
+// worker count, including 1.
+func TestEigenSymBitIdenticalAcrossWorkers(t *testing.T) {
+	solve := func(a *Matrix, workers int) ([]float64, *Matrix) {
+		par.SetWorkers(workers)
+		defer par.SetWorkers(0)
+		vals, vecs, err := EigenSym(a)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return vals, vecs
+	}
+	for _, n := range []int{64, 130} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		a := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, 1+rng.Float64())
+			for j := i + 1; j < n; j++ {
+				v := rng.NormFloat64() / float64(n)
+				a.Set(i, j, v)
+				a.Set(j, i, v)
+			}
+		}
+		refVals, refVecs := solve(a, 1)
+		for _, workers := range []int{2, 3, 4, 8} {
+			vals, vecs := solve(a, workers)
+			for i := range vals {
+				if vals[i] != refVals[i] {
+					t.Fatalf("n=%d workers=%d: eigenvalue %d differs: %v != %v (bit-identity broken)",
+						n, workers, i, vals[i], refVals[i])
+				}
+			}
+			for i := range vecs.Data {
+				if vecs.Data[i] != refVecs.Data[i] {
+					t.Fatalf("n=%d workers=%d: eigenvector element %d differs: %v != %v (bit-identity broken)",
+						n, workers, i, vecs.Data[i], refVecs.Data[i])
+				}
+			}
+		}
 	}
 }
 

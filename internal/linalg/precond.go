@@ -21,14 +21,15 @@ type Preconditioner interface {
 
 // coarsable is implemented by preconditioners that can rebuild
 // themselves for the Galerkin coarse operators of the warm start; kinds
-// that don't implement it fall back to Jacobi on coarse levels.
+// that don't implement it fall back to the default Chebyshev on coarse
+// levels.
 type coarsable interface {
 	ForMatrix(c *CSR) Preconditioner
 }
 
 // IdentityPrecond disables preconditioning: Apply is a no-op, so the
-// solver iterates on the raw residual block exactly like the
-// pre-preconditioner engine. The benchmark's baseline arm uses it.
+// solver iterates on the raw residual block. Tests use it as the
+// unpreconditioned reference the Chebyshev solve is measured against.
 type IdentityPrecond struct{}
 
 // Apply implements Preconditioner as a no-op.
@@ -36,48 +37,6 @@ func (IdentityPrecond) Apply([][]float64) {}
 
 // ForMatrix implements the coarse-level rebuild trivially.
 func (IdentityPrecond) ForMatrix(*CSR) Preconditioner { return IdentityPrecond{} }
-
-// jacobiPrecond scales each residual row by the inverse of the matrix
-// diagonal's magnitude — the cheapest classical preconditioner, and the
-// BottomKOptions default. |d| rather than d keeps M positive definite
-// for indefinite test matrices; rows without a usable diagonal pass
-// through unscaled.
-type jacobiPrecond struct {
-	inv []float64
-}
-
-// NewJacobi builds the inverse-diagonal (Jacobi) preconditioner for c.
-func NewJacobi(c *CSR) Preconditioner {
-	inv := make([]float64, c.N)
-	diag := c.Diag()
-	for i, d := range diag {
-		if a := math.Abs(d); a > 1e-12 {
-			inv[i] = 1 / a
-		} else {
-			inv[i] = 1
-		}
-	}
-	return &jacobiPrecond{inv: inv}
-}
-
-func (m *jacobiPrecond) Apply(w [][]float64) {
-	if par.Workers() == 1 {
-		m.applyCols(0, len(w), w)
-		return
-	}
-	par.Chunks(len(w), 1, func(lo, hi int) { m.applyCols(lo, hi, w) })
-}
-
-func (m *jacobiPrecond) applyCols(lo, hi int, w [][]float64) {
-	for j := lo; j < hi; j++ {
-		col := w[j]
-		for r := range col {
-			col[r] *= m.inv[r]
-		}
-	}
-}
-
-func (m *jacobiPrecond) ForMatrix(c *CSR) Preconditioner { return NewJacobi(c) }
 
 // Chebyshev preconditioner defaults: steps block updates per Apply
 // (costing steps-1 fused block SpMMs), inverse approximated on

@@ -24,28 +24,6 @@ func applyToDense(m Preconditioner, n int) *Matrix {
 	return out
 }
 
-// TestJacobiPrecond pins the inverse-|diagonal| scaling, the zero-diagonal
-// pass-through guard, and the sign handling for indefinite matrices.
-func TestJacobiPrecond(t *testing.T) {
-	s := NewSparseSym(4)
-	s.Set(0, 0, 4)
-	s.Set(1, 1, -2) // negative diagonal: |d| keeps M positive definite
-	s.Set(2, 3, 1)  // rows 2, 3 have no diagonal: pass through unscaled
-	c := s.Finalize()
-	m := NewJacobi(c)
-
-	w := [][]float64{{8, 6, 5, 7}, {4, -2, 1, 0}}
-	m.Apply(w)
-	want := [][]float64{{2, 3, 5, 7}, {1, -1, 1, 0}}
-	for j := range want {
-		for r := range want[j] {
-			if w[j][r] != want[j][r] {
-				t.Errorf("col %d row %d = %v, want %v", j, r, w[j][r], want[j][r])
-			}
-		}
-	}
-}
-
 // TestChebyshevDefaults: the zero-value knobs resolve to the documented
 // defaults — 8 steps, Gershgorin hi (≈2 on a normalized Laplacian), and
 // lo = hi/30.
@@ -153,22 +131,19 @@ func TestChebyshevCutsIterations(t *testing.T) {
 }
 
 // TestPrecondForMatrix: the coarse-level rebuild preserves each kind —
-// Chebyshev re-derives for the coarse operator, Jacobi rebuilds, identity
-// stays identity, and unknown kinds fall back to Jacobi.
+// Chebyshev re-derives for the coarse operator, identity stays identity,
+// and unknown kinds fall back to the default Chebyshev.
 func TestPrecondForMatrix(t *testing.T) {
 	fine := gridLaplacian(10, 10)
 	op := coarsen(fine).op
 	if _, ok := precondFor(NewChebyshev(fine, 0, 0, 0), op).(*chebPrecond); !ok {
 		t.Error("chebyshev did not re-derive as chebyshev on the coarse operator")
 	}
-	if _, ok := precondFor(NewJacobi(fine), op).(*jacobiPrecond); !ok {
-		t.Error("jacobi did not rebuild as jacobi")
-	}
 	if _, ok := precondFor(IdentityPrecond{}, op).(IdentityPrecond); !ok {
 		t.Error("identity did not stay identity")
 	}
-	if _, ok := precondFor(fakePrecond{}, op).(*jacobiPrecond); !ok {
-		t.Error("non-coarsable kind did not fall back to jacobi")
+	if _, ok := precondFor(fakePrecond{}, op).(*chebPrecond); !ok {
+		t.Error("non-coarsable kind did not fall back to chebyshev")
 	}
 }
 
@@ -176,37 +151,26 @@ type fakePrecond struct{}
 
 func (fakePrecond) Apply([][]float64) {}
 
-// TestPrecondWorkerIndependence: Apply is bitwise identical at every
-// worker count for both parallel preconditioner kinds.
+// TestPrecondWorkerIndependence: the Chebyshev Apply is bitwise identical
+// at every worker count.
 func TestPrecondWorkerIndependence(t *testing.T) {
 	l := gridLaplacian(12, 13)
-	rng := rand.New(rand.NewSource(21))
-	mk := func() [][]float64 {
+	apply := func(workers int) [][]float64 {
+		par.SetWorkers(workers)
+		defer par.SetWorkers(0)
 		w := newBlock(6, l.N)
 		fillRandom(w, rand.New(rand.NewSource(8)))
+		NewChebyshev(l, 0, 0, 0).Apply(w)
 		return w
 	}
-	_ = rng
-	for _, build := range []func() Preconditioner{
-		func() Preconditioner { return NewJacobi(l) },
-		func() Preconditioner { return NewChebyshev(l, 0, 0, 0) },
-	} {
-		apply := func(workers int) [][]float64 {
-			par.SetWorkers(workers)
-			defer par.SetWorkers(0)
-			w := mk()
-			build().Apply(w)
-			return w
-		}
-		ref := apply(1)
-		for _, workers := range []int{2, 4, 8} {
-			got := apply(workers)
-			for j := range ref {
-				for r := range ref[j] {
-					if got[j][r] != ref[j][r] {
-						t.Fatalf("workers=%d: element (%d,%d) differs: %v != %v",
-							workers, j, r, got[j][r], ref[j][r])
-					}
+	ref := apply(1)
+	for _, workers := range []int{2, 4, 8} {
+		got := apply(workers)
+		for j := range ref {
+			for r := range ref[j] {
+				if got[j][r] != ref[j][r] {
+					t.Fatalf("workers=%d: element (%d,%d) differs: %v != %v",
+						workers, j, r, got[j][r], ref[j][r])
 				}
 			}
 		}

@@ -1,13 +1,5 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-
-	"elink/internal/par"
-)
-
 // SparseSym is a symmetric sparse matrix in adjacency-list form, used for
 // the graph affinity matrices of the spectral-clustering baseline.
 type SparseSym struct {
@@ -46,17 +38,6 @@ func (s *SparseSym) MulVec(x, y []float64) {
 	}
 }
 
-// StoredEntries counts the builder's stored entries (both triangles,
-// duplicates included) — the cheap nnz estimate the spectral baseline's
-// solver decision uses before the builder is finalized.
-func (s *SparseSym) StoredEntries() int {
-	total := 0
-	for _, cols := range s.Cols {
-		total += len(cols)
-	}
-	return total
-}
-
 // RowSums returns the per-row sums (the degree vector of an affinity
 // matrix).
 func (s *SparseSym) RowSums() []float64 {
@@ -78,220 +59,4 @@ func (s *SparseSym) Dense() *Matrix {
 		}
 	}
 	return m
-}
-
-// EigenTopK approximates the k largest-eigenvalue eigenpairs of the
-// sparse symmetric matrix. Eigenvalues come back in descending order;
-// eigenvectors are the columns of the returned n x k matrix.
-//
-// The implementation is block subspace iteration with Rayleigh–Ritz
-// extraction. A block of k+p vectors is iterated, so eigenvalues with
-// multiplicity up to the block size — exactly what near-disconnected
-// affinity graphs produce — are resolved correctly, which plain
-// single-vector Lanczos cannot do. For small matrices it simply
-// densifies and calls the Jacobi solver.
-//
-// If the iteration budget expires before every requested pair meets
-// tolerance, the best-effort Ritz pairs are returned together with a
-// *ConvergenceError (wrapping ErrNoConvergence) carrying the per-pair
-// residuals — never silently.
-func (s *SparseSym) EigenTopK(k int, rng *rand.Rand) ([]float64, *Matrix, error) {
-	n := s.N
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("linalg: EigenTopK requires k >= 1, got %d", k)
-	}
-	if k > n {
-		k = n
-	}
-	b := k + 8 // oversampling accelerates convergence of the k-th pair
-	if b >= n || n <= 64 {
-		vals, vecs, err := EigenSym(s.Dense())
-		if err != nil {
-			return nil, nil, err
-		}
-		top := NewMatrix(n, k)
-		for c := 0; c < k; c++ {
-			for r := 0; r < n; r++ {
-				top.Set(r, c, vecs.At(r, c))
-			}
-		}
-		return vals[:k], top, nil
-	}
-
-	// Gershgorin shift makes the target eigenvalues the largest in
-	// magnitude so power iterations converge to them.
-	var shift float64
-	for i := 0; i < n; i++ {
-		var row float64
-		for _, v := range s.Vals[i] {
-			row += math.Abs(v)
-		}
-		if row > shift {
-			shift = row
-		}
-	}
-	if shift == 0 {
-		shift = 1
-	}
-
-	// Random orthonormal starting block.
-	q := make([][]float64, b)
-	for c := range q {
-		q[c] = make([]float64, n)
-		for r := range q[c] {
-			q[c][r] = rng.NormFloat64()
-		}
-	}
-	orthonormalize(q)
-
-	z := make([][]float64, b)
-	for c := range z {
-		z[c] = make([]float64, n)
-	}
-
-	const maxIter = 400
-	const tol = 1e-8
-	var vals []float64
-	var ritz *Matrix
-	for iter := 0; iter < maxIter; iter++ {
-		// Z = (S + shift I) Q. Columns are independent, so the block
-		// matvec fans out over the shared execution layer; every column's
-		// arithmetic is the serial order, so results are worker-count
-		// independent.
-		par.For(b, func(c int) {
-			s.MulVec(q[c], z[c])
-			for r := 0; r < n; r++ {
-				z[c][r] += shift * q[c][r]
-			}
-		})
-		// Rayleigh–Ritz every few iterations (and on the last).
-		if iter%4 == 3 || iter == maxIter-1 {
-			// T = Qᵀ Z (b x b, symmetric up to round-off). Row i writes
-			// (i, j>=i) and mirrors into (j, i) — disjoint across i.
-			t := NewMatrix(b, b)
-			par.For(b, func(i int) {
-				for j := i; j < b; j++ {
-					v := dot(q[i], z[j])
-					t.Set(i, j, v)
-					t.Set(j, i, v)
-				}
-			})
-			tv, tvec, err := EigenSym(t)
-			if err != nil {
-				return nil, nil, err
-			}
-			// Rotate the block onto the Ritz basis: Q' = Q V. Each output
-			// column accumulates from the (frozen) old block.
-			rot := make([][]float64, b)
-			par.For(b, func(c int) {
-				rot[c] = make([]float64, n)
-				for j := 0; j < b; j++ {
-					f := tvec.At(j, c)
-					if f == 0 {
-						continue
-					}
-					col := q[j]
-					dst := rot[c]
-					for r := 0; r < n; r++ {
-						dst[r] += f * col[r]
-					}
-				}
-			})
-			q = rot
-			// Convergence: residual of the k leading Ritz pairs, one
-			// scratch vector per column so they fan out safely.
-			vals = make([]float64, k)
-			residuals := make([]float64, k)
-			par.For(k, func(c int) {
-				y := make([]float64, n)
-				s.MulVec(q[c], y)
-				lambda := tv[c] - shift
-				vals[c] = lambda
-				var res float64
-				for r := 0; r < n; r++ {
-					d := y[r] - lambda*q[c][r]
-					res += d * d
-				}
-				residuals[c] = math.Sqrt(res)
-			})
-			converged := true
-			for c, r := range residuals {
-				if r > tol*(math.Abs(vals[c])+1) {
-					converged = false
-				}
-			}
-			if converged || iter == maxIter-1 {
-				ritz = NewMatrix(n, k)
-				for c := 0; c < k; c++ {
-					for r := 0; r < n; r++ {
-						ritz.Set(r, c, q[c][r])
-					}
-				}
-				if !converged {
-					// Surface the iteration-budget expiry instead of the
-					// old silent fallthrough: the best-effort Ritz pairs
-					// are still returned, with their residuals attached,
-					// so the caller decides whether they are usable.
-					return vals, ritz, &ConvergenceError{Residuals: residuals, Tol: tol, Iters: maxIter}
-				}
-				return vals, ritz, nil
-			}
-			// Continue iterating from the rotated block.
-			continue
-		}
-		copyBlock(q, z)
-		orthonormalize(q)
-	}
-	// Unreachable: the loop returns on its final iteration.
-	return vals, ritz, nil
-}
-
-func copyBlock(dst, src [][]float64) {
-	for c := range dst {
-		copy(dst[c], src[c])
-	}
-}
-
-// orthonormalize runs modified Gram–Schmidt over the block's columns,
-// re-randomizing any column that collapses to (numerical) zero.
-func orthonormalize(q [][]float64) {
-	for c := 0; c < len(q); c++ {
-		for prev := 0; prev < c; prev++ {
-			f := dot(q[prev], q[c])
-			for r := range q[c] {
-				q[c][r] -= f * q[prev][r]
-			}
-		}
-		norm := math.Sqrt(dot(q[c], q[c]))
-		if norm < 1e-12 {
-			// Deterministic re-seed: unit vector on coordinate c keeps the
-			// block full rank without consuming external randomness.
-			for r := range q[c] {
-				q[c][r] = 0
-			}
-			q[c][c%len(q[c])] = 1
-			for prev := 0; prev < c; prev++ {
-				f := dot(q[prev], q[c])
-				for r := range q[c] {
-					q[c][r] -= f * q[prev][r]
-				}
-			}
-			norm = math.Sqrt(dot(q[c], q[c]))
-			if norm < 1e-12 {
-				norm = 1
-			}
-		}
-		inv := 1 / norm
-		for r := range q[c] {
-			q[c][r] *= inv
-		}
-	}
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

@@ -23,7 +23,7 @@ func runGoDiscipline(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				p.Reportf(g.Pos(), "bare go statement outside the concurrency layers; use par.For/par.Chunks/par.Pool or move the code under internal/par")
+				p.Reportf(g.Pos(), "bare go statement outside the concurrency layers; use par.For/par.Chunks or move the code under internal/par")
 			}
 			return true
 		})

@@ -63,9 +63,9 @@ func workerSpanName(w int) string {
 	return "par-worker-hi"
 }
 
-// Instrument exports the pool's utilization through the given registry:
+// Instrument exports the layer's utilization through the given registry:
 //
-//	par_tasks_total            tasks (chunks and pool phases) executed
+//	par_tasks_total            tasks (fork-join chunks) executed
 //	par_workers                currently resolved worker count
 //	par_batch_latency_seconds  wall-clock latency of fork-join batches
 //
@@ -77,7 +77,7 @@ func Instrument(reg *obs.Registry) {
 		instrumented.Store(nil)
 		return
 	}
-	reg.Help("par_tasks_total", "Parallel tasks executed by the shared execution layer (chunks and pool phases).")
+	reg.Help("par_tasks_total", "Parallel tasks executed by the shared execution layer (fork-join chunks).")
 	reg.Help("par_workers", "Worker count the parallel execution layer resolves for new batches.")
 	reg.Help("par_batch_latency_seconds", "Wall-clock latency of fork-join batches (For/Chunks/Err/Map).")
 	m := &parMetrics{

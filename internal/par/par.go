@@ -1,16 +1,13 @@
 // Package par is the repository's shared deterministic parallel
 // execution layer: a bounded fork-join API (For / Chunks / Err / Map)
-// whose results are collected in index order, plus a persistent
-// spin-assisted worker pool (Pool) for phase-structured kernels like the
-// Jacobi eigensolver whose parallel regions are too fine-grained for
-// per-call goroutine spawning.
+// whose results are collected in index order.
 //
 // Determinism contract: every primitive here writes results into
 // caller-owned, index-addressed slots, so as long as the task bodies are
 // pure functions of their index (no shared mutable state, no hidden
 // randomness), the observable output is bitwise identical for any worker
 // count — including 1. Reductions that are sensitive to floating-point
-// association (e.g. the eigensolver's off-diagonal norm) must use Chunks
+// association (e.g. a sum over rows) must use Chunks
 // with a fixed grain and combine the per-chunk partials in chunk order;
 // the chunk layout depends only on (n, grain), never on the worker
 // count, which is what makes `-j 1` and `-j NumCPU` agree to the bit.

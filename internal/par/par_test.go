@@ -171,90 +171,40 @@ func TestForPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestPoolPanicPropagates(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	p.Run(func(w int) {}) // warm phase
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("pool panic did not propagate")
-			}
-			if !strings.Contains(fmt.Sprint(r), "phase-boom") {
-				t.Fatalf("pool panic lost its value: %v", r)
-			}
-		}()
-		p.Run(func(w int) {
-			if w == 1 {
-				panic("phase-boom")
-			}
-		})
-	}()
-	// The pool must stay usable after a panic drained.
-	var hits atomic.Int32
-	p.Run(func(w int) { hits.Add(1) })
-	if hits.Load() != 4 {
-		t.Fatalf("post-panic phase ran on %d workers, want 4", hits.Load())
-	}
-}
-
-// TestPoolPhases checks the fork-join barrier: a phase must observe all
-// writes of the previous phase.
-func TestPoolPhases(t *testing.T) {
-	const n, phases = 1024, 50
-	p := NewPool(4)
-	defer p.Close()
-	data := make([]int, n)
-	for phase := 0; phase < phases; phase++ {
-		p.Run(func(w int) {
-			lo, hi := Span(n, p.Workers(), w)
-			for i := lo; i < hi; i++ {
-				data[i]++
-			}
-		})
-	}
-	for i, v := range data {
-		if v != phases {
-			t.Fatalf("data[%d]=%d after %d phases, want %d", i, v, phases, phases)
-		}
-	}
-}
-
-// TestPoolHammer runs several pools concurrently (each driven by its own
-// goroutine, as the contract requires) under load; with -race this is
-// the memory-safety check for the spin handoff.
-func TestPoolHammer(t *testing.T) {
-	const pools, phases, n = 4, 200, 512
-	var wg sync.WaitGroup
-	for pi := 0; pi < pools; pi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := NewPool(3)
-			defer p.Close()
-			acc := make([]int64, n)
-			for phase := 0; phase < phases; phase++ {
-				p.Run(func(w int) {
-					lo, hi := Span(n, p.Workers(), w)
-					for i := lo; i < hi; i++ {
-						acc[i] += int64(i)
-					}
-				})
-			}
-			for i, v := range acc {
-				if v != int64(i)*phases {
-					t.Errorf("pool: acc[%d]=%d, want %d", i, v, int64(i)*phases)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestForConcurrent drives For from many goroutines at once; chunk
 // dispatch state is per-call, so calls must not interfere.
+// TestErrPanicPropagates: a panic inside an Err body reaches the caller
+// with its value, and the package stays usable afterwards — the next
+// batch runs every index.
+func TestErrPanicPropagates(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		withWorkers(t, workers, func() {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("workers=%d: Err panic did not propagate", workers)
+					}
+					if !strings.Contains(fmt.Sprint(r), "phase-boom") {
+						t.Fatalf("workers=%d: Err panic lost its value: %v", workers, r)
+					}
+				}()
+				_ = Err(100, func(i int) error {
+					if i == 57 {
+						panic("phase-boom")
+					}
+					return nil
+				})
+			}()
+			var hits atomic.Int32
+			For(100, func(int) { hits.Add(1) })
+			if hits.Load() != 100 {
+				t.Fatalf("workers=%d: post-panic batch ran %d of 100 bodies", workers, hits.Load())
+			}
+		})
+	}
+}
+
 func TestForConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -288,26 +238,5 @@ func TestWorkersResolution(t *testing.T) {
 	t.Setenv("ELINK_WORKERS", "not-a-number")
 	if got := Workers(); got < 1 {
 		t.Fatalf("fallback must be positive, got %d", got)
-	}
-}
-
-func TestSpanCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 10, 997} {
-		for _, workers := range []int{1, 2, 3, 16} {
-			next := 0
-			for w := 0; w < workers; w++ {
-				lo, hi := Span(n, workers, w)
-				if lo != next {
-					t.Fatalf("n=%d workers=%d w=%d: lo=%d, want %d", n, workers, w, lo, next)
-				}
-				if hi < lo {
-					t.Fatalf("n=%d workers=%d w=%d: hi=%d < lo=%d", n, workers, w, hi, lo)
-				}
-				next = hi
-			}
-			if next != n {
-				t.Fatalf("n=%d workers=%d: spans end at %d", n, workers, next)
-			}
-		}
 	}
 }

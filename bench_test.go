@@ -104,22 +104,6 @@ func BenchmarkIndexBuild400(b *testing.B) {
 	}
 }
 
-func BenchmarkRangeQuery400(b *testing.B) {
-	g, feats := benchGraphAndFeatures(400, 1)
-	res, err := elink.Cluster(g, elink.Config{Delta: 2, Metric: elink.Scalar(), Features: feats})
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx, err := elink.BuildIndex(g, res.Clustering, feats, elink.Scalar())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		elink.RangeQuery(idx, elink.Feature{7.5}, 1.5, elink.NodeID(i%g.N()))
-	}
-}
-
 func BenchmarkMaintainerUpdate(b *testing.B) {
 	g, feats := benchGraphAndFeatures(400, 1)
 	res, err := elink.Cluster(g, elink.Config{Delta: 1.4, Metric: elink.Scalar(), Features: feats})

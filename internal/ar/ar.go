@@ -69,6 +69,7 @@ type Model struct {
 	p    *linalg.Matrix // (XXᵀ)⁻¹
 	lags []float64      // most recent observations, newest first
 	seen int            // total observations consumed
+	px   []float64      // P x scratch for update, allocated on first use
 }
 
 // NewModel returns an untrained online AR(order) model. Until Order+1
@@ -140,9 +141,7 @@ func (m *Model) Observe(value float64) bool {
 		m.seen++
 		return false
 	}
-	x := make([]float64, m.Order)
-	copy(x, m.lags[:m.Order])
-	m.update(x, value)
+	m.update(m.lags[:m.Order], value)
 	// Shift the lag window.
 	copy(m.lags[1:], m.lags[:m.Order-1])
 	m.lags[0] = value
@@ -155,9 +154,15 @@ func (m *Model) Observe(value float64) bool {
 //
 //	P ← P − P x (1 + xᵀ P x)⁻¹ xᵀ P          (eq. 7)
 //	α ← α − P (x xᵀ α − x y)                  (eq. 8)
+//
+// x is only read. Both products P x go into the model's own scratch, so
+// a step allocates nothing.
 func (m *Model) update(x []float64, y float64) {
 	k := m.Order
-	px := m.p.MulVec(x) // P x
+	if len(m.px) != k {
+		m.px = make([]float64, k)
+	}
+	px := m.p.MulVecTo(m.px, x) // P x
 	var xpx float64
 	for i := range x {
 		xpx += x[i] * px[i]
@@ -175,9 +180,9 @@ func (m *Model) update(x []float64, y float64) {
 		xa += x[i] * m.Coef[i]
 	}
 	resid := xa - y
-	pxNew := m.p.MulVec(x)
+	px = m.p.MulVecTo(px, x) // P x again, with the updated P
 	for i := 0; i < k; i++ {
-		m.Coef[i] -= pxNew[i] * resid
+		m.Coef[i] -= px[i] * resid
 	}
 }
 

@@ -189,3 +189,21 @@ func TestRLSBatchEquivalenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestObserveAllocs pins a warmed-up RLS step at zero allocations: the
+// regressor is read in place from the lag window and both P x products
+// reuse the model's scratch.
+func TestObserveAllocs(t *testing.T) {
+	m := NewModel(3)
+	v := 0.0
+	for i := 0; i < 8; i++ {
+		v += 0.37
+		m.Observe(v)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		v = v*0.9 + 0.37
+		m.Observe(v)
+	}); allocs != 0 {
+		t.Fatalf("Observe allocates %v objects per step, want 0", allocs)
+	}
+}

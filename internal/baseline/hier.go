@@ -62,7 +62,8 @@ func Hierarchical(g *topology.Graph, cfg HierConfig) (*cluster.Result, error) {
 		stats.Messages += cost
 	}
 	// Probe charges walk root-to-root hop distances every round; the
-	// shared routing tables serve them without a BFS per pair.
+	// shared router answers each pair with a BFS truncated at the pair's
+	// distance, building no table.
 	routes := g.Routes()
 
 	for round := 0; ; round++ {

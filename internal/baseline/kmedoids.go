@@ -55,8 +55,9 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 		cfg.MaxK = n
 	}
 	rng := detrand.New(cfg.Seed)
-	// Refresh charging routes every node to its medoid; rooting the
-	// shared tables at the k medoids replaces N BFS runs per round with k.
+	// Refresh charging routes every node to its medoid: each medoid is
+	// asked for by all its members, so this takes whole hop fields from
+	// the shared tables (at most k BFS runs per round, not N).
 	routes := g.Routes()
 	stats := cluster.Stats{Breakdown: make(map[string]int64)}
 	charge := func(kind string, cost int64) {
@@ -67,6 +68,7 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 	run := func(k int) *cluster.Clustering {
 		medoids := seedMedoids(cfg.Features, cfg.Metric, k, rng)
 		assign := make([]int, n)
+		members := make([][]int, k)
 		for iter := 0; iter < cfg.MaxIter; iter++ {
 			// Broadcast the medoid set to every node.
 			charge("medoid", int64(k)*int64(n))
@@ -83,9 +85,26 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 					changed = true
 				}
 			}
-			// Members ship features to their medoid for the refresh.
-			for u := 0; u < n; u++ {
-				charge("refresh", int64(routes.Dist(topology.NodeID(u), topology.NodeID(medoids[assign[u]]))))
+			// Members ship features to their medoid for the refresh. Each
+			// medoid's hop field is charged to its members while in hand,
+			// so one field is held at a time and memberless medoids cost
+			// no BFS.
+			for c := range members {
+				members[c] = members[c][:0]
+			}
+			for u, c := range assign {
+				members[c] = append(members[c], u)
+			}
+			for c, us := range members {
+				if len(us) == 0 {
+					continue
+				}
+				hops := routes.Distances(topology.NodeID(medoids[c]))
+				var cost int64
+				for _, u := range us {
+					cost += int64(hops[u])
+				}
+				charge("refresh", cost)
 			}
 			if !refreshMedoids(cfg.Features, cfg.Metric, assign, medoids) && !changed {
 				break

@@ -165,7 +165,7 @@ func (idx *Index) buildBackbone(c *cluster.Clustering) error {
 	}
 	seen := make(map[[2]int]bool)
 	var edges []cedge
-	routes := idx.Graph.Routes() // root-to-root hops from the shared tables
+	routes := idx.Graph.Routes() // root-to-root hops from the shared router
 	for u := 0; u < idx.Graph.N(); u++ {
 		for _, v := range idx.Graph.Neighbors(topology.NodeID(u)) {
 			a, b := idx.ClusterOf[u], idx.ClusterOf[int(v)]

@@ -305,3 +305,26 @@ func TestRefreshKeepsQueriesExact(t *testing.T) {
 		}
 	}
 }
+
+// TestFromStateRejectsBackboneCycle checks restore accepts Build's
+// backbone forest but rejects an edge closing a cycle (self-loops
+// included), since queries walk the backbone without a visited set.
+func TestFromStateRejectsBackboneCycle(t *testing.T) {
+	g := topology.NewGrid(1, 5)
+	c := cluster.FromRoots([]topology.NodeID{0, 1, 2, 3, 4}) // singletons
+	feats := []metric.Feature{{0}, {10}, {20}, {30}, {40}}
+	idx, err := Build(g, c, feats, metric.Scalar{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromState(g, metric.Scalar{}, idx.State()); err != nil {
+		t.Fatalf("Build's backbone rejected: %v", err)
+	}
+	for _, extra := range []BackboneEdge{{A: 0, B: 2, Hops: 2}, {A: 3, B: 3}, idx.Backbone[0]} {
+		st := idx.State()
+		st.Backbone = append(st.Backbone, extra)
+		if _, err := FromState(g, metric.Scalar{}, st); err == nil {
+			t.Errorf("backbone with extra edge %+v accepted", extra)
+		}
+	}
+}

@@ -145,10 +145,27 @@ func FromState(g *topology.Graph, m metric.Metric, st State) (*Index, error) {
 			return nil, fmt.Errorf("index: node %d assigned to cluster %d of %d", u, ci, len(idx.Clusters))
 		}
 	}
+	// Queries walk the backbone as a forest, with no visited set (Build
+	// makes it one by Kruskal), so an edge closing a cycle is rejected.
+	comp := make(map[topology.NodeID]topology.NodeID, len(roots))
+	find := func(x topology.NodeID) topology.NodeID {
+		for {
+			p, ok := comp[x]
+			if !ok || p == x {
+				return x
+			}
+			x = p
+		}
+	}
 	for _, e := range idx.Backbone {
 		if !roots[e.A] || !roots[e.B] {
 			return nil, fmt.Errorf("index: backbone edge (%d,%d) does not connect cluster roots", e.A, e.B)
 		}
+		ca, cb := find(e.A), find(e.B)
+		if ca == cb {
+			return nil, fmt.Errorf("index: backbone edge (%d,%d) closes a cycle", e.A, e.B)
+		}
+		comp[ca] = cb
 		idx.BackboneAdj[e.A] = append(idx.BackboneAdj[e.A], e)
 		idx.BackboneAdj[e.B] = append(idx.BackboneAdj[e.B], e)
 	}

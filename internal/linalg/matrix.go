@@ -97,10 +97,15 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: cannot multiply %dx%d by vector of length %d", m.Rows, m.Cols, len(v)))
+	return m.MulVecTo(make([]float64, m.Rows), v)
+}
+
+// MulVecTo writes the matrix-vector product m * v into out (length
+// m.Rows, not aliasing v) and returns it.
+func (m *Matrix) MulVecTo(out, v []float64) []float64 {
+	if m.Cols != len(v) || m.Rows != len(out) {
+		panic(fmt.Sprintf("linalg: cannot multiply %dx%d by vector of length %d into %d", m.Rows, m.Cols, len(v), len(out)))
 	}
-	out := make([]float64, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64

@@ -92,11 +92,11 @@ func PathSpanned(idx *index.Index, danger metric.Feature, gamma float64, src, ds
 	// contain safe nodes), and the answer is the hop path itself.
 	ss := sp.Child("q-search")
 	defer ss.Finish()
-	for _, e := range backboneComponent(idx, idx.Clusters[idx.ClusterOf[src]].Root) {
+	walkBackbone(idx, idx.Clusters[idx.ClusterOf[src]].Root, -1, func(e index.BackboneEdge) {
 		if clusterHasSafe(idx, e.A, safe) && clusterHasSafe(idx, e.B, safe) {
 			charge(KindBackbone, int64(e.Hops))
 		}
-	}
+	})
 
 	path := safeBFS(idx.Graph, safe, src, dst)
 	if path == nil {
@@ -123,7 +123,7 @@ func classify(idx *index.Index, ci int, u topology.NodeID, danger metric.Feature
 		d := idx.Metric.Distance(idx.Features[ch], danger)
 		switch {
 		case d > gamma+che.Radius:
-			for _, v := range subtreeMembers(cl, ch) {
+			for _, v := range appendSubtree(nil, cl, ch) {
 				safe[v] = true
 			}
 		case d <= gamma-che.Radius:

@@ -322,3 +322,26 @@ func TestRangeCorrectnessProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestQueriesFloodWholeBackbone pins the backbone walk: on a connected
+// deployment a range query that matches nothing, and a path query whose
+// every cluster is safe, each cross every backbone edge exactly once.
+func TestQueriesFloodWholeBackbone(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		idx, _ := randomClusteredIndex(t, seed, 80)
+		var want int64
+		for _, e := range idx.Backbone {
+			want += int64(e.Hops)
+		}
+		if want == 0 {
+			t.Fatalf("seed %d: fixture has no backbone", seed)
+		}
+		initiator := topology.NodeID(seed * 7 % 80)
+		if got := Range(idx, metric.Feature{1e6}, 0.5, initiator).Stats.Breakdown[KindBackbone]; got != want {
+			t.Errorf("seed %d: range backbone cost %d, want %d", seed, got, want)
+		}
+		if got := Path(idx, metric.Feature{1e6}, 0, initiator, 0).Stats.Breakdown[KindBackbone]; got != want {
+			t.Errorf("seed %d: path backbone cost %d, want %d", seed, got, want)
+		}
+	}
+}

@@ -65,9 +65,9 @@ func RangeSpanned(idx *index.Index, q metric.Feature, r float64, initiator topol
 	// roots whose clusters were pruned suppress their (empty) replies.
 	bs := sp.Child("q-backbone")
 	start := idx.Clusters[idx.ClusterOf[initiator]].Root
-	for _, e := range backboneComponent(idx, start) {
+	walkBackbone(idx, start, -1, func(e index.BackboneEdge) {
 		charge(KindBackbone, int64(e.Hops))
-	}
+	})
 	bs.Finish()
 
 	cs := sp.Child("q-clusters")
@@ -75,7 +75,7 @@ func RangeSpanned(idx *index.Index, q metric.Feature, r float64, initiator topol
 	for ci := range idx.Clusters {
 		root := idx.RootEntry(ci)
 		dRoot := idx.Metric.Distance(q, idx.Features[root.ID])
-		var matches []topology.NodeID
+		before := len(res.Matches)
 		switch {
 		case dRoot > r+root.Radius:
 			// No member can match (§7.2's exclusion, with the measured
@@ -86,18 +86,17 @@ func RangeSpanned(idx *index.Index, q metric.Feature, r float64, initiator topol
 			// Every member matches; the root answers for the whole
 			// cluster without descending.
 			res.ClustersIncluded++
-			matches = idx.Clusters[ci].Members
+			res.Matches = append(res.Matches, idx.Clusters[ci].Members...)
 		default:
 			res.ClustersSearched++
-			matches = descend(idx, ci, root.ID, q, r, charge)
+			res.Matches = descend(res.Matches, idx, ci, root.ID, q, r, charge)
 		}
 		// Answers ride back on the descent replies (already charged); a
 		// wholesale inclusion is answered by the root directly, which is
 		// exactly the saving the δ-compactness pruning buys (§7.2).
-		if len(matches) > 0 {
+		if len(res.Matches) > before {
 			answered[idx.Clusters[ci].Root] = true
 		}
-		res.Matches = append(res.Matches, matches...)
 	}
 	cs.Finish()
 	// Aggregation return pass over the backbone: each edge on the path
@@ -142,11 +141,11 @@ func backboneReturnCost(idx *index.Index, start topology.NodeID, answered map[to
 }
 
 // descend runs the M-tree search below node u (which has already been
-// reached; reaching a child costs one message down and its reply one up).
-func descend(idx *index.Index, ci int, u topology.NodeID, q metric.Feature, r float64, charge func(string, int64)) []topology.NodeID {
+// reached; reaching a child costs one message down and its reply one up),
+// appending the matches to out in pre-order.
+func descend(out []topology.NodeID, idx *index.Index, ci int, u topology.NodeID, q metric.Feature, r float64, charge func(string, int64)) []topology.NodeID {
 	cl := idx.Clusters[ci]
 	e := cl.Entries[u]
-	var out []topology.NodeID
 	du := idx.Metric.Distance(q, idx.Features[u])
 	if du <= r {
 		out = append(out, u)
@@ -161,51 +160,42 @@ func descend(idx *index.Index, ci int, u topology.NodeID, q metric.Feature, r fl
 		}
 		// Include the whole child subtree without descending.
 		if du+dch <= r-che.Radius {
-			out = append(out, subtreeMembers(cl, ch)...)
+			out = appendSubtree(out, cl, ch)
 			continue
 		}
 		charge(KindDescend, 2) // one hop down, the answer back up
-		out = append(out, descend(idx, ci, ch, q, r, charge)...)
+		out = descend(out, idx, ci, ch, q, r, charge)
 	}
 	return out
 }
 
-func subtreeMembers(cl *index.ClusterIndex, u topology.NodeID) []topology.NodeID {
-	out := []topology.NodeID{u}
+// appendSubtree appends the members of cl's subtree rooted at u to out in
+// pre-order.
+func appendSubtree(out []topology.NodeID, cl *index.ClusterIndex, u topology.NodeID) []topology.NodeID {
+	out = append(out, u)
 	for _, ch := range cl.Entries[u].Children {
-		out = append(out, subtreeMembers(cl, ch)...)
+		out = appendSubtree(out, cl, ch)
 	}
 	return out
 }
 
-// backboneComponent returns the backbone edges reachable from the given
-// root (the whole backbone on a connected deployment).
-func backboneComponent(idx *index.Index, start topology.NodeID) []index.BackboneEdge {
-	seenRoot := map[topology.NodeID]bool{start: true}
-	seenEdge := map[[2]topology.NodeID]bool{}
-	var out []index.BackboneEdge
-	queue := []topology.NodeID{start}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range idx.BackboneAdj[u] {
-			key := [2]topology.NodeID{e.A, e.B}
-			if seenEdge[key] {
-				continue
-			}
-			seenEdge[key] = true
-			out = append(out, e)
-			other := e.A
-			if other == u {
-				other = e.B
-			}
-			if !seenRoot[other] {
-				seenRoot[other] = true
-				queue = append(queue, other)
-			}
+// walkBackbone calls visit once for every backbone edge in the tree
+// holding node, reached from parent (-1 at the start). The backbone is a
+// forest — index.Build links cluster roots by Kruskal — so skipping the
+// edge back to the parent visits each edge exactly once, with no visited
+// set.
+func walkBackbone(idx *index.Index, node, parent topology.NodeID, visit func(index.BackboneEdge)) {
+	for _, e := range idx.BackboneAdj[node] {
+		other := e.A
+		if other == node {
+			other = e.B
 		}
+		if other == parent {
+			continue
+		}
+		visit(e)
+		walkBackbone(idx, other, node, visit)
 	}
-	return out
 }
 
 // BruteForce computes the exact answer set centrally; tests and the

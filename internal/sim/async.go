@@ -319,21 +319,21 @@ func (c *asyncCtx) Route(to topology.NodeID, kind string, payload any) {
 	an := c.net
 	hops := 0
 	if to != c.id {
-		// The routing lookup runs outside the accounting mutex: tables
-		// are concurrency-safe and built at most once per destination, so
-		// goroutines no longer serialize a BFS under the global lock.
-		rt := an.routes.Table(to)
-		hops = rt.Dist(c.id)
+		// The route walk runs outside the accounting mutex: the shared
+		// router is concurrency-safe (each truncated BFS takes its own
+		// pooled scratch), so goroutines never serialize on a BFS under
+		// the global lock. Per-hop sender attribution is identical to
+		// Network.Route's.
+		hops = an.routes.Walk(c.id, to, func(cur, _ topology.NodeID) bool {
+			atomic.AddInt64(&an.perNode[cur], 1)
+			return true
+		})
 		if hops < 0 {
 			panic(fmt.Sprintf("sim: async Route from %d to unreachable %d", c.id, to))
 		}
 		an.mu.Lock()
 		an.counts[kind] += int64(hops)
 		an.mu.Unlock()
-		// Per-hop sender attribution, identical to Network.Route's.
-		for cur := c.id; cur != to; cur = rt.Next(cur) {
-			atomic.AddInt64(&an.perNode[cur], 1)
-		}
 	}
 	an.pending.Add(1)
 	an.boxes[to].push(asyncEvent{msg: Message{From: c.id, To: to, Kind: kind, Payload: payload, Hops: hops}})

@@ -7,9 +7,9 @@ import (
 	"elink/internal/topology"
 )
 
-// bfsShortestPath is the pre-cache implementation: a full O(N+E) BFS per
+// bfsShortestPath is the original implementation: a full O(N+E) BFS per
 // routed message plus the smallest-id walk. It is kept here as the
-// baseline BenchmarkRouting compares the shared routing tables against:
+// baseline BenchmarkRouting compares the shared router against:
 //
 //	go test -run '^$' -bench Routing ./internal/sim
 func bfsShortestPath(g *topology.Graph, u, v topology.NodeID) []topology.NodeID {
@@ -48,8 +48,7 @@ func bfsShortestPath(g *topology.Graph, u, v topology.NodeID) []topology.NodeID 
 }
 
 // uncachedRoute replays Network.Route's accounting over a freshly
-// BFS-computed path — the executor's behaviour before the routing-table
-// cache.
+// BFS-computed path — the executor's behaviour before the shared router.
 func uncachedRoute(n *Network, src, dst topology.NodeID, kind string) {
 	path := bfsShortestPath(n.Graph, src, dst)
 	var delay float64
@@ -71,10 +70,16 @@ func benchDests(g *topology.Graph, k int) []topology.NodeID {
 }
 
 // BenchmarkRouting measures routed-message throughput on grid (the
-// paper's Tao layout) topologies: the shared routing tables ("cached")
-// against one BFS per message ("bfs", the implementation this cache
-// replaced), plus the async runtime end to end. Destinations rotate over
-// a fixed leader-like set, the pattern clustering protocols produce.
+// paper's Tao layout) topologies, one op per routed message. Sources
+// rotate over 64 nodes and destinations over a fixed leader-like set of
+// 8, the pattern clustering protocols produce. The arms:
+//
+//   - walk: the shared router, which runs a truncated BFS from each
+//     message's destination on pooled scratch.
+//   - bfs: a full BFS and a fresh path per message, the implementation
+//     the router replaced.
+//
+// The async arm runs the goroutine-per-node runtime end to end.
 func BenchmarkRouting(b *testing.B) {
 	topologies := []struct {
 		name string
@@ -87,7 +92,7 @@ func BenchmarkRouting(b *testing.B) {
 	for _, tc := range topologies {
 		srcs := benchDests(tc.g, 64)
 		dests := benchDests(tc.g, 8)
-		b.Run(fmt.Sprintf("%s/cached", tc.name), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/walk", tc.name), func(b *testing.B) {
 			n := NewNetwork(tc.g, nil, 1)
 			ctx := &nodeCtx{net: n}
 			b.ResetTimer()

@@ -158,3 +158,25 @@ func TestAsyncConcurrentRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteMissAllocs pins a steady-state routed send at zero
+// allocations: the shared router walks it with a truncated BFS on pooled
+// scratch and builds no table.
+func TestRouteMissAllocs(t *testing.T) {
+	g := topology.NewGrid(16, 16)
+	n := NewNetwork(g, nil, 1)
+	ctx := &nodeCtx{net: n}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		ctx.id = topology.NodeID((i * 37) % g.N())
+		ctx.Route(topology.NodeID((i*101+5)%g.N()), "data", nil)
+		n.pq = n.pq[:0] // drop the delivery event; routing cost only
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Route allocates %v objects per message, want 0", allocs)
+	}
+	if c := n.routes.Cached(); c != 0 {
+		t.Fatalf("Route built %d routing tables, want 0", c)
+	}
+}

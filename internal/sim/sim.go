@@ -16,7 +16,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -124,18 +123,58 @@ type event struct {
 	key  string
 }
 
+// eventHeap is a binary min-heap of events by (time, seq). Its typed
+// push and pop avoid container/heap's boxing of every event into an
+// interface, which would cost an allocation per scheduled message. The
+// order is a total one (seq is unique), so pops are deterministic.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = event{} // release the payload
+	q = q[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(q) {
+			break
+		}
+		if r := m + 1; r < len(q) && q.less(r, m) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}
+
 func (h eventHeap) Peek() (event, bool) {
 	if len(h) == 0 {
 		return event{}, false
@@ -300,7 +339,7 @@ func (n *Network) Start() {
 func (n *Network) Drain() float64 {
 	var processed int64
 	for len(n.pq) > 0 {
-		e := heap.Pop(&n.pq).(event)
+		e := n.pq.pop()
 		processed++
 		if processed > n.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded %d events; protocol likely does not terminate", n.MaxEvents))
@@ -323,7 +362,7 @@ func (n *Network) StepUntil(t float64) {
 		if !ok || e.time > t {
 			break
 		}
-		heap.Pop(&n.pq)
+		n.pq.pop()
 		n.dispatch(e)
 	}
 	if n.obs != nil {
@@ -368,7 +407,7 @@ func (n *Network) Inject(u topology.NodeID, kind string, payload any) {
 func (n *Network) push(e event) {
 	e.seq = n.seq
 	n.seq++
-	heap.Push(&n.pq, e)
+	n.pq.push(e)
 }
 
 // nodeCtx implements Context for one handler invocation.
@@ -416,16 +455,12 @@ func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
 			msg: Message{From: c.id, To: to, Kind: kind, Payload: payload}})
 		return
 	}
-	// One table lookup, then an O(path) parent-chain walk: no BFS, no
-	// neighbour scans, no path allocation on the per-message hot path.
-	rt := n.routes.Table(to)
-	hops := rt.Dist(c.id)
-	if hops < 0 {
-		panic(fmt.Sprintf("sim: Route from %d to unreachable %d", c.id, to))
-	}
+	// The shared router walks the smallest-id shortest path over a
+	// truncated BFS on pooled scratch: no allocation on the per-message
+	// hot path.
 	var delay float64
-	for cur := c.id; cur != to; {
-		next := rt.Next(cur)
+	lost := false
+	hops := n.routes.Walk(c.id, to, func(cur, next topology.NodeID) bool {
 		n.counts[kind]++
 		n.perNode[cur]++
 		if n.obs != nil {
@@ -435,10 +470,17 @@ func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
 			// The frame dies mid-route: hops up to here were paid for.
 			n.dropped++
 			n.obs.droppedInc()
-			return
+			lost = true
+			return false
 		}
 		delay += n.delay.HopDelay(n.rng, cur, next)
-		cur = next
+		return true
+	})
+	if hops < 0 {
+		panic(fmt.Sprintf("sim: Route from %d to unreachable %d", c.id, to))
+	}
+	if lost {
+		return
 	}
 	n.push(event{time: n.now + delay, kind: evMessage, node: to,
 		msg: Message{From: c.id, To: to, Kind: kind, Payload: payload, Hops: hops}})

@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,6 +58,12 @@ type Engine struct {
 	featSet     []bool // nodes covered by IngestFeatures before bootstrap
 	featCovered int
 	ready       bool
+
+	// touched marks the nodes an epoch changed; takeTouched lists them
+	// in id order into touchedIDs and clears the marks. Both are reused
+	// across epochs.
+	touched    []bool
+	touchedIDs []topology.NodeID
 
 	maint *update.Maintainer
 	idx   *index.Index
@@ -125,6 +130,7 @@ func New(g *topology.Graph, cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		feats:   make([]metric.Feature, g.N()),
 		featSet: make([]bool, g.N()),
+		touched: make([]bool, g.N()),
 		eobs:    newEngineObs(cfg.Obs, cfg.Trace),
 	}
 	if cfg.Order >= 1 {
@@ -235,12 +241,11 @@ func (e *Engine) ingestLocked(batch []Reading, sp *obs.Span) (*IngestResult, err
 
 	rs := sp.Child("refit")
 	res := &IngestResult{}
-	touched := make(map[topology.NodeID]bool)
 	for _, r := range batch {
 		m := e.models[r.Node]
 		before := m.Seen()
-		if m.Observe(r.Value) {
-			touched[r.Node] = true
+		if m.Observe(r.Value) && e.ready {
+			e.touched[r.Node] = true
 		}
 		if before < e.cfg.WarmupObs && m.Seen() >= e.cfg.WarmupObs {
 			e.warm++
@@ -262,7 +267,7 @@ func (e *Engine) ingestLocked(batch []Reading, sp *obs.Span) (*IngestResult, err
 		return res, e.finishBootstrap(res, sp)
 	}
 
-	nodes := sortedNodes(touched)
+	nodes := e.takeTouched()
 	for _, u := range nodes {
 		e.feats[u] = metric.Feature(e.models[u].Snapshot())
 	}
@@ -336,14 +341,15 @@ func (e *Engine) ingestFeaturesLocked(batch []FeatureUpdate, sp *obs.Span) (*Ing
 
 	rs := sp.Child("refit")
 	res := &IngestResult{}
-	touched := make(map[topology.NodeID]bool)
 	for _, up := range batch {
 		e.feats[up.Node] = up.Feature.Clone()
 		if !e.featSet[up.Node] {
 			e.featSet[up.Node] = true
 			e.featCovered++
 		}
-		touched[up.Node] = true
+		if e.ready {
+			e.touched[up.Node] = true
+		}
 		res.Readings++
 	}
 	e.eobs.readings.Add(int64(res.Readings))
@@ -355,18 +361,23 @@ func (e *Engine) ingestFeaturesLocked(batch []FeatureUpdate, sp *obs.Span) (*Ing
 		}
 		return res, e.finishBootstrap(res, sp)
 	}
-	nodes := sortedNodes(touched)
+	nodes := e.takeTouched()
 	rs.Finish()
 	return res, e.applyEpoch(nodes, res, sp)
 }
 
-func sortedNodes(set map[topology.NodeID]bool) []topology.NodeID {
-	nodes := make([]topology.NodeID, 0, len(set))
-	for u := range set {
-		nodes = append(nodes, u)
+// takeTouched returns the marked nodes in id order and clears their
+// marks. Before bootstrap nothing is marked: the bootstrap clustering
+// covers every node.
+func (e *Engine) takeTouched() []topology.NodeID {
+	e.touchedIDs = e.touchedIDs[:0]
+	for u, t := range e.touched {
+		if t {
+			e.touchedIDs = append(e.touchedIDs, topology.NodeID(u))
+			e.touched[u] = false
+		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return nodes
+	return e.touchedIDs
 }
 
 // applyEpoch streams the touched nodes' current features through the

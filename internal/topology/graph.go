@@ -27,16 +27,16 @@ func (p Point) Dist(q Point) float64 {
 }
 
 // Graph is an undirected communication graph over positioned nodes.
-// Topology is fixed after construction; the lazy routing cache is a
+// Topology is fixed after construction; the lazy router is a
 // concurrency-safe Routes instance, so a built Graph is safe for
 // concurrent readers (the streaming engine serves queries while ingest
-// computes routes, and async simulator nodes share one table set).
+// computes routes, and async simulator nodes share one router).
 type Graph struct {
 	Pos []Point
 	Adj [][]NodeID // sorted neighbour lists
 
 	routesMu sync.Mutex
-	routes   *Routes // lazy shared routing tables (see Routes)
+	routes   *Routes // lazy shared router (see Routes)
 }
 
 // NewGraph returns an edgeless graph over the given positions.
@@ -110,11 +110,13 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.Edges()) / float64(g.N())
 }
 
-// Routes returns the graph's shared routing-table cache, creating it on
-// first use. Every subsystem routing over the same graph (both simulator
-// runtimes, baselines, the index backbone, experiments) shares this one
-// instance, so each BFS field is built at most once per source. AddEdge
-// drops the instance; callers must not retain it across topology edits.
+// Routes returns the graph's shared router, creating it on first use.
+// Every subsystem routing over the same graph (both simulator runtimes,
+// baselines, the index backbone, experiments) shares this one instance:
+// whole BFS fields are built once per root and cached (LRU-bounded), and
+// point queries run a truncated BFS that builds no table (see Routes).
+// AddEdge drops the instance; callers must not retain it across topology
+// edits.
 func (g *Graph) Routes() *Routes {
 	g.routesMu.Lock()
 	defer g.routesMu.Unlock()
@@ -125,8 +127,8 @@ func (g *Graph) Routes() *Routes {
 }
 
 // HopDistances returns BFS hop counts from src to every node
-// (-1 when unreachable). Results are cached per source in the shared
-// routing tables; the caller must not modify the returned slice.
+// (-1 when unreachable). The whole field is cached as src's table in the
+// shared router; the caller must not modify the returned slice.
 func (g *Graph) HopDistances(src NodeID) []int {
 	return g.Routes().Distances(src)
 }
@@ -152,14 +154,14 @@ func (g *Graph) bfs(src NodeID) []int {
 }
 
 // HopDistance returns the shortest hop count between u and v, or -1 when
-// disconnected.
+// disconnected. It builds no table (see Routes.Dist).
 func (g *Graph) HopDistance(u, v NodeID) int {
 	return g.Routes().Dist(u, v)
 }
 
 // ShortestPath returns a shortest hop path from u to v inclusive, or nil
 // when disconnected. Ties are broken toward smaller node ids, making the
-// route deterministic. Paths are served from the shared routing tables.
+// route deterministic. It builds (or reuses) the table rooted at v.
 func (g *Graph) ShortestPath(u, v NodeID) []NodeID {
 	return g.Routes().Path(u, v)
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -84,7 +85,7 @@ func pathsEqual(a, b []NodeID) bool {
 	return true
 }
 
-// TestRoutesMatchReference checks Routes.Dist/Path/NextHop against the
+// TestRoutesMatchReference checks Routes.Dist/Path/Walk against the
 // reference BFS on random graphs, including disconnected ones, for every
 // node pair — the exact-equivalence contract the simulator's accounting
 // rests on.
@@ -109,19 +110,8 @@ func TestRoutesMatchReference(t *testing.T) {
 				if got := rts.Path(uu, vv); !pathsEqual(got, wantP) {
 					t.Fatalf("graph %d: Path(%d,%d) = %v, want %v", gi, u, v, got, wantP)
 				}
-				switch hop := rts.NextHop(uu, vv); {
-				case u == v:
-					if hop != uu {
-						t.Fatalf("graph %d: NextHop(%d,%d) = %d, want %d", gi, u, v, hop, u)
-					}
-				case wantD < 0:
-					if hop != -1 {
-						t.Fatalf("graph %d: NextHop(%d,%d) = %d, want -1 (unreachable)", gi, u, v, hop)
-					}
-				default:
-					if hop != wantP[1] {
-						t.Fatalf("graph %d: NextHop(%d,%d) = %d, want %d", gi, u, v, hop, wantP[1])
-					}
+				if d, got := walkedPath(rts, uu, vv); d != wantD || !pathsEqual(got, wantP) {
+					t.Fatalf("graph %d: Walk(%d,%d) = %d hops %v, want %d hops %v", gi, u, v, d, got, wantD, wantP)
 				}
 			}
 		}
@@ -170,7 +160,7 @@ func TestRoutesLRUBound(t *testing.T) {
 		}
 	}
 	// A previously evicted root is rebuilt transparently.
-	if d := rts.Dist(0, NodeID(g.N()-1)); d != 10 {
+	if d := rts.Distances(0)[g.N()-1]; d != 10 {
 		t.Fatalf("corner-to-corner distance = %d, want 10", d)
 	}
 }
@@ -220,4 +210,134 @@ func TestRoutesConcurrent(t *testing.T) {
 		}(int64(w + 1))
 	}
 	wg.Wait()
+}
+
+// geometricGraph places n nodes uniformly on a side×side square and links
+// pairs within radius, without NewRandomGeometric's stitching, so low
+// radii leave it disconnected.
+func geometricGraph(n int, side, radius float64, rng *rand.Rand) *Graph {
+	pos := make([]Point, n)
+	for i := range pos {
+		pos[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+	}
+	g := NewGraph(pos)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if pos[i].Dist(pos[j]) <= radius {
+				g.AddEdge(NodeID(i), NodeID(j))
+			}
+		}
+	}
+	return g
+}
+
+// walkedPath records the path Routes.Walk takes from u to v (nil when
+// unreachable) along with its returned hop count.
+func walkedPath(rts *Routes, u, v NodeID) (int, []NodeID) {
+	path := []NodeID{u}
+	d := rts.Walk(u, v, func(from, to NodeID) bool {
+		if from != path[len(path)-1] {
+			path = append(path, -2) // a discontinuous walk never matches
+		}
+		path = append(path, to)
+		return true
+	})
+	if d < 0 {
+		return d, nil
+	}
+	return d, path
+}
+
+// checkAllPairs compares Dist and the walked path of every ordered pair,
+// u == v included, against the reference full-BFS smallest-id walk.
+func checkAllPairs(t *testing.T, name string, g *Graph, rts *Routes) {
+	t.Helper()
+	for v := 0; v < g.N(); v++ {
+		ref := refHopDistances(g, NodeID(v))
+		for u := 0; u < g.N(); u++ {
+			uu, vv := NodeID(u), NodeID(v)
+			if got := rts.Dist(uu, vv); got != ref[u] {
+				t.Fatalf("%s: Dist(%d,%d) = %d, want %d", name, u, v, got, ref[u])
+			}
+			want := refShortestPath(g, uu, vv)
+			d, got := walkedPath(rts, uu, vv)
+			if d != ref[u] || !pathsEqual(got, want) {
+				t.Fatalf("%s: Walk(%d,%d) = %d hops %v, want %d hops %v", name, u, v, d, got, ref[u], want)
+			}
+		}
+	}
+}
+
+// TestTruncatedWalkMatchesReference pins the point queries — Dist and
+// Walk — to the reference on seeded random geometric graphs, connected
+// and fragmented, and checks that none of them builds a table.
+func TestTruncatedWalkMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	cases := []struct {
+		name      string
+		n         int
+		radius    float64
+		connected bool
+	}{
+		{"connected", 60, 3, true},
+		{"fragmented", 60, 1.3, false},
+		{"sparse", 40, 0.9, false},
+	}
+	for _, tc := range cases {
+		g := geometricGraph(tc.n, math.Sqrt(float64(tc.n)), tc.radius, rng)
+		if g.Connected() != tc.connected {
+			t.Fatalf("%s: fixture connected = %v, want %v", tc.name, !tc.connected, tc.connected)
+		}
+
+		rts := NewRoutes(g, g.N())
+		checkAllPairs(t, tc.name, g, rts)
+		if c := rts.Cached(); c != 0 {
+			t.Fatalf("%s: point queries built %d tables, want 0", tc.name, c)
+		}
+	}
+}
+
+// TestWalkStopsEarly checks a walk cut short by its callback still
+// reports the full hop count.
+func TestWalkStopsEarly(t *testing.T) {
+	rts := NewRoutes(NewGrid(1, 6), 0)
+	calls := 0
+	if d := rts.Walk(0, 5, func(_, _ NodeID) bool { calls++; return calls < 2 }); d != 5 || calls != 2 {
+		t.Fatalf("Walk(0,5) cut after 2 hops = %d hops with %d calls, want 5 and 2", d, calls)
+	}
+}
+
+// TestTruncatedWalkConcurrent runs point queries from many goroutines on
+// one table-free Routes, so pooled BFS scratch is taken and returned
+// concurrently; run with -race. Every answer must match the reference.
+func TestTruncatedWalkConcurrent(t *testing.T) {
+	g := geometricGraph(80, 9, 1.6, rand.New(rand.NewSource(21)))
+	rts := NewRoutes(g, 0)
+	ref := make([][]int, g.N())
+	for v := range ref {
+		ref[v] = refHopDistances(g, NodeID(v))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 400; i++ {
+				u, v := NodeID(rng.Intn(g.N())), NodeID(rng.Intn(g.N()))
+				if d := rts.Dist(u, v); d != ref[v][u] {
+					t.Errorf("concurrent Dist(%d,%d) = %d, want %d", u, v, d, ref[v][u])
+					return
+				}
+				if d, p := walkedPath(rts, u, v); d != ref[v][u] || !pathsEqual(p, refShortestPath(g, u, v)) {
+					t.Errorf("concurrent Walk(%d,%d) = %d hops %v, want %d hops", u, v, d, p, ref[v][u])
+					return
+				}
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	if c := rts.Cached(); c != 0 {
+		t.Fatalf("point queries built %d tables, want 0", c)
+	}
 }

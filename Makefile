@@ -31,8 +31,8 @@ test:
 	$(GO) test ./...
 
 ## race: the concurrent subsystems (streaming engine, async runtime,
-## routing tables, metrics registry/tracer, parallel execution layer and
-## the kernels/figures running on it) under the race detector
+## pooled routing scratch, metrics registry/tracer, parallel execution
+## layer and the kernels/figures running on it) under the race detector
 race:
 	$(GO) test -race ./internal/stream ./internal/sim ./internal/topology ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
 

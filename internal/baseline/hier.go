@@ -61,10 +61,6 @@ func Hierarchical(g *topology.Graph, cfg HierConfig) (*cluster.Result, error) {
 		stats.Breakdown[kind] += cost
 		stats.Messages += cost
 	}
-	// Probe charges walk root-to-root hop distances every round; the
-	// shared router answers each pair with a BFS truncated at the pair's
-	// distance, building no table.
-	routes := g.Routes()
 
 	for round := 0; ; round++ {
 		// Discover adjacent cluster pairs; members report up their trees.
@@ -107,7 +103,7 @@ func Hierarchical(g *topology.Graph, cfg HierConfig) (*cluster.Result, error) {
 		for _, p := range pairs {
 			i, j := p[0], p[1]
 			ri, rj := croot[i], croot[j]
-			charge("probe", 2*int64(routes.Dist(ri, rj)))
+			charge("probe", 2*int64(g.HopDistance(ri, rj)))
 			d := cfg.Metric.Distance(cfg.Features[ri], cfg.Features[rj])
 			if diam[i]+d+diam[j] > cfg.Delta {
 				continue // rule each other out (§8.3)

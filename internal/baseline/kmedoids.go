@@ -55,10 +55,6 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 		cfg.MaxK = n
 	}
 	rng := detrand.New(cfg.Seed)
-	// Refresh charging routes every node to its medoid: each medoid is
-	// asked for by all its members, so this takes whole hop fields from
-	// the shared tables (at most k BFS runs per round, not N).
-	routes := g.Routes()
 	stats := cluster.Stats{Breakdown: make(map[string]int64)}
 	charge := func(kind string, cost int64) {
 		stats.Breakdown[kind] += cost
@@ -85,10 +81,10 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 					changed = true
 				}
 			}
-			// Members ship features to their medoid for the refresh. Each
-			// medoid's hop field is charged to its members while in hand,
-			// so one field is held at a time and memberless medoids cost
-			// no BFS.
+			// Members ship features to their medoid for the refresh. One
+			// whole hop field per medoid charges all its members (at most
+			// k BFS runs per round, not N); one field is held at a time,
+			// and memberless medoids cost no BFS.
 			for c := range members {
 				members[c] = members[c][:0]
 			}
@@ -99,7 +95,7 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 				if len(us) == 0 {
 					continue
 				}
-				hops := routes.Distances(topology.NodeID(medoids[c]))
+				hops := g.HopDistances(topology.NodeID(medoids[c]))
 				var cost int64
 				for _, u := range us {
 					cost += int64(hops[u])

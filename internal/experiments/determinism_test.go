@@ -13,9 +13,9 @@ import (
 // TestRoutingDeterminismGolden pins exact message counts for the
 // routing-heavy paths (ELink runs, the hierarchical and k-medoids
 // baselines, and the index backbone) on a fixed Tao dataset. The routed
-// hop accounting flows through topology.Routes; these constants were
-// captured from the per-call-BFS implementation the cache replaced, so
-// any tie-breaking or distance divergence in the shared routing tables
+// hop accounting flows through topology.Graph's truncated-BFS routing;
+// these constants were captured from the original per-call full-BFS
+// implementation, so any tie-breaking or distance divergence in routing
 // shows up here as a changed figure, not a silent drift.
 func TestRoutingDeterminismGolden(t *testing.T) {
 	ds, err := data.Tao(data.TaoConfig{Days: 10, Seed: 1})

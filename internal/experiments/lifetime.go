@@ -57,9 +57,8 @@ func RepresentativeSampling(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		reprTx := make([]int64, g.N())
-		routes := g.Routes() // one table rooted at the base serves every report path
 		for _, root := range res.Clustering.Roots {
-			path := routes.Path(root, base)
+			path := g.ShortestPath(root, base)
 			for i := 0; i+1 < len(path); i++ {
 				reprTx[path[i]]++
 			}
@@ -107,12 +106,11 @@ func HotspotSpread(sc Scale) (*Table, error) {
 	// Centralized: each node ships 4 coefficients to base; charge every
 	// hop to its transmitting node.
 	centralTx := make([]int64, g.N())
-	routes := g.Routes() // one table rooted at the base serves every shipping path
 	for u := 0; u < g.N(); u++ {
 		if topology.NodeID(u) == base {
 			continue
 		}
-		path := routes.Path(topology.NodeID(u), base)
+		path := g.ShortestPath(topology.NodeID(u), base)
 		for i := 0; i+1 < len(path); i++ {
 			centralTx[path[i]] += 4
 		}

@@ -165,7 +165,6 @@ func (idx *Index) buildBackbone(c *cluster.Clustering) error {
 	}
 	seen := make(map[[2]int]bool)
 	var edges []cedge
-	routes := idx.Graph.Routes() // root-to-root hops from the shared router
 	for u := 0; u < idx.Graph.N(); u++ {
 		for _, v := range idx.Graph.Neighbors(topology.NodeID(u)) {
 			a, b := idx.ClusterOf[u], idx.ClusterOf[int(v)]
@@ -180,7 +179,7 @@ func (idx *Index) buildBackbone(c *cluster.Clustering) error {
 			}
 			seen[[2]int{a, b}] = true
 			ra, rb := idx.Clusters[a].Root, idx.Clusters[b].Root
-			edges = append(edges, cedge{a: a, b: b, hops: routes.Dist(ra, rb)})
+			edges = append(edges, cedge{a: a, b: b, hops: idx.Graph.HopDistance(ra, rb)})
 		}
 	}
 	sort.Slice(edges, func(i, j int) bool {

@@ -156,21 +156,6 @@ func (c *CSR) mulVecsRows(lo, hi int, x, y [][]float64) {
 	}
 }
 
-// Diag returns the diagonal entries (zero where a row stores no diagonal
-// position).
-func (c *CSR) Diag() []float64 {
-	out := make([]float64, c.N)
-	for i := 0; i < c.N; i++ {
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			if int(c.ColIdx[k]) == i {
-				out[i] = c.Vals[k]
-				break
-			}
-		}
-	}
-	return out
-}
-
 // RowSums returns the per-row sums (the weighted degree vector of an
 // affinity matrix).
 func (c *CSR) RowSums() []float64 {

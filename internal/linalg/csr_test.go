@@ -190,18 +190,3 @@ func TestMulVecsMatchesMulVec(t *testing.T) {
 	}()
 	c.MulVecs(newBlock(2, c.N), newBlock(3, c.N))
 }
-
-// TestCSRDiag covers present, absent, and trailing diagonal positions.
-func TestCSRDiag(t *testing.T) {
-	s := NewSparseSym(4)
-	s.Set(0, 0, 2.5)
-	s.Set(1, 2, 1) // rows 1, 2: no diagonal stored
-	s.Set(3, 3, -4)
-	d := s.Finalize().Diag()
-	want := []float64{2.5, 0, 0, -4}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Diag = %v, want %v", d, want)
-		}
-	}
-}

@@ -231,8 +231,8 @@ type traceBuilder struct {
 	t      *SpanTracer
 	mu     sync.Mutex
 	name   string
-	labels map[string]string
-	start  int64 // tracer-base-relative nanoseconds
+	labels []labelPair // a map only once the root is frozen
+	start  int64       // tracer-base-relative nanoseconds
 	nextID int
 	durs   []int64      // per-ID duration, filled at finish
 	spans  []SpanRecord // finish order
@@ -249,12 +249,13 @@ type traceBuilder struct {
 // one allocation — a trace on the query path is a handful of µs of work,
 // so allocator round-trips are a measurable share of its cost.
 type rootAlloc struct {
-	span  Span
-	tb    traceBuilder
-	trace SpanTrace
-	kids  [7]Span
-	durs  [8]int64
-	spans [8]SpanRecord
+	span   Span
+	tb     traceBuilder
+	trace  SpanTrace
+	kids   [7]Span
+	durs   [8]int64
+	spans  [8]SpanRecord
+	labels [4]labelPair
 }
 
 // Start opens a root span. Finish it to record the trace.
@@ -262,11 +263,11 @@ func (t *SpanTracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
+	ra := new(rootAlloc) // before the clock read: a GC assist is not root time
 	now := t.nowNs()
-	ra := &rootAlloc{
-		tb: traceBuilder{t: t, name: name, start: now, nextID: 1},
-	}
+	ra.tb = traceBuilder{t: t, name: name, start: now, nextID: 1}
 	ra.tb.durs = ra.durs[:1]
+	ra.tb.labels = ra.labels[:0]
 	ra.tb.spans = ra.spans[:0]
 	ra.tb.pool = ra.kids[:]
 	ra.tb.traceSlot = &ra.trace
@@ -308,10 +309,7 @@ func (s *Span) Label(key, value string) {
 		return
 	}
 	s.tb.mu.Lock()
-	if s.tb.labels == nil {
-		s.tb.labels = make(map[string]string, 4)
-	}
-	s.tb.labels[key] = value
+	s.tb.labels = append(s.tb.labels, labelPair{key, value})
 	s.tb.mu.Unlock()
 }
 
@@ -377,13 +375,20 @@ func (s *Span) Finish() {
 		}
 		tb.spans[i].SelfNs = self
 	}
+	var labels map[string]string // built after the clock read, off the root's time
+	for _, l := range tb.labels {
+		if labels == nil {
+			labels = make(map[string]string, len(tb.labels))
+		}
+		labels[l.key] = l.value
+	}
 	trace := tb.traceSlot
 	if trace == nil {
 		trace = new(SpanTrace)
 	}
 	*trace = SpanTrace{
 		Name:   tb.name,
-		Labels: tb.labels,
+		Labels: labels,
 		Start:  tb.t.base.Add(time.Duration(tb.start)),
 		WallNs: dur,
 		Spans:  tb.spans,

@@ -35,8 +35,7 @@ type AsyncNetwork struct {
 
 	mu      sync.Mutex
 	counts  map[string]int64
-	perNode []int64          // per-sender transmissions; atomic access
-	routes  *topology.Routes // shared shortest-hop tables; lookups run lock-free
+	perNode []int64 // per-sender transmissions; atomic access
 
 	clockBits atomic.Uint64 // virtual time as float bits
 
@@ -129,7 +128,6 @@ func NewAsyncNetwork(g *topology.Graph, seed int64) *AsyncNetwork {
 		rngs:      make([]*rand.Rand, n),
 		counts:    make(map[string]int64),
 		perNode:   make([]int64, n),
-		routes:    g.Routes(),
 		quiet:     make(chan struct{}, 1),
 	}
 	for i := 0; i < n; i++ {
@@ -319,12 +317,12 @@ func (c *asyncCtx) Route(to topology.NodeID, kind string, payload any) {
 	an := c.net
 	hops := 0
 	if to != c.id {
-		// The route walk runs outside the accounting mutex: the shared
-		// router is concurrency-safe (each truncated BFS takes its own
-		// pooled scratch), so goroutines never serialize on a BFS under
-		// the global lock. Per-hop sender attribution is identical to
+		// The route walk runs outside the accounting mutex: routing is
+		// concurrency-safe (each truncated BFS takes its own pooled
+		// scratch), so goroutines never serialize on a BFS under the
+		// global lock. Per-hop sender attribution is identical to
 		// Network.Route's.
-		hops = an.routes.Walk(c.id, to, func(cur, _ topology.NodeID) bool {
+		hops = an.Graph.Walk(c.id, to, func(cur, _ topology.NodeID) bool {
 			atomic.AddInt64(&an.perNode[cur], 1)
 			return true
 		})

@@ -9,7 +9,7 @@ import (
 
 // bfsShortestPath is the original implementation: a full O(N+E) BFS per
 // routed message plus the smallest-id walk. It is kept here as the
-// baseline BenchmarkRouting compares the shared router against:
+// baseline BenchmarkRouting compares Graph.Walk against:
 //
 //	go test -run '^$' -bench Routing ./internal/sim
 func bfsShortestPath(g *topology.Graph, u, v topology.NodeID) []topology.NodeID {
@@ -48,7 +48,8 @@ func bfsShortestPath(g *topology.Graph, u, v topology.NodeID) []topology.NodeID 
 }
 
 // uncachedRoute replays Network.Route's accounting over a freshly
-// BFS-computed path — the executor's behaviour before the shared router.
+// BFS-computed path — the executor's behaviour before truncated-BFS
+// routing.
 func uncachedRoute(n *Network, src, dst topology.NodeID, kind string) {
 	path := bfsShortestPath(n.Graph, src, dst)
 	var delay float64
@@ -74,10 +75,10 @@ func benchDests(g *topology.Graph, k int) []topology.NodeID {
 // rotate over 64 nodes and destinations over a fixed leader-like set of
 // 8, the pattern clustering protocols produce. The arms:
 //
-//   - walk: the shared router, which runs a truncated BFS from each
-//     message's destination on pooled scratch.
+//   - walk: Graph.Walk, which runs a truncated BFS from each message's
+//     destination on pooled scratch.
 //   - bfs: a full BFS and a fresh path per message, the implementation
-//     the router replaced.
+//     the walk replaced.
 //
 // The async arm runs the goroutine-per-node runtime end to end.
 func BenchmarkRouting(b *testing.B) {

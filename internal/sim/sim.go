@@ -186,7 +186,6 @@ func (h eventHeap) Peek() (event, bool) {
 type Network struct {
 	Graph *topology.Graph
 
-	routes    *topology.Routes // shared shortest-hop tables (no per-call BFS)
 	protocols []Protocol
 	delay     DelayModel
 	rng       *rand.Rand
@@ -221,7 +220,6 @@ func NewNetwork(g *topology.Graph, delay DelayModel, seed int64) *Network {
 	}
 	return &Network{
 		Graph:     g,
-		routes:    g.Routes(),
 		protocols: make([]Protocol, g.N()),
 		delay:     delay,
 		rng:       detrand.New(seed),
@@ -455,12 +453,11 @@ func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
 			msg: Message{From: c.id, To: to, Kind: kind, Payload: payload}})
 		return
 	}
-	// The shared router walks the smallest-id shortest path over a
-	// truncated BFS on pooled scratch: no allocation on the per-message
-	// hot path.
+	// The graph walks the smallest-id shortest path over a truncated BFS
+	// on pooled scratch: no allocation on the per-message hot path.
 	var delay float64
 	lost := false
-	hops := n.routes.Walk(c.id, to, func(cur, next topology.NodeID) bool {
+	hops := n.Graph.Walk(c.id, to, func(cur, next topology.NodeID) bool {
 		n.counts[kind]++
 		n.perNode[cur]++
 		if n.obs != nil {

@@ -447,13 +447,11 @@ func (e *Engine) applyEpoch(nodes []topology.NodeID, res *IngestResult, sp *obs.
 // the batch result.
 func (e *Engine) finishBootstrap(res *IngestResult, sp *obs.Span) error {
 	bs := sp.Child("bootstrap")
-	r, idx, m, err := e.fullCluster(bs)
+	idx, m, err := e.fullCluster(bs, &e.bootstrapStats)
 	bs.Finish()
 	if err != nil {
 		return err
 	}
-	e.bootstrapStats.Add(r.Stats)
-	e.bootstrapStats.Add(idx.BuildStats)
 	e.maint, e.idx = m, idx
 	e.ready = true
 	e.sinceRecluster = 0
@@ -471,21 +469,20 @@ func (e *Engine) finishBootstrap(res *IngestResult, sp *obs.Span) error {
 func (e *Engine) recluster(sp *obs.Span) error {
 	e.screening = addCounters(e.screening, e.maint.CountersSnapshot())
 	e.maintMsgs.Add(e.maint.Stats())
-	res, idx, m, err := e.fullCluster(sp)
+	idx, m, err := e.fullCluster(sp, &e.reclusterStats)
 	if err != nil {
 		return err
 	}
-	e.reclusterStats.Add(res.Stats)
-	e.reclusterStats.Add(idx.BuildStats)
 	e.reclusters++
 	e.maint, e.idx, e.idxPublished = m, idx, false
 	e.sinceRecluster = 0
 	return nil
 }
 
-// fullCluster runs ELink at δ − 2Δ on the current features and wraps the
-// result with a fresh maintainer and index.
-func (e *Engine) fullCluster(sp *obs.Span) (*cluster.Result, *index.Index, *update.Maintainer, error) {
+// fullCluster runs ELink at δ − 2Δ on the current features, wraps the
+// result with a fresh maintainer and index, and adds the run's and the
+// index build's messages to stats.
+func (e *Engine) fullCluster(sp *obs.Span, stats *cluster.Stats) (*index.Index, *update.Maintainer, error) {
 	feats := make([]metric.Feature, len(e.feats))
 	for u := range feats {
 		feats[u] = e.feats[u].Clone()
@@ -502,22 +499,24 @@ func (e *Engine) fullCluster(sp *obs.Span) (*cluster.Result, *index.Index, *upda
 	})
 	rs.Finish()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("stream: clustering run: %w", err)
+		return nil, nil, fmt.Errorf("stream: clustering run: %w", err)
 	}
 	m, err := update.NewMaintainer(e.g, res.Clustering, feats, update.Config{
 		Delta: e.cfg.Delta, Slack: e.cfg.Slack, Metric: e.cfg.Metric,
 		Obs: e.cfg.Obs,
 	})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("stream: maintainer: %w", err)
+		return nil, nil, fmt.Errorf("stream: maintainer: %w", err)
 	}
 	is := sp.Child("index-build")
 	idx, err := index.Build(e.g, res.Clustering, feats, e.cfg.Metric)
 	is.Finish()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("stream: index build: %w", err)
+		return nil, nil, fmt.Errorf("stream: index build: %w", err)
 	}
-	return res, idx, m, nil
+	stats.Add(res.Stats)
+	stats.Add(idx.BuildStats)
+	return idx, m, nil
 }
 
 // rebuildIndex rebuilds the M-tree over the maintained membership.

@@ -51,12 +51,28 @@ func spanEngine(t *testing.T, spans *obs.SpanTracer) *Engine {
 	return e
 }
 
+// bootstrapEpoch returns the first epoch trace whose root has a direct
+// "bootstrap" child, or nil.
+func bootstrapEpoch(traces []*obs.SpanTrace) *obs.SpanTrace {
+	for _, tr := range traces {
+		if tr.Name != "epoch" {
+			continue
+		}
+		for _, s := range tr.Spans {
+			if s.Parent == 0 && s.Name == "bootstrap" {
+				return tr
+			}
+		}
+	}
+	return nil
+}
+
 // TestEpochSpanAttribution drives the streaming pipeline with a span
 // tracer attached and checks the acceptance property: an epoch's time is
 // fully attributed — the self-times of the whole span tree telescope to
 // the epoch wall time exactly (sequential pipeline), and the direct
-// children (validate/refit/maintain/index/publish) account for at least
-// 95% of the slowest epoch's wall time.
+// children (validate/refit/bootstrap/publish) account for at least 95%
+// of the bootstrap epoch's wall time.
 func TestEpochSpanAttribution(t *testing.T) {
 	spans := obs.NewSpanTracer(64, 8)
 	e := spanEngine(t, spans)
@@ -92,14 +108,15 @@ func TestEpochSpanAttribution(t *testing.T) {
 		t.Fatal("no epoch traces recorded")
 	}
 
-	// The slowest epoch (the bootstrap clustering) is long enough that
+	// The bootstrap epoch (the one clustering run) is long enough that
 	// clock-read overhead is negligible; its direct children must cover
-	// at least 95% of the wall time.
-	slow := spans.Slowest()
-	if len(slow) == 0 {
-		t.Fatal("no slowest traces")
+	// at least 95% of the wall time. It is found by its bootstrap child,
+	// not as the slowest trace: a GC pause in a short refresh epoch can
+	// make that epoch the slowest.
+	tr := bootstrapEpoch(append(spans.Slowest(), spans.Recent(0)...))
+	if tr == nil {
+		t.Fatal("no epoch trace with a bootstrap child")
 	}
-	tr := slow[0]
 	var childDur int64
 	for _, s := range tr.Spans {
 		if s.Parent == 0 {
@@ -107,7 +124,7 @@ func TestEpochSpanAttribution(t *testing.T) {
 		}
 	}
 	if childDur < tr.WallNs*95/100 {
-		t.Fatalf("slowest epoch: children cover %d of %d ns (%.1f%%), want >= 95%%",
+		t.Fatalf("bootstrap epoch: children cover %d of %d ns (%.1f%%), want >= 95%%",
 			childDur, tr.WallNs, 100*float64(childDur)/float64(tr.WallNs))
 	}
 

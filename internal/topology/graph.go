@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // NodeID identifies a sensor node. IDs are dense in [0, N).
@@ -27,16 +26,13 @@ func (p Point) Dist(q Point) float64 {
 }
 
 // Graph is an undirected communication graph over positioned nodes.
-// Topology is fixed after construction; the lazy router is a
-// concurrency-safe Routes instance, so a built Graph is safe for
-// concurrent readers (the streaming engine serves queries while ingest
-// computes routes, and async simulator nodes share one router).
+// Topology is fixed after construction. Routing keeps no per-graph state
+// (see HopDistance), so a built Graph is safe for concurrent readers: the
+// streaming engine serves queries while ingest computes routes, and async
+// simulator nodes route over one graph.
 type Graph struct {
 	Pos []Point
 	Adj [][]NodeID // sorted neighbour lists
-
-	routesMu sync.Mutex
-	routes   *Routes // lazy shared router (see Routes)
 }
 
 // NewGraph returns an edgeless graph over the given positions.
@@ -55,9 +51,6 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	}
 	g.addDirected(u, v)
 	g.addDirected(v, u)
-	g.routesMu.Lock()
-	g.routes = nil // routing tables are stale; rebuilt lazily on next use
-	g.routesMu.Unlock()
 }
 
 func (g *Graph) addDirected(u, v NodeID) {
@@ -110,60 +103,43 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.Edges()) / float64(g.N())
 }
 
-// Routes returns the graph's shared router, creating it on first use.
-// Every subsystem routing over the same graph (both simulator runtimes,
-// baselines, the index backbone, experiments) shares this one instance:
-// whole BFS fields are built once per root and cached (LRU-bounded), and
-// point queries run a truncated BFS that builds no table (see Routes).
-// AddEdge drops the instance; callers must not retain it across topology
-// edits.
-func (g *Graph) Routes() *Routes {
-	g.routesMu.Lock()
-	defer g.routesMu.Unlock()
-	if g.routes == nil {
-		g.routes = NewRoutes(g, 0)
-	}
-	return g.routes
-}
-
-// HopDistances returns BFS hop counts from src to every node
-// (-1 when unreachable). The whole field is cached as src's table in the
-// shared router; the caller must not modify the returned slice.
+// HopDistances returns BFS hop counts from src to every node (-1 when
+// unreachable) in a slice the caller owns.
 func (g *Graph) HopDistances(src NodeID) []int {
-	return g.Routes().Distances(src)
+	dist, _ := g.bfs(src)
+	return dist
 }
 
-func (g *Graph) bfs(src NodeID) []int {
-	d := make([]int, g.N())
-	for i := range d {
-		d[i] = -1
+// BFSTree returns the BFS spanning-tree parent of every node rooted at
+// root: the neighbour that discovered it (parent[root] == root; -1 when
+// unreachable).
+func (g *Graph) BFSTree(root NodeID) []NodeID {
+	_, parent := g.bfs(root)
+	return parent
+}
+
+// bfs is the one whole-field breadth-first search: each node's hop
+// distance from root and its discovery parent, -1 for both when
+// unreachable.
+func (g *Graph) bfs(root NodeID) ([]int, []NodeID) {
+	dist := make([]int, g.N())
+	parent := make([]NodeID, g.N())
+	for i := range dist {
+		dist[i], parent[i] = -1, -1
 	}
-	d[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	dist[root], parent[root] = 0, root
+	queue := make([]NodeID, 1, g.N())
+	queue[0] = root
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, v := range g.Adj[u] {
-			if d[v] < 0 {
-				d[v] = d[u] + 1
+			if dist[v] < 0 {
+				dist[v], parent[v] = dist[u]+1, u
 				queue = append(queue, v)
 			}
 		}
 	}
-	return d
-}
-
-// HopDistance returns the shortest hop count between u and v, or -1 when
-// disconnected. It builds no table (see Routes.Dist).
-func (g *Graph) HopDistance(u, v NodeID) int {
-	return g.Routes().Dist(u, v)
-}
-
-// ShortestPath returns a shortest hop path from u to v inclusive, or nil
-// when disconnected. Ties are broken toward smaller node ids, making the
-// route deterministic. It builds (or reuses) the table rooted at v.
-func (g *Graph) ShortestPath(u, v NodeID) []NodeID {
-	return g.Routes().Path(u, v)
+	return dist, parent
 }
 
 // Connected reports whether the whole graph is one component.
@@ -210,28 +186,6 @@ func (g *Graph) ComponentsOf(subset []NodeID) [][]NodeID {
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// BFSTree returns the BFS spanning-tree parent of every node rooted at
-// root (parent[root] == root; -1 when unreachable).
-func (g *Graph) BFSTree(root NodeID) []NodeID {
-	parent := make([]NodeID, g.N())
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[root] = root
-	queue := []NodeID{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Adj[u] {
-			if parent[v] < 0 {
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	return parent
 }
 
 // BoundingBox returns the axis-aligned bounding box of all node positions.

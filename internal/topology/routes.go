@@ -1,190 +1,45 @@
 package topology
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// DefaultRouteTables bounds the graph-attached routing cache: at most this
-// many per-root tables are kept, evicting the least recently used. Each
-// table costs ~16 bytes per node, so the default caps the cache at
-// 256·16·N bytes (~10 MB on the paper's 2500-node deployments).
-const DefaultRouteTables = 256
-
-// Routes is a concurrency-safe shortest-hop router over an immutable
-// graph. It answers two kinds of request differently:
+// Point queries (HopDistance, Walk, ShortestPath) run a BFS from the
+// destination that stops as soon as it labels the source, on pooled
+// generation-stamped scratch: they keep no per-graph state, build no
+// table and do not allocate. Every route steps from each node to its
+// smallest-id neighbour one hop closer to the destination, so a route is
+// deterministic and a walked route is ShortestPath's path.
 //
-//   - Whole fields (Distances, Path, and Graph.HopDistances) build
-//     the destination's full BFS table once: the hop-distance and
-//     deterministic-parent arrays. Tables are kept under an LRU bound so
-//     very large deployments cannot accumulate O(N²) routing state.
-//   - Point queries (Dist, Walk) run a truncated BFS from the destination
-//     that stops as soon as it labels the source, on pooled
-//     generation-stamped scratch, so they neither build nor consult a
-//     table and do not allocate. Protocols route to thousands of distinct
-//     destinations, which would thrash a table cache.
-//
-// Determinism: every route steps from each node to its smallest-id
-// neighbour one hop closer to the destination — exactly
-// Graph.ShortestPath's tie-breaking — so a walked route and a table's
-// path are the same path.
-//
-// Concurrency: the table registry is guarded by an RWMutex held only for
-// map access; BFS builds run outside it (at most once per root, via the
-// table's sync.Once) and built tables are immutable shared state. Each
-// truncated BFS takes its own scratch from a sync.Pool.
-type Routes struct {
-	g     *Graph
-	max   int
-	clock atomic.Uint64 // recency stamps for LRU eviction
-	walks sync.Pool     // *walker scratch for truncated BFS
+// A walker's scratch depends only on the node count, so one pool serves
+// every graph; a walker grows when it meets a larger graph. Each query
+// takes its own walker, so a built Graph answers routes concurrently.
+var walkers = sync.Pool{New: func() any { return new(walker) }}
 
-	mu     sync.RWMutex
-	tables map[NodeID]*routeTable
-}
-
-// NewRoutes builds an empty routing cache over g holding at most
-// maxTables per-root tables (maxTables <= 0 means DefaultRouteTables).
-// The cache snapshots g's topology lazily: it must not be used across
-// AddEdge calls (graphs in this repository are immutable once built; the
-// graph-attached instance from Graph.Routes is dropped on AddEdge).
-func NewRoutes(g *Graph, maxTables int) *Routes {
-	if maxTables <= 0 {
-		maxTables = DefaultRouteTables
-	}
-	r := &Routes{g: g, max: maxTables, tables: make(map[NodeID]*routeTable)}
-	r.walks.New = func() any { return newWalker(g.N()) }
-	return r
-}
-
-// routeTable is the BFS field of one root: hop distances from every node
-// to the root and each node's deterministic next hop toward it. A built
-// table is immutable, so holders may keep using it after eviction.
-type routeTable struct {
-	g    *Graph
-	root NodeID
-	used atomic.Uint64
-	once sync.Once
-
-	dist   []int    // hops to root; -1 when unreachable
-	parent []NodeID // next hop toward root; root at the root, -1 unreachable
-}
-
-func (t *routeTable) build() {
-	g, root := t.g, t.root
-	dist := g.bfs(root)
-	parent := make([]NodeID, g.N())
-	for u := range parent {
-		parent[u] = -1
-	}
-	parent[root] = root
-	for u := range parent {
-		d := dist[u]
-		if d <= 0 {
-			continue // root or unreachable
-		}
-		// Neighbour lists are sorted, so the first neighbour one hop
-		// closer is the smallest id — ShortestPath's exact tie-break.
-		for _, w := range g.Adj[u] {
-			if dist[w] == d-1 {
-				parent[u] = w
-				break
-			}
-		}
-	}
-	t.dist, t.parent = dist, parent
-}
-
-// Dist returns the hop distance from u to the root (-1 if unreachable).
-func (t *routeTable) Dist(u NodeID) int { return t.dist[u] }
-
-// Next returns u's next hop toward the root: the smallest-id neighbour
-// one hop closer. It returns the root at the root and -1 when u cannot
-// reach it.
-func (t *routeTable) Next(u NodeID) NodeID { return t.parent[u] }
-
-// Distances returns the full hop-distance array from the root. The
-// caller must not modify it.
-func (t *routeTable) Distances() []int { return t.dist }
-
-// table returns the built routing table rooted at root, constructing it
-// on first use. The BFS runs outside the registry lock; concurrent
-// callers for the same root share one build.
-func (r *Routes) table(root NodeID) *routeTable {
-	r.mu.RLock()
-	t := r.tables[root]
-	r.mu.RUnlock()
-	if t == nil {
-		t = r.insert(root)
-	}
-	t.used.Store(r.clock.Add(1))
-	t.once.Do(t.build)
-	return t
-}
-
-// insert registers a table entry for root, evicting the least recently
-// used entry when the bound is exceeded. Eviction only unlinks the table
-// from the registry; existing holders keep a valid immutable table.
-func (r *Routes) insert(root NodeID) *routeTable {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t := r.tables[root]; t != nil {
-		return t
-	}
-	t := &routeTable{g: r.g, root: root}
-	r.tables[root] = t
-	for len(r.tables) > r.max {
-		var victim NodeID = -1
-		oldest := ^uint64(0)
-		for id, cand := range r.tables {
-			if id == root {
-				continue
-			}
-			if u := cand.used.Load(); u < oldest {
-				victim, oldest = id, u
-			}
-		}
-		if victim < 0 {
-			break
-		}
-		delete(r.tables, victim)
-	}
-	return t
-}
-
-// Cached returns how many per-root tables the registry currently holds.
-func (r *Routes) Cached() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tables)
-}
-
-// Dist returns the shortest hop count between u and v (-1 when
-// disconnected), from a truncated BFS rooted at v.
-func (r *Routes) Dist(u, v NodeID) int {
+// HopDistance returns the shortest hop count between u and v, or -1 when
+// disconnected.
+func (g *Graph) HopDistance(u, v NodeID) int {
 	if u == v {
 		return 0
 	}
-	w := r.walks.Get().(*walker)
-	d := w.search(r.g, u, v)
-	r.walks.Put(w)
+	w := getWalker(g.N())
+	d := w.search(g, u, v)
+	walkers.Put(w)
 	return d
 }
 
 // Walk calls hop(from, to) for each hop of the shortest path from u to v,
 // in order, and returns the path's hop count (-1 when v is unreachable, in
 // which case hop is never called). hop returning false stops the walk
-// early; the full hop count is still returned. The path is the one Path
-// returns, walked over a truncated BFS from v with no allocation.
-func (r *Routes) Walk(u, v NodeID, hop func(from, to NodeID) bool) int {
+// early; the full hop count is still returned. The path is the one
+// ShortestPath returns, walked with no allocation.
+func (g *Graph) Walk(u, v NodeID, hop func(from, to NodeID) bool) int {
 	if u == v {
 		return 0
 	}
-	w := r.walks.Get().(*walker)
-	defer r.walks.Put(w)
-	d := w.search(r.g, u, v)
+	w := getWalker(g.N())
+	defer walkers.Put(w)
+	d := w.search(g, u, v)
 	for cur, k := u, d; k > 0; k-- {
-		next := w.next(r.g, cur, k)
+		next := w.next(g, cur, k)
 		if !hop(cur, next) {
 			break
 		}
@@ -193,29 +48,15 @@ func (r *Routes) Walk(u, v NodeID, hop func(from, to NodeID) bool) int {
 	return d
 }
 
-// Path returns the shortest hop path from u to v inclusive, or nil when
-// disconnected, with ties broken toward smaller node ids — byte-identical
-// to Graph.ShortestPath. It builds (or reuses) the full table rooted at
-// v, since path callers typically route many sources to one sink.
-func (r *Routes) Path(u, v NodeID) []NodeID {
-	t := r.table(v)
-	d := t.Dist(u)
-	if d < 0 {
+// ShortestPath returns a shortest hop path from u to v inclusive, or nil
+// when disconnected. Ties are broken toward smaller node ids, making the
+// route deterministic.
+func (g *Graph) ShortestPath(u, v NodeID) []NodeID {
+	path := []NodeID{u}
+	if g.Walk(u, v, func(_, to NodeID) bool { path = append(path, to); return true }) < 0 {
 		return nil
 	}
-	path := make([]NodeID, 0, d+1)
-	for cur := u; ; cur = t.Next(cur) {
-		path = append(path, cur)
-		if cur == v {
-			return path
-		}
-	}
-}
-
-// Distances returns hop distances from root to every node (-1 when
-// unreachable). The caller must not modify the returned slice.
-func (r *Routes) Distances(root NodeID) []int {
-	return r.table(root).Distances()
+	return path
 }
 
 // walker is the scratch of one truncated BFS. A node's label is valid
@@ -232,8 +73,15 @@ type label struct {
 	dist int32 // hops to the search's destination
 }
 
-func newWalker(n int) *walker {
-	return &walker{labels: make([]label, n), queue: make([]NodeID, 0, n)}
+// getWalker takes a pooled walker with room for n nodes. Fresh labels
+// carry generation 0, which no search uses, so growing keeps gen.
+func getWalker(n int) *walker {
+	w := walkers.Get().(*walker)
+	if len(w.labels) < n {
+		w.labels = make([]label, n)
+		w.queue = make([]NodeID, 0, n)
+	}
+	return w
 }
 
 // search runs a BFS from dst until it labels src and returns src's hop
@@ -271,7 +119,7 @@ func (w *walker) search(g *Graph, src, dst NodeID) int {
 
 // next returns cur's smallest-id neighbour at distance k-1 from the last
 // search's destination, where k >= 1 is cur's own distance. Neighbour
-// lists are sorted, so the first match is ShortestPath's tie-break.
+// lists are sorted, so the first match is the smallest id.
 func (w *walker) next(g *Graph, cur NodeID, k int) NodeID {
 	want := label{gen: w.gen, dist: int32(k - 1)}
 	for _, y := range g.Adj[cur] {

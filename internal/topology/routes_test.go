@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// refHopDistances is an independent reference BFS (not the Routes code
+// refHopDistances is an independent reference BFS (not the routing code
 // under test) matching the documented semantics of HopDistances.
 func refHopDistances(g *Graph, src NodeID) []int {
 	d := make([]int, g.N())
@@ -55,6 +55,29 @@ func refShortestPath(g *Graph, u, v NodeID) []NodeID {
 	return path
 }
 
+// refBFSTree is an independent reference for BFSTree: each node's parent
+// is the neighbour that first discovers it, scanning sorted neighbour
+// lists in queue order.
+func refBFSTree(g *Graph, root NodeID) []NodeID {
+	parent := make([]NodeID, g.N())
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[root] = root
+	queue := []NodeID{root}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range g.Adj[u] {
+			if parent[v] < 0 {
+				parent[v] = u
+				queue = append(queue, v)
+			}
+		}
+	}
+	return parent
+}
+
 // randomGraph builds a random graph over n nodes with edge probability p.
 // It is intentionally NOT stitched, so it can be disconnected.
 func randomGraph(n int, p float64, rng *rand.Rand) *Graph {
@@ -85,10 +108,10 @@ func pathsEqual(a, b []NodeID) bool {
 	return true
 }
 
-// TestRoutesMatchReference checks Routes.Dist/Path/Walk against the
-// reference BFS on random graphs, including disconnected ones, for every
-// node pair — the exact-equivalence contract the simulator's accounting
-// rests on.
+// TestRoutesMatchReference checks HopDistance, ShortestPath and Walk
+// against the reference BFS on random graphs, including disconnected
+// ones, for every node pair — the exact-equivalence contract the
+// simulator's accounting rests on.
 func TestRoutesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []*Graph{
@@ -98,19 +121,18 @@ func TestRoutesMatchReference(t *testing.T) {
 		randomGraph(25, 0.3, rng),  // dense
 	}
 	for gi, g := range cases {
-		rts := NewRoutes(g, 0)
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
 				uu, vv := NodeID(u), NodeID(v)
 				wantD := refHopDistances(g, uu)[vv]
-				if got := rts.Dist(uu, vv); got != wantD {
-					t.Fatalf("graph %d: Dist(%d,%d) = %d, want %d", gi, u, v, got, wantD)
+				if got := g.HopDistance(uu, vv); got != wantD {
+					t.Fatalf("graph %d: HopDistance(%d,%d) = %d, want %d", gi, u, v, got, wantD)
 				}
 				wantP := refShortestPath(g, uu, vv)
-				if got := rts.Path(uu, vv); !pathsEqual(got, wantP) {
-					t.Fatalf("graph %d: Path(%d,%d) = %v, want %v", gi, u, v, got, wantP)
+				if got := g.ShortestPath(uu, vv); !pathsEqual(got, wantP) {
+					t.Fatalf("graph %d: ShortestPath(%d,%d) = %v, want %v", gi, u, v, got, wantP)
 				}
-				if d, got := walkedPath(rts, uu, vv); d != wantD || !pathsEqual(got, wantP) {
+				if d, got := walkedPath(g, uu, vv); d != wantD || !pathsEqual(got, wantP) {
 					t.Fatalf("graph %d: Walk(%d,%d) = %d hops %v, want %d hops %v", gi, u, v, d, got, wantD, wantP)
 				}
 			}
@@ -118,8 +140,9 @@ func TestRoutesMatchReference(t *testing.T) {
 	}
 }
 
-// TestGraphDelegatesToRoutes pins the Graph-level API to the same
-// reference now that it is served by the shared routing tables.
+// TestGraphDelegatesToRoutes pins the Graph-level routing API — the
+// whole-field HopDistances and the point queries — to the same reference
+// on one graph, every source against every destination.
 func TestGraphDelegatesToRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(30, 0.1, rng)
@@ -140,33 +163,25 @@ func TestGraphDelegatesToRoutes(t *testing.T) {
 	}
 }
 
-// TestRoutesLRUBound checks the table registry never exceeds its bound
-// and that lookups stay correct across evictions.
-func TestRoutesLRUBound(t *testing.T) {
-	g := NewGrid(6, 6)
-	rts := NewRoutes(g, 3)
-	for round := 0; round < 3; round++ {
-		for root := 0; root < g.N(); root++ {
-			d := rts.Distances(NodeID(root))
-			want := refHopDistances(g, NodeID(root))
-			for v := range want {
-				if d[v] != want[v] {
-					t.Fatalf("round %d: Distances(%d)[%d] = %d, want %d", round, root, v, d[v], want[v])
-				}
-			}
-			if c := rts.Cached(); c > 3 {
-				t.Fatalf("cache holds %d tables, bound is 3", c)
-			}
-		}
+// TestHopDistancesCallerOwned checks HopDistances hands out a slice the
+// caller owns: overwriting it does not corrupt the next call's field.
+func TestHopDistancesCallerOwned(t *testing.T) {
+	g := NewGrid(4, 5)
+	want := refHopDistances(g, 7)
+	d := g.HopDistances(7)
+	for i := range d {
+		d[i] = -7
 	}
-	// A previously evicted root is rebuilt transparently.
-	if d := rts.Distances(0)[g.N()-1]; d != 10 {
-		t.Fatalf("corner-to-corner distance = %d, want 10", d)
+	got := g.HopDistances(7)
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("HopDistances(7)[%d] = %d after the caller overwrote an earlier result, want %d", v, got[v], want[v])
+		}
 	}
 }
 
-// TestRoutesAddEdgeInvalidates checks that topology edits drop the
-// graph-attached routing tables instead of serving stale distances.
+// TestRoutesAddEdgeInvalidates checks that routes follow topology edits
+// instead of serving stale distances.
 func TestRoutesAddEdgeInvalidates(t *testing.T) {
 	g := NewGrid(1, 5) // a path: 0-1-2-3-4
 	if d := g.HopDistance(0, 4); d != 4 {
@@ -178,12 +193,11 @@ func TestRoutesAddEdgeInvalidates(t *testing.T) {
 	}
 }
 
-// TestRoutesConcurrent hammers one Routes instance from many goroutines
-// with a tight table bound, so builds, lookups and evictions interleave;
-// run with -race. Every observed value must still match the reference.
+// TestRoutesConcurrent routes over one graph from many goroutines, so
+// point queries and whole-path collection interleave; run with -race.
+// Every observed value must still match the reference.
 func TestRoutesConcurrent(t *testing.T) {
 	g := NewGrid(8, 8)
-	rts := NewRoutes(g, 4) // tight bound forces eviction churn
 	ref := make([][]int, g.N())
 	for u := range ref {
 		ref[u] = refHopDistances(g, NodeID(u))
@@ -197,13 +211,13 @@ func TestRoutesConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				u := NodeID(rng.Intn(g.N()))
 				v := NodeID(rng.Intn(g.N()))
-				if d := rts.Dist(u, v); d != ref[v][u] {
-					t.Errorf("concurrent Dist(%d,%d) = %d, want %d", u, v, d, ref[v][u])
+				if d := g.HopDistance(u, v); d != ref[v][u] {
+					t.Errorf("concurrent HopDistance(%d,%d) = %d, want %d", u, v, d, ref[v][u])
 					return
 				}
-				p := rts.Path(u, v)
+				p := g.ShortestPath(u, v)
 				if len(p) != ref[v][u]+1 || p[0] != u || p[len(p)-1] != v {
-					t.Errorf("concurrent Path(%d,%d) = %v (want %d hops)", u, v, p, ref[v][u])
+					t.Errorf("concurrent ShortestPath(%d,%d) = %v (want %d hops)", u, v, p, ref[v][u])
 					return
 				}
 			}
@@ -231,11 +245,11 @@ func geometricGraph(n int, side, radius float64, rng *rand.Rand) *Graph {
 	return g
 }
 
-// walkedPath records the path Routes.Walk takes from u to v (nil when
+// walkedPath records the path Walk takes from u to v (nil when
 // unreachable) along with its returned hop count.
-func walkedPath(rts *Routes, u, v NodeID) (int, []NodeID) {
+func walkedPath(g *Graph, u, v NodeID) (int, []NodeID) {
 	path := []NodeID{u}
-	d := rts.Walk(u, v, func(from, to NodeID) bool {
+	d := g.Walk(u, v, func(from, to NodeID) bool {
 		if from != path[len(path)-1] {
 			path = append(path, -2) // a discontinuous walk never matches
 		}
@@ -248,29 +262,52 @@ func walkedPath(rts *Routes, u, v NodeID) (int, []NodeID) {
 	return d, path
 }
 
-// checkAllPairs compares Dist and the walked path of every ordered pair,
-// u == v included, against the reference full-BFS smallest-id walk.
-func checkAllPairs(t *testing.T, name string, g *Graph, rts *Routes) {
+// checkAllPairs compares every routing query against the references:
+// HopDistances and BFSTree from every root, and HopDistance, Walk and
+// ShortestPath for every ordered pair, u == v included.
+func checkAllPairs(t *testing.T, name string, g *Graph) {
 	t.Helper()
 	for v := 0; v < g.N(); v++ {
-		ref := refHopDistances(g, NodeID(v))
+		vv := NodeID(v)
+		ref := refHopDistances(g, vv)
+		if got := g.HopDistances(vv); !intsEqual(got, ref) {
+			t.Fatalf("%s: HopDistances(%d) = %v, want %v", name, v, got, ref)
+		}
+		if got, want := g.BFSTree(vv), refBFSTree(g, vv); !pathsEqual(got, want) {
+			t.Fatalf("%s: BFSTree(%d) = %v, want %v", name, v, got, want)
+		}
 		for u := 0; u < g.N(); u++ {
-			uu, vv := NodeID(u), NodeID(v)
-			if got := rts.Dist(uu, vv); got != ref[u] {
-				t.Fatalf("%s: Dist(%d,%d) = %d, want %d", name, u, v, got, ref[u])
+			uu := NodeID(u)
+			if got := g.HopDistance(uu, vv); got != ref[u] {
+				t.Fatalf("%s: HopDistance(%d,%d) = %d, want %d", name, u, v, got, ref[u])
 			}
 			want := refShortestPath(g, uu, vv)
-			d, got := walkedPath(rts, uu, vv)
+			d, got := walkedPath(g, uu, vv)
 			if d != ref[u] || !pathsEqual(got, want) {
 				t.Fatalf("%s: Walk(%d,%d) = %d hops %v, want %d hops %v", name, u, v, d, got, ref[u], want)
+			}
+			if got := g.ShortestPath(uu, vv); !pathsEqual(got, want) {
+				t.Fatalf("%s: ShortestPath(%d,%d) = %v, want %v", name, u, v, got, want)
 			}
 		}
 	}
 }
 
-// TestTruncatedWalkMatchesReference pins the point queries — Dist and
-// Walk — to the reference on seeded random geometric graphs, connected
-// and fragmented, and checks that none of them builds a table.
+func intsEqual(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTruncatedWalkMatchesReference pins every routing query — the point
+// queries and the whole fields — to the references on seeded random
+// geometric graphs, connected and fragmented.
 func TestTruncatedWalkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	cases := []struct {
@@ -288,34 +325,36 @@ func TestTruncatedWalkMatchesReference(t *testing.T) {
 		if g.Connected() != tc.connected {
 			t.Fatalf("%s: fixture connected = %v, want %v", tc.name, !tc.connected, tc.connected)
 		}
-
-		rts := NewRoutes(g, g.N())
-		checkAllPairs(t, tc.name, g, rts)
-		if c := rts.Cached(); c != 0 {
-			t.Fatalf("%s: point queries built %d tables, want 0", tc.name, c)
-		}
+		checkAllPairs(t, tc.name, g)
 	}
 }
 
 // TestWalkStopsEarly checks a walk cut short by its callback still
 // reports the full hop count.
 func TestWalkStopsEarly(t *testing.T) {
-	rts := NewRoutes(NewGrid(1, 6), 0)
+	g := NewGrid(1, 6)
 	calls := 0
-	if d := rts.Walk(0, 5, func(_, _ NodeID) bool { calls++; return calls < 2 }); d != 5 || calls != 2 {
+	if d := g.Walk(0, 5, func(_, _ NodeID) bool { calls++; return calls < 2 }); d != 5 || calls != 2 {
 		t.Fatalf("Walk(0,5) cut after 2 hops = %d hops with %d calls, want 5 and 2", d, calls)
 	}
 }
 
-// TestTruncatedWalkConcurrent runs point queries from many goroutines on
-// one table-free Routes, so pooled BFS scratch is taken and returned
-// concurrently; run with -race. Every answer must match the reference.
+// TestTruncatedWalkConcurrent runs point queries from many goroutines
+// that alternate between a 6-node and an 80-node graph, so the shared
+// walker pool hands scratch across graphs: walkers grow on meeting the
+// larger graph and carry stale generations from the other. Run with
+// -race. Every answer must match the reference.
 func TestTruncatedWalkConcurrent(t *testing.T) {
-	g := geometricGraph(80, 9, 1.6, rand.New(rand.NewSource(21)))
-	rts := NewRoutes(g, 0)
-	ref := make([][]int, g.N())
-	for v := range ref {
-		ref[v] = refHopDistances(g, NodeID(v))
+	graphs := []*Graph{
+		geometricGraph(6, 3, 1.6, rand.New(rand.NewSource(20))),
+		geometricGraph(80, 9, 1.6, rand.New(rand.NewSource(21))),
+	}
+	refs := make([][][]int, len(graphs))
+	for gi, g := range graphs {
+		refs[gi] = make([][]int, g.N())
+		for v := range refs[gi] {
+			refs[gi][v] = refHopDistances(g, NodeID(v))
+		}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -324,20 +363,18 @@ func TestTruncatedWalkConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 400; i++ {
+				g, ref := graphs[i%2], refs[i%2]
 				u, v := NodeID(rng.Intn(g.N())), NodeID(rng.Intn(g.N()))
-				if d := rts.Dist(u, v); d != ref[v][u] {
-					t.Errorf("concurrent Dist(%d,%d) = %d, want %d", u, v, d, ref[v][u])
+				if d := g.HopDistance(u, v); d != ref[v][u] {
+					t.Errorf("concurrent HopDistance(%d,%d) on %d nodes = %d, want %d", u, v, g.N(), d, ref[v][u])
 					return
 				}
-				if d, p := walkedPath(rts, u, v); d != ref[v][u] || !pathsEqual(p, refShortestPath(g, u, v)) {
-					t.Errorf("concurrent Walk(%d,%d) = %d hops %v, want %d hops", u, v, d, p, ref[v][u])
+				if d, p := walkedPath(g, u, v); d != ref[v][u] || !pathsEqual(p, refShortestPath(g, u, v)) {
+					t.Errorf("concurrent Walk(%d,%d) on %d nodes = %d hops %v, want %d hops", u, v, g.N(), d, p, ref[v][u])
 					return
 				}
 			}
 		}(int64(w + 1))
 	}
 	wg.Wait()
-	if c := rts.Cached(); c != 0 {
-		t.Fatalf("point queries built %d tables, want 0", c)
-	}
 }

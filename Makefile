@@ -37,9 +37,10 @@ race:
 	$(GO) test -race ./internal/stream ./internal/sim ./internal/topology ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
 
 ## bench: one pass of every micro-benchmark — the facade's, routing
-## (internal/sim) and range queries (internal/query) — so none can rot
+## (internal/sim), range queries (internal/query) and the spectral
+## kernels (internal/linalg) — so none can rot
 bench:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim ./internal/query
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim ./internal/query ./internal/linalg
 
 ## bench-smoke: vet the benchmark in bench/ and run its smoke tests,
 ## which drive every workload briefly (elink-serve is built into a temp

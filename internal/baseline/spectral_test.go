@@ -3,7 +3,9 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"elink/internal/cluster"
 	"elink/internal/linalg"
@@ -72,7 +74,7 @@ func TestSpectralSearchExploresAboveEmbeddingCap(t *testing.T) {
 // TestSpectralSparseMatchesDense checks the one eigensolver path against
 // a dense reference: on a banded 216-node grid the embedding the k-search
 // uses (LOBPCG at the baseline's tolerance) must span the bottom
-// eigenspace of a full dense Jacobi decomposition of the same normalized
+// eigenspace of a full dense EigenSym decomposition of the same normalized
 // Laplacian, and the clustering built on it must recover the bands.
 func TestSpectralSparseMatchesDense(t *testing.T) {
 	g := topology.NewGrid(12, 18)
@@ -179,6 +181,30 @@ func TestEigenCacheServesPrefixes(t *testing.T) {
 			if math.Abs(d-want) > 1e-9 {
 				t.Errorf("<v%d, v%d> = %v, want %v", a, b, d, want)
 			}
+		}
+	}
+}
+
+// TestSpectralRejectsNonFiniteFeature: a NaN feature makes the affinity
+// and the Laplacian non-finite. On both solver paths — the dense
+// fallback (25 nodes) and LOBPCG (216 nodes) — Spectral must return the
+// eigensolver's error promptly rather than loop or cluster garbage.
+func TestSpectralRejectsNonFiniteFeature(t *testing.T) {
+	for _, g := range []*topology.Graph{topology.NewGrid(5, 5), topology.NewGrid(12, 18)} {
+		feats := bandedFeatures(g, 3, 10, rand.New(rand.NewSource(5)))
+		feats[g.N()/2] = metric.Feature{math.NaN()}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Spectral(g, SpectralConfig{Delta: 2, Metric: metric.Scalar{}, Features: feats, Seed: 1})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("n=%d: err = %v, want a non-finite-entry error", g.N(), err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("n=%d: Spectral did not return within 10s", g.N())
 		}
 	}
 }

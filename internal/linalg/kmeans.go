@@ -31,14 +31,14 @@ func KMeans(points *Matrix, k int, rng *rand.Rand, maxIter int) []int {
 	for iter := 0; iter < maxIter; iter++ {
 		// Assignment: each point's nearest center is independent, so the
 		// scan fans out over the shared execution layer (deterministic —
-		// writes are per-index, the changed flag is order-free).
+		// writes are per-index, the changed flag is order-free). Ties go
+		// to the lowest center index.
 		var changedFlag atomic.Bool
 		par.For(n, func(i int) {
 			row := points.Data[i*dim : (i+1)*dim]
 			best, bestD := 0, math.Inf(1)
 			for c := 0; c < k; c++ {
-				d := sqDist(row, centers[c])
-				if d < bestD {
+				if d := sqDistBelow(row, centers[c], bestD); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -100,7 +100,7 @@ func seedPlusPlus(points *Matrix, k int, rng *rand.Rand) [][]float64 {
 		// worker-count independent.
 		newest := centers[len(centers)-1]
 		par.For(n, func(i int) {
-			if d := sqDist(points.Data[i*dim:(i+1)*dim], newest); d < d2[i] {
+			if d := sqDistBelow(points.Data[i*dim:(i+1)*dim], newest, d2[i]); d < d2[i] {
 				d2[i] = d
 			}
 		})
@@ -126,9 +126,28 @@ func seedPlusPlus(points *Matrix, k int, rng *rand.Rand) [][]float64 {
 	return centers
 }
 
-func sqDist(a, b []float64) float64 {
+// sqDistBelow returns the squared Euclidean distance between a and b
+// when it is below bound, and otherwise some partial sum that is at
+// least bound: the sum stops as soon as its running total reaches bound.
+// Squares are non-negative and rounding is monotone, so partial sums
+// never decrease and a stopped sum could not have finished below bound.
+// A finished sum accumulates term by term in index order, so a caller
+// keeping the strict-< minimum sees exactly the full-scan result.
+func sqDistBelow(a, b []float64, bound float64) float64 {
+	b = b[:len(a)]
 	var s float64
-	for i := range a {
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0, d1, d2, d3 := a[i]-b[i], a[i+1]-b[i+1], a[i+2]-b[i+2], a[i+3]-b[i+3]
+		s += d0 * d0
+		s += d1 * d1
+		s += d2 * d2
+		s += d3 * d3
+		if s >= bound {
+			return s
+		}
+	}
+	for ; i < len(a); i++ {
 		d := a[i] - b[i]
 		s += d * d
 	}

@@ -1,11 +1,13 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"elink/internal/par"
 )
@@ -239,7 +241,7 @@ func TestCheckSymmetricRelative(t *testing.T) {
 }
 
 // TestEigenSymBitIdenticalAcrossWorkers pins the determinism contract of
-// the dense Jacobi solve the spectral reference and the small-n fallback
+// the dense QL solve the spectral reference and the small-n fallback
 // rely on: eigenvalues and eigenvectors are bitwise identical for every
 // worker count, including 1.
 func TestEigenSymBitIdenticalAcrossWorkers(t *testing.T) {
@@ -282,12 +284,58 @@ func TestEigenSymBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Property: A v = lambda v for every eigenpair of a random symmetric matrix,
-// and eigenvalues come out sorted descending.
+// TestEigenSymReconstructionProperty: for random symmetric matrices and
+// for the fixed shapes the QL solver must not trip over — the empty and
+// 1×1 matrices, the 72×72 size of the projected LOBPCG problem, repeated
+// eigenvalues (a diagonal with duplicates, the zero matrix, a rank-1
+// matrix) and a three-component graph Laplacian — eigenvalues come back
+// descending, the eigenvectors are orthonormal, and A V = V Λ, both to
+// 1e-10·(‖A‖+1) in the Frobenius norm.
 func TestEigenSymReconstructionProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(7)
+	check := func(a *Matrix) string {
+		n := a.Rows
+		vals, vecs, err := EigenSym(a)
+		if err != nil {
+			return err.Error()
+		}
+		if len(vals) != n || vecs.Rows != n || vecs.Cols != n {
+			return fmt.Sprintf("got %d values and a %dx%d basis for n=%d", len(vals), vecs.Rows, vecs.Cols, n)
+		}
+		var normA float64
+		for _, v := range a.Data {
+			normA += v * v
+		}
+		bound := 1e-10 * (math.Sqrt(normA) + 1)
+		var orth, resid float64
+		for c := 0; c < n; c++ {
+			if c > 0 && vals[c] > vals[c-1] {
+				return fmt.Sprintf("values not descending at %d: %v > %v", c, vals[c], vals[c-1])
+			}
+			for c2 := 0; c2 < n; c2++ {
+				var d float64
+				for i := 0; i < n; i++ {
+					d += vecs.At(i, c) * vecs.At(i, c2)
+				}
+				if c == c2 {
+					d--
+				}
+				orth += d * d
+			}
+			for i := 0; i < n; i++ {
+				var av float64
+				for j := 0; j < n; j++ {
+					av += a.At(i, j) * vecs.At(j, c)
+				}
+				d := av - vals[c]*vecs.At(i, c)
+				resid += d * d
+			}
+		}
+		if math.Sqrt(orth) > bound || math.Sqrt(resid) > bound {
+			return fmt.Sprintf("n=%d: ‖VᵀV−I‖=%.3g ‖AV−VΛ‖=%.3g, bound %.3g", n, math.Sqrt(orth), math.Sqrt(resid), bound)
+		}
+		return ""
+	}
+	randomSym := func(r *rand.Rand, n int) *Matrix {
 		a := NewMatrix(n, n)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
@@ -296,29 +344,90 @@ func TestEigenSymReconstructionProperty(t *testing.T) {
 				a.Set(j, i, v)
 			}
 		}
-		vals, vecs, err := EigenSym(a)
-		if err != nil {
+		return a
+	}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		if msg := check(randomSym(r, 2+r.Intn(7))); msg != "" {
+			t.Log(msg)
 			return false
-		}
-		for c := 0; c < n; c++ {
-			if c > 0 && vals[c] > vals[c-1]+1e-9 {
-				return false
-			}
-			v := make([]float64, n)
-			for i := 0; i < n; i++ {
-				v[i] = vecs.At(i, c)
-			}
-			av := a.MulVec(v)
-			for i := 0; i < n; i++ {
-				if math.Abs(av[i]-vals[c]*v[i]) > 1e-6 {
-					return false
-				}
-			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+
+	r := rand.New(rand.NewSource(72))
+	rank1 := NewMatrix(9, 9)
+	u := make([]float64, 9)
+	for i := range u {
+		u[i] = r.NormFloat64()
+	}
+	for i := range u {
+		for j := range u {
+			rank1.Set(i, j, u[i]*u[j])
+		}
+	}
+	// Three components: a path of 4, a triangle, and an isolated vertex.
+	lap := NewMatrix(8, 8)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {4, 6}} {
+		lap.Set(e[0], e[1], -1)
+		lap.Set(e[1], e[0], -1)
+		lap.Set(e[0], e[0], lap.At(e[0], e[0])+1)
+		lap.Set(e[1], e[1], lap.At(e[1], e[1])+1)
+	}
+	for _, tc := range []struct {
+		name string
+		a    *Matrix
+	}{
+		{"n=0", NewMatrix(0, 0)},
+		{"n=1", FromRows([][]float64{{-3.5}})},
+		{"n=2", randomSym(r, 2)},
+		{"n=72", randomSym(r, 72)},
+		{"diagonal with duplicates", FromRows([][]float64{{2, 0, 0, 0, 0}, {0, -1, 0, 0, 0}, {0, 0, 2, 0, 0}, {0, 0, 0, 2, 0}, {0, 0, 0, 0, -1}})},
+		{"zero", NewMatrix(6, 6)},
+		{"rank 1", rank1},
+		{"three-component Laplacian", lap},
+	} {
+		if msg := check(tc.a); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
+	}
+}
+
+// errWithin runs f and fails the test unless it returns within a few
+// seconds: the non-finite-input tests guard against a solver that loops
+// instead of erroring.
+func errWithin(t *testing.T, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("solver did not return within 10s")
+		return nil
+	}
+}
+
+// TestEigenSymRejectsNonFinite: a NaN or ±Inf entry is an error, never a
+// hang or a NaN decomposition.
+func TestEigenSymRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, n := range []int{1, 3, 20} {
+			a := Identity(n)
+			a.Set(n/2, n-1, bad)
+			a.Set(n-1, n/2, bad)
+			err := errWithin(t, func() error {
+				_, _, err := EigenSym(a)
+				return err
+			})
+			if err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("n=%d entry %v: err = %v, want a non-finite-entry error", n, bad, err)
+			}
+		}
 	}
 }
 

@@ -82,9 +82,9 @@ type BottomKResult struct {
 }
 
 // denseBottomKLimit is the size up to which a rank-deficient block (k
-// too large relative to n) falls back to one dense Jacobi decomposition
-// instead of failing; beyond it the densification would defeat the
-// sparse engine's purpose, so the solve errors instead.
+// too large relative to n) falls back to one dense EigenSym
+// decomposition instead of failing; beyond it the densification would
+// defeat the sparse engine's purpose, so the solve errors instead.
 const denseBottomKLimit = 2048
 
 // coarseStartMinN is the size below which the warm start stops
@@ -131,7 +131,8 @@ const (
 //
 // On iteration-budget exhaustion the best-effort result is returned
 // together with a *ConvergenceError (wrapping ErrNoConvergence) carrying
-// the per-pair residuals — never silently.
+// the per-pair residuals — never silently. A non-finite matrix entry, or
+// a projected eigensolve that fails, is an error with no result.
 func (c *CSR) EigenBottomK(k int, rng *rand.Rand, opt BottomKOptions) (*BottomKResult, error) {
 	n := c.N
 	if k <= 0 {
@@ -139,6 +140,13 @@ func (c *CSR) EigenBottomK(k int, rng *rand.Rand, opt BottomKOptions) (*BottomKR
 	}
 	if k > n {
 		k = n
+	}
+	for r := 0; r < n; r++ {
+		for _, v := range c.Vals[c.RowPtr[r]:c.RowPtr[r+1]] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("linalg: EigenBottomK: non-finite entry %v in row %d", v, r)
+			}
+		}
 	}
 	maxIter := opt.MaxIter
 	if maxIter <= 0 {
@@ -171,11 +179,17 @@ func (c *CSR) EigenBottomK(k int, rng *rand.Rand, opt BottomKOptions) (*BottomKR
 	if opt.RandomStart {
 		fillRandom(st.x, rng)
 	} else {
-		levels = fillWarmStart(c, st.x, rng, pre, 0)
+		var err error
+		if levels, err = fillWarmStart(c, st.x, rng, pre, 0); err != nil {
+			return nil, err
+		}
 	}
 	orthonormalize(st.x)
 
-	iters := st.run(k, tol, maxIter)
+	iters, err := st.run(k, tol, maxIter)
+	if err != nil {
+		return nil, err
+	}
 
 	out := &BottomKResult{
 		Values:       append([]float64(nil), st.lam[:k]...),
@@ -215,8 +229,9 @@ func fillRandom(x [][]float64, rng *rand.Rand) {
 // generator is consumed only at the bottom of the recursion, in the same
 // fixed column order as a direct random start. Returns the hierarchy
 // depth (0 = the block is random: the matrix was already small, the
-// matching stalled, or the coarse graph is too small to host the block).
-func fillWarmStart(c *CSR, x [][]float64, rng *rand.Rand, pre Preconditioner, depth int) int {
+// matching stalled, or the coarse graph is too small to host the block),
+// or the error of a failed coarse solve.
+func fillWarmStart(c *CSR, x [][]float64, rng *rand.Rand, pre Preconditioner, depth int) (int, error) {
 	b := len(x)
 	if c.N >= coarseStartMinN && depth < coarseMaxLevels {
 		lvl := coarsen(c)
@@ -224,15 +239,20 @@ func fillWarmStart(c *CSR, x [][]float64, rng *rand.Rand, pre Preconditioner, de
 		if nc > 3*b+1 && nc <= c.N-c.N/8 {
 			cpre := precondFor(pre, lvl.op)
 			cst := newLobpcgState(lvl.op, b, cpre)
-			levels := fillWarmStart(lvl.op, cst.x, rng, cpre, depth+1)
+			levels, err := fillWarmStart(lvl.op, cst.x, rng, cpre, depth+1)
+			if err != nil {
+				return 0, err
+			}
 			orthonormalize(cst.x)
-			cst.run(b, coarseWarmTol, coarseWarmMaxIter)
+			if _, err := cst.run(b, coarseWarmTol, coarseWarmMaxIter); err != nil {
+				return 0, err
+			}
 			lvl.prolong(cst.x, x)
-			return levels + 1
+			return levels + 1, nil
 		}
 	}
 	fillRandom(x, rng)
-	return 0
+	return 0, nil
 }
 
 // precondFor rebuilds the configured preconditioner kind for a coarse
@@ -268,11 +288,13 @@ type lobpcgState struct {
 
 	lam, res []float64
 
-	m            int       // current basis size (len(s))
-	tData, vData []float64 // (3b)² projected-problem buffers
-	tm, tv       Matrix    // views over tData/vData sized m×m
-	order        []int     // ascending-eigenvalue permutation of tm's diagonal
-	evals        []float64
+	// The projected problem, m×m row-major in t: T = Sᵀ (L S) on entry
+	// to the solve, its eigenvectors as rows after it (Ritz vector j is
+	// t[j*m : j*m+m], eigenvalue evals[j]). e is the solver's scratch.
+	m        int // current basis size (len(s))
+	t        []float64
+	evals, e []float64
+	order    []int // ascending-eigenvalue permutation of evals
 
 	fRayleigh, fGram, fCompose, fConjugate func(lo, hi int)
 }
@@ -292,10 +314,10 @@ func newLobpcgState(c *CSR, b int, pre Preconditioner) *lobpcgState {
 		dropped: make([][]float64, 0, b),
 		lam:     make([]float64, b),
 		res:     make([]float64, b),
-		tData:   make([]float64, 3*b*3*b),
-		vData:   make([]float64, 3*b*3*b),
-		order:   make([]int, 3*b),
+		t:       make([]float64, 3*b*3*b),
 		evals:   make([]float64, 3*b),
+		e:       make([]float64, 3*b),
+		order:   make([]int, 3*b),
 	}
 	st.fRayleigh = st.rayleighCols
 	st.fGram = st.gramRows
@@ -319,23 +341,25 @@ func (st *lobpcgState) fan(n int, body func(lo, hi int)) {
 // run drives the LOBPCG iteration until the first k pairs converge at
 // tol or maxIter is exhausted, starting from the orthonormal block in
 // st.x. On return st.x/st.lam/st.res hold the best pairs in ascending
-// eigenvalue order; the return value is the iteration count.
-func (st *lobpcgState) run(k int, tol float64, maxIter int) int {
+// eigenvalue order; the return value is the iteration count. A failed
+// projected eigensolve stops the iteration with its error.
+func (st *lobpcgState) run(k int, tol float64, maxIter int) (int, error) {
 	b := st.b
 	st.c.MulVecs(st.x, st.ax)
 	for iter := 1; iter <= maxIter; iter++ {
 		// Rayleigh quotients and raw residuals on the current orthonormal
-		// X; convergence is judged on the unpreconditioned residual norms.
+		// X; convergence is judged on the unpreconditioned residual norms
+		// (a NaN residual never counts as converged).
 		st.fan(b, st.fRayleigh)
 		done := true
 		for j := 0; j < k; j++ {
-			if st.res[j] > tol*(math.Abs(st.lam[j])+1) {
+			if !(st.res[j] <= tol*(math.Abs(st.lam[j])+1)) {
 				done = false
 				break
 			}
 		}
 		if done {
-			return iter
+			return iter, nil
 		}
 		if iter == maxIter {
 			break
@@ -361,22 +385,14 @@ func (st *lobpcgState) run(k int, tol float64, maxIter int) int {
 
 		// T = Sᵀ (L S): row i writes (i, j>=i) and mirrors — disjoint
 		// across i, serial within a row.
-		st.tm = Matrix{Rows: m, Cols: m, Data: st.tData[:m*m]}
 		st.fan(m, st.fGram)
 
-		// Projected eigensolve, serial and in-place on the preallocated
-		// views; the permutation orders Ritz values ascending.
-		vd := st.vData[:m*m]
-		for i := range vd {
-			vd[i] = 0
+		// Projected eigensolve, serial and in place; the permutation
+		// orders Ritz values ascending.
+		if err := symEigenQL(st.t[:m*m], m, st.evals[:m], st.e[:m]); err != nil {
+			return iter, fmt.Errorf("linalg: EigenBottomK: projected eigensolve at iteration %d: %w", iter, err)
 		}
 		for i := 0; i < m; i++ {
-			vd[i*m+i] = 1
-		}
-		st.tv = Matrix{Rows: m, Cols: m, Data: vd}
-		jacobiSweeps(&st.tm, &st.tv, m, 100)
-		for i := 0; i < m; i++ {
-			st.evals[i] = st.tm.Data[i*m+i]
 			st.order[i] = i
 		}
 		sortOrderAscending(st.order[:m], st.evals[:m])
@@ -396,7 +412,7 @@ func (st *lobpcgState) run(k int, tol float64, maxIter int) int {
 	// top of the last iteration; order the pairs so this exit reports
 	// them like a converged one would.
 	sortPairsAscending(st.x, st.lam, st.res, b)
-	return maxIter
+	return maxIter, nil
 }
 
 // rayleighCols computes λ_j = x_jᵀ (L x_j), the residual column
@@ -419,12 +435,28 @@ func (st *lobpcgState) rayleighCols(lo, hi int) {
 
 // gramRows fills rows [lo, hi) of the projected matrix T = Sᵀ (L S),
 // writing (i, j>=i) and the mirror cell — each cell owned by exactly one
-// row chunk.
+// row chunk. Four cells share one pass over s_i, each with its own
+// index-order accumulator, so every cell is bitwise dot(s_i, as_j).
 func (st *lobpcgState) gramRows(lo, hi int) {
-	m, data := st.m, st.tm.Data
+	m, data := st.m, st.t
 	for i := lo; i < hi; i++ {
 		si := st.s[i]
-		for j := i; j < m; j++ {
+		j := i
+		for ; j+4 <= m; j += 4 {
+			a0, a1, a2, a3 := st.as[j][:len(si)], st.as[j+1][:len(si)], st.as[j+2][:len(si)], st.as[j+3][:len(si)]
+			var d0, d1, d2, d3 float64
+			for r, v := range si {
+				d0 += v * a0[r]
+				d1 += v * a1[r]
+				d2 += v * a2[r]
+				d3 += v * a3[r]
+			}
+			for c, v := range [4]float64{d0, d1, d2, d3} {
+				data[i*m+j+c] = v
+				data[(j+c)*m+i] = v
+			}
+		}
+		for ; j < m; j++ {
 			v := dot(si, st.as[j])
 			data[i*m+j] = v
 			data[j*m+i] = v
@@ -433,17 +465,16 @@ func (st *lobpcgState) gramRows(lo, hi int) {
 }
 
 // composeCols builds next-X columns [lo, hi) from the ascending-order
-// Ritz rotations: xalt_j = Σ_i tv[i, order[j]] · s_i.
+// Ritz vectors: xalt_j = Σ_i y_i · s_i with y the row order[j] of t.
 func (st *lobpcgState) composeCols(lo, hi int) {
-	m, vd := st.m, st.tv.Data
+	m := st.m
 	for j := lo; j < hi; j++ {
-		col := st.order[j]
+		y := st.t[st.order[j]*m : st.order[j]*m+m]
 		dst := st.xalt[j]
 		for r := range dst {
 			dst[r] = 0
 		}
-		for i := 0; i < m; i++ {
-			f := vd[i*m+col]
+		for i, f := range y {
 			if f == 0 {
 				continue
 			}
@@ -475,7 +506,7 @@ func (st *lobpcgState) conjugateCols(lo, hi int) {
 	}
 }
 
-// denseBottomK is the small-size fallback: one dense Jacobi
+// denseBottomK is the small-size fallback: one dense EigenSym
 // decomposition, returning the trailing (smallest) k pairs ascending.
 func (c *CSR) denseBottomK(k int) (*BottomKResult, error) {
 	n := c.N
@@ -550,6 +581,40 @@ func orthonormalize(q [][]float64) {
 	}
 }
 
+// mgsProject runs one modified Gram–Schmidt step: it subtracts from col
+// its component along each orthonormal basis column in turn (skipping a
+// zero coefficient) and returns col's squared norm afterwards. The pass
+// that applies basis[i] also computes the next coefficient — the dot
+// against basis[i+1], or the squared norm after the last — from the
+// updated entries, and every sum accumulates in index order, so the
+// result is bitwise that of separate dot, axpy and norm passes with one
+// fewer sweep over col per basis column.
+func mgsProject(basis [][]float64, col []float64) float64 {
+	if len(basis) == 0 {
+		return dot(col, col)
+	}
+	f := dot(basis[0], col)
+	for i, prev := range basis {
+		next := col
+		if i+1 < len(basis) {
+			next = basis[i+1][:len(col)]
+		}
+		if f == 0 {
+			f = dot(next, col)
+			continue
+		}
+		prev = prev[:len(col)]
+		var s float64
+		for r, p := range prev {
+			v := col[r] - f*p
+			col[r] = v
+			s += next[r] * v
+		}
+		f = s
+	}
+	return f
+}
+
 // orthonormalizeDrop runs modified Gram–Schmidt over the columns,
 // dropping any column whose remainder collapses below tolerance instead
 // of re-seeding it (the basis is allowed to shrink). The first keep
@@ -559,16 +624,7 @@ func orthonormalizeDrop(q [][]float64, keep int) [][]float64 {
 	out := q[:0]
 	for c := 0; c < len(q); c++ {
 		col := q[c]
-		for _, prev := range out {
-			f := dot(prev, col)
-			if f == 0 {
-				continue
-			}
-			for r := range col {
-				col[r] -= f * prev[r]
-			}
-		}
-		norm := math.Sqrt(dot(col, col))
+		norm := math.Sqrt(mgsProject(out, col))
 		if norm < 1e-10 && len(out) >= keep {
 			continue
 		}
@@ -594,17 +650,7 @@ func orthonormalizeKeepAll(q [][]float64, keep int, dropScratch *[][]float64) in
 	kept := 0
 	for c := 0; c < len(q); c++ {
 		col := q[c]
-		for i := 0; i < kept; i++ {
-			prev := q[i]
-			f := dot(prev, col)
-			if f == 0 {
-				continue
-			}
-			for r := range col {
-				col[r] -= f * prev[r]
-			}
-		}
-		norm := math.Sqrt(dot(col, col))
+		norm := math.Sqrt(mgsProject(q[:kept], col))
 		if norm < 1e-10 && kept >= keep {
 			dropped = append(dropped, col)
 			continue

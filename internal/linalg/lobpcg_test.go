@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func gridLaplacian(rows, cols int) *CSR {
 }
 
 // TestEigenBottomKMatchesDense checks the LOBPCG engine against the
-// dense Jacobi reference on a banded random symmetric matrix: values
+// dense EigenSym reference on a banded random symmetric matrix: values
 // must agree, and each sparse eigenvector must lie in the dense
 // eigenvector subspace of the matching eigenvalues (subspace angle ~ 0),
 // which is the rotation-proof comparison for (near-)multiple spectra.
@@ -411,11 +412,12 @@ func TestEigenBottomKDenseFallback(t *testing.T) {
 	}
 }
 
-// TestEigenBottomKIndefiniteMatchesJacobi runs the iterative path on an
+// TestEigenBottomKIndefiniteMatchesDense runs the iterative path on an
 // unstructured indefinite matrix — random banded entries, no Laplacian
-// shape, unpreconditioned — and checks the bottom values against dense
-// Jacobi: the solver must not lean on a [0, 2] spectrum.
-func TestEigenBottomKIndefiniteMatchesJacobi(t *testing.T) {
+// shape, unpreconditioned — and checks the bottom values against the
+// dense EigenSym decomposition: the solver must not lean on a [0, 2]
+// spectrum.
+func TestEigenBottomKIndefiniteMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	n, k := 100, 5
 	s := NewSparseSym(n)
@@ -441,7 +443,7 @@ func TestEigenBottomKIndefiniteMatchesJacobi(t *testing.T) {
 	}
 	for j := 0; j < k; j++ {
 		if want := vals[n-1-j]; math.Abs(res.Values[j]-want) > 1e-6 {
-			t.Errorf("value %d = %v, jacobi = %v", j, res.Values[j], want)
+			t.Errorf("value %d = %v, dense = %v", j, res.Values[j], want)
 		}
 	}
 }
@@ -587,6 +589,36 @@ func TestEigenBottomKResolvesMultiplicity(t *testing.T) {
 		}
 		if math.Abs(mass-1) > 1e-6 {
 			t.Errorf("clique %d has kernel mass %v, want 1", c, mass)
+		}
+	}
+}
+
+// TestEigenBottomKRejectsNonFinite: on the iterative size (n > 64) a NaN
+// or ±Inf matrix entry is an error, and so is a projected eigensolve
+// that meets non-finite values inside the iteration — neither may loop.
+func TestEigenBottomKRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		l := gridLaplacian(10, 10)
+		l.Vals[len(l.Vals)/2] = bad
+		err := errWithin(t, func() error {
+			_, err := l.EigenBottomK(4, rand.New(rand.NewSource(1)), BottomKOptions{})
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("entry %v: err = %v, want a non-finite-entry error", bad, err)
+		}
+
+		// Past the entry check, the NaN reaches the Rayleigh–Ritz
+		// problem, whose solve must fail with an error.
+		st := newLobpcgState(l, 8, IdentityPrecond{})
+		fillRandom(st.x, rand.New(rand.NewSource(2)))
+		orthonormalize(st.x)
+		err = errWithin(t, func() error {
+			_, err := st.run(4, 1e-6, 50)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "projected eigensolve") {
+			t.Errorf("entry %v: run err = %v, want a projected-eigensolve error", bad, err)
 		}
 	}
 }

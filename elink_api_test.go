@@ -331,7 +331,7 @@ func TestMaintenanceAndIndexStayConsistent(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := idx.Refresh(u, f); err != nil {
+		if _, err := idx.Refresh([]elink.NodeID{u}, currentFeatures(cur)); err != nil {
 			t.Fatal(err)
 		}
 		if step%50 == 0 {

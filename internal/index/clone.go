@@ -1,48 +1,17 @@
 package index
 
-import (
-	"elink/internal/cluster"
-	"elink/internal/metric"
-	"elink/internal/topology"
-)
-
-// Clone returns a deep copy of the index sharing only the (immutable)
-// graph. The streaming engine publishes an index to concurrent query
-// readers at every epoch boundary; before the next epoch's Refresh or
-// rebuild mutates anything it clones the published structure, so readers
-// keep an exact, frozen view (copy-on-write at epoch granularity).
+// Clone returns a copy whose Features and Radius the caller may Refresh
+// without disturbing the original. Everything else — the cluster trees,
+// assignments, backbone, aggregation order and build stats — is
+// immutable after construction and shared, and so are the Feature values
+// themselves, because Refresh replaces a node's feature rather than
+// writing into it. The streaming engine publishes an index to concurrent
+// query readers at every epoch boundary and clones it before the next
+// epoch's Refresh, so readers keep an exact, frozen view (copy-on-write
+// at epoch granularity).
 func (idx *Index) Clone() *Index {
-	out := &Index{
-		Graph:       idx.Graph,
-		Metric:      idx.Metric,
-		Features:    make([]metric.Feature, len(idx.Features)),
-		Clusters:    make([]*ClusterIndex, len(idx.Clusters)),
-		ClusterOf:   append([]int(nil), idx.ClusterOf...),
-		Backbone:    append([]BackboneEdge(nil), idx.Backbone...),
-		BackboneAdj: make(map[topology.NodeID][]BackboneEdge, len(idx.BackboneAdj)),
-		BuildStats:  cluster.Stats{Messages: idx.BuildStats.Messages, Time: idx.BuildStats.Time, Breakdown: make(map[string]int64, len(idx.BuildStats.Breakdown))},
-	}
-	for i, f := range idx.Features {
-		out.Features[i] = f.Clone()
-	}
-	for ci, cl := range idx.Clusters {
-		cc := &ClusterIndex{
-			Root:    cl.Root,
-			Members: append([]topology.NodeID(nil), cl.Members...),
-			Entries: make(map[topology.NodeID]*Entry, len(cl.Entries)),
-		}
-		for u, e := range cl.Entries {
-			ce := *e
-			ce.Children = append([]topology.NodeID(nil), e.Children...)
-			cc.Entries[u] = &ce
-		}
-		out.Clusters[ci] = cc
-	}
-	for u, edges := range idx.BackboneAdj {
-		out.BackboneAdj[u] = append([]BackboneEdge(nil), edges...)
-	}
-	for k, v := range idx.BuildStats.Breakdown {
-		out.BuildStats.Breakdown[k] = v
-	}
-	return out
+	out := *idx
+	out.Features = append(out.Features[:0:0], idx.Features...)
+	out.Radius = append(out.Radius[:0:0], idx.Radius...)
+	return &out
 }

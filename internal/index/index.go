@@ -15,6 +15,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"elink/internal/cluster"
@@ -22,13 +23,14 @@ import (
 	"elink/internal/topology"
 )
 
-// Entry is one node's slot in a cluster's index tree.
+// Entry is one node's slot in a cluster's index tree. Entries are the
+// tree's topology and never change after Build or FromState; the
+// node's covering radius lives in Index.Radius.
 type Entry struct {
 	ID       topology.NodeID
 	Parent   topology.NodeID // tree parent (== ID at the root)
 	Children []topology.NodeID
-	Radius   float64 // covering radius over the subtree rooted here
-	Depth    int     // hops to the cluster root along the tree
+	Depth    int // hops to the cluster root along the tree
 }
 
 // ClusterIndex is the M-tree of one cluster.
@@ -46,10 +48,16 @@ type BackboneEdge struct {
 
 // Index is the complete distributed structure: one M-tree per cluster and
 // the leader backbone.
+//
+// Only Features and Radius change after construction (through Refresh);
+// everything else is the index's immutable topology, which Clone shares.
 type Index struct {
 	Graph    *topology.Graph
 	Metric   metric.Metric
 	Features []metric.Feature
+	// Radius is each node's covering radius over its cluster subtree:
+	// the largest feature distance from the node to any descendant.
+	Radius []float64
 
 	Clusters  []*ClusterIndex
 	ClusterOf []int // node -> cluster ordinal
@@ -61,6 +69,11 @@ type Index struct {
 
 	// BuildStats charges index aggregation and backbone construction.
 	BuildStats cluster.Stats
+
+	// order lists every entry children-before-parents (each cluster's
+	// reversed BFS order), the schedule of a bottom-up aggregation.
+	order    []*Entry
+	maxDepth int
 }
 
 // Build constructs the index over an existing clustering. Every cluster
@@ -78,6 +91,7 @@ func Build(g *topology.Graph, c *cluster.Clustering, feats []metric.Feature, m m
 		Graph:       g,
 		Metric:      m,
 		Features:    owned,
+		Radius:      make([]float64, g.N()),
 		ClusterOf:   make([]int, g.N()),
 		BackboneAdj: make(map[topology.NodeID][]BackboneEdge),
 		BuildStats:  cluster.Stats{Breakdown: make(map[string]int64)},
@@ -87,16 +101,20 @@ func Build(g *topology.Graph, c *cluster.Clustering, feats []metric.Feature, m m
 		if root < 0 {
 			root = members[0]
 		}
-		tree, err := buildClusterTree(g, members, root, feats, m)
+		tree, err := buildClusterTree(g, members, root)
 		if err != nil {
 			return nil, fmt.Errorf("index: cluster %d: %w", ci, err)
 		}
 		idx.Clusters = append(idx.Clusters, tree)
+		idx.addOrder(tree)
 		for _, u := range members {
 			idx.ClusterOf[u] = ci
 		}
 		// One upward report per tree edge.
 		idx.charge("index", int64(len(members)-1))
+	}
+	for _, e := range idx.order {
+		idx.aggregate(e)
 	}
 	if err := idx.buildBackbone(c); err != nil {
 		return nil, err
@@ -104,14 +122,41 @@ func Build(g *topology.Graph, c *cluster.Clustering, feats []metric.Feature, m m
 	return idx, nil
 }
 
+// addOrder appends cl's entries to the aggregation order, children
+// before parents, and tracks the deepest entry. It walks cl's child
+// lists breadth-first from the root and reverses the visit.
+func (idx *Index) addOrder(cl *ClusterIndex) {
+	start := len(idx.order)
+	idx.order = append(idx.order, cl.Entries[cl.Root])
+	for qi := start; qi < len(idx.order); qi++ {
+		e := idx.order[qi]
+		idx.maxDepth = max(idx.maxDepth, e.Depth)
+		for _, ch := range e.Children {
+			idx.order = append(idx.order, cl.Entries[ch])
+		}
+	}
+	slices.Reverse(idx.order[start:])
+}
+
+// aggregate recomputes e's covering radius from its own feature and its
+// children's summaries (feature, radius).
+func (idx *Index) aggregate(e *Entry) {
+	r := 0.0
+	for _, ch := range e.Children {
+		if cd := idx.Metric.Distance(idx.Features[e.ID], idx.Features[ch]) + idx.Radius[ch]; cd > r {
+			r = cd
+		}
+	}
+	idx.Radius[e.ID] = r
+}
+
 func (idx *Index) charge(kind string, cost int64) {
 	idx.BuildStats.Breakdown[kind] += cost
 	idx.BuildStats.Messages += cost
 }
 
-// buildClusterTree hangs the members on a BFS tree from the root and
-// aggregates covering radii bottom-up.
-func buildClusterTree(g *topology.Graph, members []topology.NodeID, root topology.NodeID, feats []metric.Feature, m metric.Metric) (*ClusterIndex, error) {
+// buildClusterTree hangs the members on a BFS tree from the root.
+func buildClusterTree(g *topology.Graph, members []topology.NodeID, root topology.NodeID) (*ClusterIndex, error) {
 	in := make(map[topology.NodeID]bool, len(members))
 	for _, u := range members {
 		in[u] = true
@@ -138,18 +183,6 @@ func buildClusterTree(g *topology.Graph, members []topology.NodeID, root topolog
 	}
 	if len(order) != len(members) {
 		return nil, fmt.Errorf("cluster rooted at %d is not connected (%d of %d reachable)", root, len(order), len(members))
-	}
-	// Bottom-up radius aggregation (reverse BFS order visits children
-	// before parents).
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		e := ci.Entries[u]
-		for _, ch := range e.Children {
-			cd := m.Distance(feats[u], feats[ch]) + ci.Entries[ch].Radius
-			if cd > e.Radius {
-				e.Radius = cd
-			}
-		}
 	}
 	return ci, nil
 }
@@ -218,12 +251,6 @@ func (idx *Index) buildBackbone(c *cluster.Clustering) error {
 	return nil
 }
 
-// RootEntry returns the index entry of cluster ci's root.
-func (idx *Index) RootEntry(ci int) *Entry {
-	cl := idx.Clusters[ci]
-	return cl.Entries[cl.Root]
-}
-
 // Depth returns node u's hop depth in its cluster tree.
 func (idx *Index) Depth(u topology.NodeID) int {
 	return idx.Clusters[idx.ClusterOf[u]].Entries[u].Depth
@@ -239,9 +266,9 @@ func (idx *Index) Validate() error {
 			for a := u; ; {
 				e := cl.Entries[a]
 				d := idx.Metric.Distance(idx.Features[e.ID], idx.Features[u])
-				if d > e.Radius+1e-9 && a != u {
+				if d > idx.Radius[a]+1e-9 && a != u {
 					return fmt.Errorf("index: cluster %d: node %d at distance %v from ancestor %d exceeds radius %v",
-						ci, u, d, a, e.Radius)
+						ci, u, d, a, idx.Radius[a])
 				}
 				if e.Parent == a {
 					break
@@ -256,24 +283,14 @@ func (idx *Index) Validate() error {
 // MaxDepth returns the deepest entry depth across every cluster tree —
 // the worst-case hop count of one M-tree descent, and the index-shape
 // gauge the streaming engine publishes per epoch.
-func (idx *Index) MaxDepth() int {
-	d := 0
-	for _, cl := range idx.Clusters {
-		for _, e := range cl.Entries {
-			if e.Depth > d {
-				d = e.Depth
-			}
-		}
-	}
-	return d
-}
+func (idx *Index) MaxDepth() int { return idx.maxDepth }
 
 // MaxRadius returns the largest root covering radius; useful to compare
 // with δ/2 (the paper's a-priori bound).
 func (idx *Index) MaxRadius() float64 {
 	r := 0.0
 	for ci := range idx.Clusters {
-		r = math.Max(r, idx.RootEntry(ci).Radius)
+		r = math.Max(r, idx.Radius[idx.Clusters[ci].Root])
 	}
 	return r
 }

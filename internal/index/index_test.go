@@ -34,13 +34,13 @@ func TestBuildStructure(t *testing.T) {
 	if d := cl.Entries[2].Depth; d != 2 {
 		t.Errorf("depth(2) = %d, want 2", d)
 	}
-	if r := cl.Entries[2].Radius; r != 0 {
+	if r := idx.Radius[2]; r != 0 {
 		t.Errorf("leaf radius = %v, want 0", r)
 	}
-	if r := cl.Entries[1].Radius; r != 1 {
+	if r := idx.Radius[1]; r != 1 {
 		t.Errorf("radius(1) = %v, want 1", r)
 	}
-	if r := cl.Entries[0].Radius; r != 2 {
+	if r := idx.Radius[0]; r != 2 {
 		t.Errorf("root radius = %v, want 2", r)
 	}
 	if err := idx.Validate(); err != nil {
@@ -181,8 +181,8 @@ func TestAllSingletonClusters(t *testing.T) {
 	}
 	// Every entry is a leaf with radius 0; the backbone spans 9 roots.
 	for _, cl := range idx.Clusters {
-		if cl.Entries[cl.Root].Radius != 0 {
-			t.Errorf("singleton radius = %v", cl.Entries[cl.Root].Radius)
+		if idx.Radius[cl.Root] != 0 {
+			t.Errorf("singleton radius = %v", idx.Radius[cl.Root])
 		}
 	}
 	if len(idx.Backbone) != 8 {
@@ -218,7 +218,8 @@ func TestRefreshRepairsRadii(t *testing.T) {
 	}
 	// Leaf 2 (chain 0-1-2) jumps from 2 to 7: radii along the path must
 	// grow to cover it.
-	msgs, err := idx.Refresh(2, metric.Feature{7})
+	feats[2] = metric.Feature{7}
+	msgs, err := idx.Refresh([]topology.NodeID{2}, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,15 +229,15 @@ func TestRefreshRepairsRadii(t *testing.T) {
 	if err := idx.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cl := idx.Clusters[0]
-	if r := cl.Entries[0].Radius; r != 7 {
+	if r := idx.Radius[0]; r != 7 {
 		t.Errorf("root radius = %v, want 7", r)
 	}
 	// Moving it back shrinks the radii again.
-	if _, err := idx.Refresh(2, metric.Feature{2}); err != nil {
+	feats[2] = metric.Feature{2}
+	if _, err := idx.Refresh([]topology.NodeID{2}, feats); err != nil {
 		t.Fatal(err)
 	}
-	if r := cl.Entries[0].Radius; r != 2 {
+	if r := idx.Radius[0]; r != 2 {
 		t.Errorf("root radius after shrink = %v, want 2", r)
 	}
 }
@@ -254,16 +255,17 @@ func TestRefreshEarlyExit(t *testing.T) {
 	// Node 4's parent is 3, whose radius is d(F3,F4)+R4 = |5-f4| = 5.
 	// Moving node 4 from 0 to 10 keeps |5-f4| = 5, so node 3's radius is
 	// unchanged and the repair wave must stop there.
-	before := idx.Clusters[0].Entries[0].Radius
-	msgs, err := idx.Refresh(4, metric.Feature{10})
+	before := idx.Radius[0]
+	feats[4] = metric.Feature{10}
+	msgs, err := idx.Refresh([]topology.NodeID{4}, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if idx.Clusters[0].Entries[0].Radius != before {
-		t.Errorf("root radius changed from %v to %v", before, idx.Clusters[0].Entries[0].Radius)
+	if idx.Radius[0] != before {
+		t.Errorf("root radius changed from %v to %v", before, idx.Radius[0])
 	}
 	// The wave reported 4 -> 3 and stopped when 3's radius was unchanged.
 	if msgs > 2 {
@@ -289,9 +291,8 @@ func TestRefreshKeepsQueriesExact(t *testing.T) {
 	}
 	for step := 0; step < 120; step++ {
 		u := topology.NodeID(rng.Intn(g.N()))
-		f := metric.Feature{rng.Float64() * 10}
-		feats[u] = f
-		if _, err := idx.Refresh(u, f); err != nil {
+		feats[u] = metric.Feature{rng.Float64() * 10}
+		if _, err := idx.Refresh([]topology.NodeID{u}, feats); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,44 +7,53 @@ import (
 	"elink/internal/topology"
 )
 
-// Refresh updates node u's routing feature in place and repairs the
-// covering radii along u's root path, keeping every query-pruning
-// invariant exact without rebuilding the index. It returns the number of
-// messages charged: one per tree edge the repair wave travels (each
-// affected node reports its new (feature, radius) to its parent; the
-// wave stops early once an ancestor's radius is unchanged, because
-// ancestors above it see the same child summary as before).
+// Refresh installs new routing features for a batch of nodes and repairs
+// every covering radius they affect, keeping each query-pruning
+// invariant exact without rebuilding the index. feats is indexed by node
+// id; only the listed nodes' entries are read. Radii end bitwise equal
+// to a fresh Build over the same features.
+//
+// The repair is one convergecast over the cluster trees, the same
+// bottom-up aggregation the build runs (§7.1): children before parents,
+// each dirty node re-aggregates once, and a node reports its new
+// (feature, radius) summary to its parent only if the summary changed —
+// its feature was refreshed or its radius moved. Refresh returns the
+// number of such reports, at most one per tree edge. A batch of one node
+// costs exactly its repair wave up the root path, which stops at the
+// first ancestor whose radius is unchanged.
 //
 // This is the index side of the §6 maintenance protocol: feature updates
 // that stay inside their cluster still move routing features, and stale
 // radii would make range/path pruning unsound.
-func (idx *Index) Refresh(u topology.NodeID, newFeat metric.Feature) (int64, error) {
-	if int(u) < 0 || int(u) >= len(idx.Features) {
-		return 0, fmt.Errorf("index: node %d out of range", u)
+func (idx *Index) Refresh(nodes []topology.NodeID, feats []metric.Feature) (int64, error) {
+	if len(feats) != len(idx.Features) {
+		return 0, fmt.Errorf("index: %d features for %d nodes", len(feats), len(idx.Features))
 	}
-	cl := idx.Clusters[idx.ClusterOf[u]]
-	idx.Features[u] = newFeat.Clone()
-
+	for _, u := range nodes {
+		if int(u) < 0 || int(u) >= len(idx.Features) {
+			return 0, fmt.Errorf("index: node %d out of range", u)
+		}
+	}
+	const (
+		dirty = 1 << iota // re-aggregate this node
+		fed               // its own feature was refreshed
+	)
+	mark := make([]uint8, len(idx.Features))
+	for _, u := range nodes {
+		idx.Features[u] = feats[u].Clone()
+		mark[u] = dirty | fed
+	}
 	var msgs int64
-	cur := u
-	for {
-		e := cl.Entries[cur]
-		old := e.Radius
-		e.Radius = 0
-		for _, ch := range e.Children {
-			if r := idx.Metric.Distance(idx.Features[cur], idx.Features[ch]) + cl.Entries[ch].Radius; r > e.Radius {
-				e.Radius = r
-			}
+	for _, e := range idx.order {
+		if mark[e.ID] == 0 {
+			continue
 		}
-		if cur == cl.Root {
-			return msgs, nil
+		old := idx.Radius[e.ID]
+		idx.aggregate(e)
+		if e.Parent != e.ID && (mark[e.ID]&fed != 0 || idx.Radius[e.ID] != old) {
+			msgs++
+			mark[e.Parent] |= dirty
 		}
-		// The parent re-aggregates whenever this node's summary changed:
-		// its feature (only for u itself) or its radius.
-		if cur != u && e.Radius == old {
-			return msgs, nil
-		}
-		msgs++
-		cur = e.Parent
 	}
+	return msgs, nil
 }

@@ -60,7 +60,7 @@ func (idx *Index) State() State {
 				ID:       e.ID,
 				Parent:   e.Parent,
 				Children: append([]topology.NodeID(nil), e.Children...),
-				Radius:   e.Radius,
+				Radius:   idx.Radius[e.ID],
 				Depth:    e.Depth,
 			})
 		}
@@ -75,8 +75,12 @@ func (idx *Index) State() State {
 }
 
 // FromState rebuilds a live index over g and m from exported state,
-// validating structural invariants (ids in range, every member indexed,
-// backbone endpoints are roots) so corrupted snapshots are rejected.
+// validating structural invariants so corrupted snapshots are rejected:
+// ids in range, every member indexed, each cluster's child lists forming
+// one tree over exactly its members, backbone endpoints are roots and
+// the backbone is a forest. Queries recurse down the child lists and
+// walk the backbone without visited sets, so a cycle in either would
+// never terminate.
 func FromState(g *topology.Graph, m metric.Metric, st State) (*Index, error) {
 	n := g.N()
 	if len(st.Features) != n || len(st.ClusterOf) != n {
@@ -87,6 +91,7 @@ func FromState(g *topology.Graph, m metric.Metric, st State) (*Index, error) {
 		Graph:       g,
 		Metric:      m,
 		Features:    make([]metric.Feature, n),
+		Radius:      make([]float64, n),
 		ClusterOf:   append([]int(nil), st.ClusterOf...),
 		Backbone:    append([]BackboneEdge(nil), st.Backbone...),
 		BackboneAdj: make(map[topology.NodeID][]BackboneEdge),
@@ -98,7 +103,14 @@ func FromState(g *topology.Graph, m metric.Metric, st State) (*Index, error) {
 	for i, f := range st.Features {
 		idx.Features[i] = f.Clone()
 	}
+	for u, ci := range idx.ClusterOf {
+		if ci < 0 || ci >= len(st.Clusters) {
+			return nil, fmt.Errorf("index: node %d assigned to cluster %d of %d", u, ci, len(st.Clusters))
+		}
+	}
 	roots := make(map[topology.NodeID]bool, len(st.Clusters))
+	listed := make([]bool, n)
+	indexed := 0
 	for ci, cs := range st.Clusters {
 		cl := &ClusterIndex{
 			Root:    cs.Root,
@@ -119,9 +131,9 @@ func FromState(g *topology.Graph, m metric.Metric, st State) (*Index, error) {
 				ID:       es.ID,
 				Parent:   es.Parent,
 				Children: append([]topology.NodeID(nil), es.Children...),
-				Radius:   es.Radius,
 				Depth:    es.Depth,
 			}
+			idx.Radius[es.ID] = es.Radius
 		}
 		for _, u := range cl.Members {
 			if int(u) < 0 || int(u) >= n {
@@ -130,20 +142,24 @@ func FromState(g *topology.Graph, m metric.Metric, st State) (*Index, error) {
 			if cl.Entries[u] == nil {
 				return nil, fmt.Errorf("index: cluster %d member %d has no entry", ci, u)
 			}
+			if listed[u] {
+				return nil, fmt.Errorf("index: member %d listed twice", u)
+			}
+			listed[u] = true
 			if idx.ClusterOf[u] != ci {
 				return nil, fmt.Errorf("index: node %d listed in cluster %d but assigned to %d", u, ci, idx.ClusterOf[u])
 			}
 		}
-		if cl.Entries[cl.Root] == nil {
-			return nil, fmt.Errorf("index: cluster %d root %d has no entry", ci, cl.Root)
+		if err := checkTree(ci, cl); err != nil {
+			return nil, err
 		}
 		roots[cl.Root] = true
 		idx.Clusters = append(idx.Clusters, cl)
+		idx.addOrder(cl)
+		indexed += len(cl.Members)
 	}
-	for u, ci := range idx.ClusterOf {
-		if ci < 0 || ci >= len(idx.Clusters) {
-			return nil, fmt.Errorf("index: node %d assigned to cluster %d of %d", u, ci, len(idx.Clusters))
-		}
+	if indexed != n {
+		return nil, fmt.Errorf("index: clusters index %d of %d nodes", indexed, n)
 	}
 	// Queries walk the backbone as a forest, with no visited set (Build
 	// makes it one by Kruskal), so an edge closing a cycle is rejected.
@@ -170,4 +186,46 @@ func FromState(g *topology.Graph, m metric.Metric, st State) (*Index, error) {
 		idx.BackboneAdj[e.B] = append(idx.BackboneAdj[e.B], e)
 	}
 	return idx, nil
+}
+
+// checkTree verifies that cl's child lists, followed from the root, form
+// a tree that reaches every entry exactly once: each listed child is an
+// entry of cl, names the listing entry as its parent and sits one level
+// deeper, and the entries are exactly the members. addOrder then derives
+// the aggregation order from these lists alone.
+func checkTree(ci int, cl *ClusterIndex) error {
+	root := cl.Entries[cl.Root]
+	if root == nil {
+		return fmt.Errorf("index: cluster %d root %d has no entry", ci, cl.Root)
+	}
+	if root.Parent != root.ID || root.Depth != 0 {
+		return fmt.Errorf("index: cluster %d root %d has parent %d at depth %d", ci, root.ID, root.Parent, root.Depth)
+	}
+	if len(cl.Entries) != len(cl.Members) {
+		return fmt.Errorf("index: cluster %d has %d entries for %d members", ci, len(cl.Entries), len(cl.Members))
+	}
+	reached := map[topology.NodeID]bool{root.ID: true}
+	queue := []*Entry{root}
+	for qi := 0; qi < len(queue); qi++ {
+		e := queue[qi]
+		for _, ch := range e.Children {
+			ce := cl.Entries[ch]
+			switch {
+			case ce == nil:
+				return fmt.Errorf("index: cluster %d entry %d lists child %d outside the cluster", ci, e.ID, ch)
+			case reached[ch]:
+				return fmt.Errorf("index: cluster %d reaches entry %d twice", ci, ch)
+			case ce.Parent != e.ID:
+				return fmt.Errorf("index: cluster %d entry %d lists child %d whose parent is %d", ci, e.ID, ch, ce.Parent)
+			case ce.Depth != e.Depth+1:
+				return fmt.Errorf("index: cluster %d child %d at depth %d under entry %d at depth %d", ci, ch, ce.Depth, e.ID, e.Depth)
+			}
+			reached[ch] = true
+			queue = append(queue, ce)
+		}
+	}
+	if len(queue) != len(cl.Entries) {
+		return fmt.Errorf("index: cluster %d tree reaches %d of %d entries", ci, len(queue), len(cl.Entries))
+	}
+	return nil
 }

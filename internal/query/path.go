@@ -62,19 +62,19 @@ func PathSpanned(idx *index.Index, danger metric.Feature, gamma float64, src, ds
 	cs := sp.Child("q-classify")
 	safe := make([]bool, idx.Graph.N())
 	for ci := range idx.Clusters {
-		root := idx.RootEntry(ci)
-		d := idx.Metric.Distance(idx.Features[root.ID], danger)
+		root := idx.Clusters[ci].Root
+		d := idx.Metric.Distance(idx.Features[root], danger)
 		switch {
-		case d > gamma+root.Radius:
+		case d > gamma+idx.Radius[root]:
 			res.ClustersSafe++
 			for _, u := range idx.Clusters[ci].Members {
 				safe[u] = true
 			}
-		case d <= gamma-root.Radius:
+		case d <= gamma-idx.Radius[root]:
 			res.ClustersUnsafe++
 		default:
 			res.ClustersMixed++
-			classify(idx, ci, idx.Clusters[ci].Root, danger, gamma, safe, charge)
+			classify(idx, ci, root, danger, gamma, safe, charge)
 		}
 	}
 
@@ -119,14 +119,13 @@ func classify(idx *index.Index, ci int, u topology.NodeID, danger metric.Feature
 		safe[u] = true
 	}
 	for _, ch := range e.Children {
-		che := cl.Entries[ch]
 		d := idx.Metric.Distance(idx.Features[ch], danger)
 		switch {
-		case d > gamma+che.Radius:
+		case d > gamma+idx.Radius[ch]:
 			for _, v := range appendSubtree(nil, cl, ch) {
 				safe[v] = true
 			}
-		case d <= gamma-che.Radius:
+		case d <= gamma-idx.Radius[ch]:
 			// Entire subtree unsafe.
 		default:
 			charge(KindDescend, 2)

@@ -73,29 +73,29 @@ func RangeSpanned(idx *index.Index, q metric.Feature, r float64, initiator topol
 	cs := sp.Child("q-clusters")
 	answered := make(map[topology.NodeID]bool)
 	for ci := range idx.Clusters {
-		root := idx.RootEntry(ci)
-		dRoot := idx.Metric.Distance(q, idx.Features[root.ID])
+		root := idx.Clusters[ci].Root
+		dRoot := idx.Metric.Distance(q, idx.Features[root])
 		before := len(res.Matches)
 		switch {
-		case dRoot > r+root.Radius:
+		case dRoot > r+idx.Radius[root]:
 			// No member can match (§7.2's exclusion, with the measured
 			// covering radius in place of the a-priori δ/2 bound).
 			res.ClustersExcluded++
 			continue
-		case dRoot <= r-root.Radius:
+		case dRoot <= r-idx.Radius[root]:
 			// Every member matches; the root answers for the whole
 			// cluster without descending.
 			res.ClustersIncluded++
 			res.Matches = append(res.Matches, idx.Clusters[ci].Members...)
 		default:
 			res.ClustersSearched++
-			res.Matches = descend(res.Matches, idx, ci, root.ID, q, r, charge)
+			res.Matches = descend(res.Matches, idx, ci, root, q, r, charge)
 		}
 		// Answers ride back on the descent replies (already charged); a
 		// wholesale inclusion is answered by the root directly, which is
 		// exactly the saving the δ-compactness pruning buys (§7.2).
 		if len(res.Matches) > before {
-			answered[idx.Clusters[ci].Root] = true
+			answered[root] = true
 		}
 	}
 	cs.Finish()
@@ -151,15 +151,15 @@ func descend(out []topology.NodeID, idx *index.Index, ci int, u topology.NodeID,
 		out = append(out, u)
 	}
 	for _, ch := range e.Children {
-		che := cl.Entries[ch]
+		rch := idx.Radius[ch]
 		dch := idx.Metric.Distance(idx.Features[u], idx.Features[ch])
 		// Prune the child subtree from the parent's stored child info —
 		// no message needed (§7.1's |d(q,F_i)-d(F_i,F_j)| > r+R_j rule).
-		if abs(du-dch) > r+che.Radius {
+		if abs(du-dch) > r+rch {
 			continue
 		}
 		// Include the whole child subtree without descending.
-		if du+dch <= r-che.Radius {
+		if du+dch <= r-rch {
 			out = appendSubtree(out, cl, ch)
 			continue
 		}

@@ -419,19 +419,16 @@ func (e *Engine) applyEpoch(nodes []topology.NodeID, res *IngestResult, sp *obs.
 		e.eobs.rebuilds.Inc()
 	case len(nodes) > 0:
 		// Membership stable: repair routing features and covering radii
-		// in place, one bounded wave per drifted node.
+		// with one convergecast over the drifted nodes.
 		is := sp.Child("index")
 		e.cloneIndexIfPublished()
-		for _, u := range nodes {
-			msgs, err := e.idx.Refresh(u, e.feats[u])
-			if err != nil {
-				is.Finish()
-				return err
-			}
-			e.refreshMsgs += msgs
-			e.eobs.refresh.Add(msgs)
-		}
+		msgs, err := e.idx.Refresh(nodes, e.feats)
 		is.Finish()
+		if err != nil {
+			return err
+		}
+		e.refreshMsgs += msgs
+		e.eobs.refresh.Add(msgs)
 	}
 
 	ps := sp.Child("publish")

@@ -46,7 +46,7 @@ func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
 	reg.Help("engine_readings_total", "Measurements and feature updates ingested.")
 	reg.Help("engine_reclusters_total", "Policy-triggered full ELink re-runs (bootstrap excluded).")
 	reg.Help("engine_index_rebuilds_total", "Membership-driven M-tree rebuilds.")
-	reg.Help("engine_index_refresh_messages_total", "Messages spent on in-place index repair waves.")
+	reg.Help("engine_index_refresh_messages_total", "Messages spent on in-place index repair.")
 	eo.epoch = reg.Gauge("engine_epoch")
 	eo.clusters = reg.Gauge("engine_clusters")
 	eo.frag = reg.Gauge("engine_fragmentation")

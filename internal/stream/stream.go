@@ -17,12 +17,14 @@
 // M-tree index, features — through an atomic pointer. Queries load the
 // pointer and run entirely against that immutable structure, so readers
 // never block ingest and ingest never blocks readers. Before the next
-// epoch mutates the index in place it clones the published copy
-// (copy-on-write at epoch granularity, see index.Clone).
+// epoch refreshes the index it clones the published copy, sharing the
+// tree topology and copying only features and radii (copy-on-write at
+// epoch granularity, see index.Clone).
 //
 // Amortization is the point: a full ELink run costs O(N) messages every
 // time, while the slack-Δ screens silence most updates for free and the
-// index repair waves stop early, so maintaining the clustering across a
+// index repair is one convergecast per epoch over only the tree edges
+// whose child summary changed, so maintaining the clustering across a
 // stream is far cheaper than re-clustering per batch. The ReclusterPolicy
 // knob controls when the engine still falls back to a full re-run.
 package stream
@@ -230,7 +232,7 @@ type Stats struct {
 	// Message costs by phase.
 	BootstrapMsgs    int64 `json:"bootstrapMsgs"`    // initial ELink run + index build
 	MaintenanceMsgs  int64 `json:"maintenanceMsgs"`  // slack-Δ protocol traffic
-	IndexRepairMsgs  int64 `json:"indexRepairMsgs"`  // incremental Refresh waves
+	IndexRepairMsgs  int64 `json:"indexRepairMsgs"`  // incremental Refresh convergecasts
 	IndexRebuildMsgs int64 `json:"indexRebuildMsgs"` // rebuilds after membership changes
 	ReclusterMsgs    int64 `json:"reclusterMsgs"`    // policy-triggered re-runs + index
 
@@ -241,7 +243,7 @@ type Stats struct {
 
 	// Breakdown decomposes every update-path message by protocol kind
 	// (fetch/rootfeat/broadcast/probe/reroot, the ELink kinds, index and
-	// backbone builds, plus "refresh" for repair waves).
+	// backbone builds, plus "refresh" for index repair).
 	Breakdown map[string]int64 `json:"breakdown"`
 
 	// Query-side counters.

@@ -92,6 +92,10 @@ type Maintainer struct {
 	counters        Counters
 	initialClusters int
 	mobs            maintObs
+
+	// clustering caches Clustering's result; detach, the only place
+	// membership changes, drops it.
+	clustering *cluster.Clustering
 }
 
 // maintObs caches the registry handles the maintainer's hot path hits.
@@ -266,13 +270,17 @@ func (m *Maintainer) CountersSnapshot() Counters { return m.counters }
 // NumClusters returns the current number of clusters.
 func (m *Maintainer) NumClusters() int { return len(m.members) }
 
-// Clustering materializes the current membership.
+// Clustering materializes the current membership. The result is shared
+// until the next membership change, so callers must not modify it.
 func (m *Maintainer) Clustering() *cluster.Clustering {
-	rootOf := make([]topology.NodeID, m.g.N())
-	for u := range rootOf {
-		rootOf[u] = m.rootOf[m.clusterOf[u]]
+	if m.clustering == nil {
+		rootOf := make([]topology.NodeID, m.g.N())
+		for u := range rootOf {
+			rootOf[u] = m.rootOf[m.clusterOf[u]]
+		}
+		m.clustering = cluster.FromRoots(rootOf)
 	}
-	return cluster.FromRoots(rootOf)
+	return m.clustering
 }
 
 // Feature returns node u's current feature.
@@ -356,6 +364,7 @@ func (m *Maintainer) rootUpdate(u topology.NodeID, old metric.Feature) {
 // whose cluster root feature is within δ adopts it; otherwise u becomes a
 // singleton cluster.
 func (m *Maintainer) detach(u topology.NodeID) {
+	m.clustering = nil
 	m.counters.Detaches++
 	m.mobs.detaches.Inc()
 	oldID := m.clusterOf[u]

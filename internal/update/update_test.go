@@ -2,6 +2,7 @@ package update
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"elink/internal/cluster"
@@ -370,5 +371,34 @@ func TestClusterShrinksToSingletonStaysValid(t *testing.T) {
 	mustStayValid(t, g, m, 2)
 	if f := m.Fragmentation(); f != 2 {
 		t.Errorf("Fragmentation = %v, want 2 (4 clusters from 2)", f)
+	}
+}
+
+// TestClusteringCachedUntilDetach checks that Clustering returns one
+// shared value while updates are screened or absorbed, and a fresh value
+// equal to rebuilding it from the roots once a detach moves membership.
+func TestClusteringCachedUntilDetach(t *testing.T) {
+	_, m := twoClusterSetup(t, Config{Delta: 2, Slack: 0.1, Metric: metric.Scalar{}})
+	first := m.Clustering()
+	m.Update(1, metric.Feature{0.15}) // A1
+	m.Update(2, metric.Feature{0.9})  // A3
+	m.Update(2, metric.Feature{1.95}) // root fetch, no detach
+	if m.CountersSnapshot().Detaches != 0 {
+		t.Fatal("fixture detached early")
+	}
+	if m.Clustering() != first {
+		t.Fatal("Clustering rebuilt without a membership change")
+	}
+	m.Update(2, metric.Feature{9.8}) // detach, rejoin next to 3
+	got := m.Clustering()
+	if got == first {
+		t.Fatal("Clustering kept a stale value across a detach")
+	}
+	want := cluster.FromRoots([]topology.NodeID{0, 0, 3, 3, 3, 3})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Clustering after detach = %+v, want %+v", got, want)
+	}
+	if m.Clustering() != got {
+		t.Error("Clustering not cached after the detach")
 	}
 }

@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet lint fmt test race bench bench-smoke examples clean
+.PHONY: check build vet lint fmt test race fuzz-smoke bench bench-smoke examples clean
 
 ## check: everything CI runs — build, vet, the invariant analyzers,
-## gofmt cleanliness, tests, the race pass, then the benchmark's own
-## vet and smoke tests (bench-smoke)
-check: build vet lint fmt test race bench-smoke
+## gofmt cleanliness, tests, the race pass, a short run of every fuzz
+## target (fuzz-smoke), then the benchmark's own vet and smoke tests
+## (bench-smoke)
+check: build vet lint fmt test race fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -31,10 +32,18 @@ test:
 	$(GO) test ./...
 
 ## race: the concurrent subsystems (streaming engine, async runtime,
-## pooled routing scratch, metrics registry/tracer, parallel execution
-## layer and the kernels/figures running on it) under the race detector
+## pooled routing and query scratch, metrics registry/tracer, parallel
+## execution layer and the kernels/figures running on it) under the race
+## detector
 race:
-	$(GO) test -race ./internal/stream ./internal/sim ./internal/topology ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
+	$(GO) test -race ./internal/stream ./internal/sim ./internal/topology ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
+
+## fuzz-smoke: a few seconds of each fuzz target — index.FromState and
+## the snapshot decoder. A crasher is written under the package's
+## testdata/fuzz; fix the bug and commit the file as a regression seed
+fuzz-smoke:
+	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzIndexFromState$$' -fuzztime 5s
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 5s
 
 ## bench: one pass of every micro-benchmark — the facade's, routing
 ## (internal/sim), range queries (internal/query) and the spectral

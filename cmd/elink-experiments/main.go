@@ -29,36 +29,10 @@ import (
 	"elink/internal/par"
 )
 
-type figure struct {
-	name string
-	run  func(experiments.Scale) (*experiments.Table, error)
-}
-
-var figures = []figure{
-	{"fig08", experiments.Fig08},
-	{"fig09", experiments.Fig09},
-	{"fig10", experiments.Fig10},
-	{"fig11", experiments.Fig11},
-	{"fig12", experiments.Fig12},
-	{"fig13", experiments.Fig13},
-	{"fig14", experiments.Fig14},
-	{"fig15", experiments.Fig15},
-	{"path", experiments.PathQueries},
-	{"complexity", experiments.Complexity},
-	{"ablation-unordered", experiments.AblationUnordered},
-	{"ablation-switches", experiments.AblationSwitches},
-	{"ablation-phi", experiments.AblationPhi},
-	{"kmedoids", experiments.KMedoidsComparison},
-	{"recluster", experiments.ReclusterPolicy},
-	{"sampling", experiments.RepresentativeSampling},
-	{"hotspot", experiments.HotspotSpread},
-	{"optimality", experiments.OptimalityGap},
-}
-
 func validNames() string {
-	names := make([]string, len(figures))
-	for i, f := range figures {
-		names[i] = f.name
+	names := make([]string, len(experiments.Figures))
+	for i, f := range experiments.Figures {
+		names[i] = f.Name
 	}
 	return strings.Join(names, ", ")
 }
@@ -111,8 +85,8 @@ func main() {
 	}
 	// Unknown -only names fail fast instead of silently running nothing.
 	known := map[string]bool{}
-	for _, f := range figures {
-		known[f.name] = true
+	for _, f := range experiments.Figures {
+		known[f.Name] = true
 	}
 	var unknown []string
 	for n := range want {
@@ -127,9 +101,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	var selected []figure
-	for _, f := range figures {
-		if len(want) > 0 && !want[f.name] {
+	var selected []experiments.Figure
+	for _, f := range experiments.Figures {
+		if len(want) > 0 && !want[f.Name] {
 			continue
 		}
 		selected = append(selected, f)
@@ -142,20 +116,18 @@ func main() {
 		text string
 		err  error
 	}
-	renderOne := func(f figure) figResult {
+	renderOne := func(f experiments.Figure) figResult {
 		start := time.Now()
-		tbl, err := f.run(sc)
+		tbl, err := f.Run(sc)
 		if err != nil {
-			return figResult{err: fmt.Errorf("%s: %w", f.name, err)}
+			return figResult{err: fmt.Errorf("%s: %w", f.Name, err)}
 		}
 		tbl.Notes = append(tbl.Notes, fmt.Sprintf("wall time: %v", time.Since(start).Round(time.Millisecond)))
 		var buf bytes.Buffer
 		if *csvOut {
-			fmt.Fprintf(&buf, "# %s\n", tbl.Title)
-			if err := tbl.WriteCSV(&buf); err != nil {
-				return figResult{err: fmt.Errorf("%s: %w", f.name, err)}
+			if err := tbl.WriteCSVBlock(&buf); err != nil {
+				return figResult{err: fmt.Errorf("%s: %w", f.Name, err)}
 			}
-			fmt.Fprintln(&buf)
 		} else {
 			tbl.Render(&buf)
 		}

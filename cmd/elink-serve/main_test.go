@@ -108,6 +108,18 @@ func TestServeLifecycle(t *testing.T) {
 		t.Error("path to a node inside the danger region should not exist")
 	}
 
+	// A query feature of the wrong dimension is the caller's mistake: a
+	// JSON 400, not a panic that drops the connection.
+	for _, bad := range []struct{ path, body string }{
+		{"/v1/query/range", `{"feature":[0.1,0.2],"radius":0.5,"initiator":0}`},
+		{"/v1/query/path", `{"danger":[0.1,0.2],"gamma":2,"src":0,"dst":5}`},
+	} {
+		w = do(t, mux, "POST", bad.path, bad.body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "dimension") {
+			t.Errorf("%s with a 2-dimensional feature = %d %s, want 400", bad.path, w.Code, w.Body.String())
+		}
+	}
+
 	// Stats and snapshot reflect the traffic.
 	w = do(t, mux, "GET", "/v1/stats", "")
 	var st elink.EngineStats

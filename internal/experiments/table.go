@@ -154,6 +154,17 @@ func (s Scale) note() string {
 		s.TaoDays, s.DVNodes, s.DVTopologies, s.SynSizes, s.SynReadings, s.Queries, s.Seed)
 }
 
+// WriteCSVBlock writes the table as one block of elink-experiments -csv
+// output: a "# title" line, the CSV and a blank line.
+func (t *Table) WriteCSVBlock(w io.Writer) error {
+	fmt.Fprintf(w, "# %s\n", t.Title)
+	if err := t.WriteCSV(w); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(w)
+	return err
+}
+
 // WriteCSV writes the table as comma-separated values (header row first).
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

@@ -23,27 +23,35 @@ import (
 	"elink/internal/topology"
 )
 
-// Entry is one node's slot in a cluster's index tree. Entries are the
-// tree's topology and never change after Build or FromState; the
-// node's covering radius lives in Index.Radius.
-type Entry struct {
-	ID       topology.NodeID
-	Parent   topology.NodeID // tree parent (== ID at the root)
-	Children []topology.NodeID
-	Depth    int // hops to the cluster root along the tree
-}
-
-// ClusterIndex is the M-tree of one cluster.
+// ClusterIndex is one cluster of the index: its root and members. The
+// cluster's M-tree lives in the Index's node-indexed arrays.
 type ClusterIndex struct {
 	Root    topology.NodeID
 	Members []topology.NodeID
-	Entries map[topology.NodeID]*Entry
 }
 
 // BackboneEdge connects two cluster roots on the backbone tree.
 type BackboneEdge struct {
 	A, B topology.NodeID
 	Hops int
+}
+
+// RootedBackbone is the backbone rooted once per connected component, as
+// arrays indexed by cluster ordinal. Each component is rooted at its
+// lowest cluster ordinal and occupies one contiguous run of Order.
+type RootedBackbone struct {
+	// Order lists every cluster parents-before-children (breadth-first
+	// per component); component c is Order[CompStart[c]:CompStart[c+1]].
+	Order     []int
+	CompStart []int
+	// Parent is each cluster's backbone parent (itself at a component
+	// root), and Hops the hop weight of the edge to it (0 at a root).
+	Parent []int
+	Hops   []int64
+	// Comp is each cluster's component, and CompHops each component's
+	// total edge weight: the cost of one flood of that component.
+	Comp     []int
+	CompHops []int64
 }
 
 // Index is the complete distributed structure: one M-tree per cluster and
@@ -62,92 +70,154 @@ type Index struct {
 	Clusters  []*ClusterIndex
 	ClusterOf []int // node -> cluster ordinal
 
-	// Backbone holds the spanning tree over cluster roots; BackboneAdj
-	// indexes it by root for traversal.
-	Backbone    []BackboneEdge
-	BackboneAdj map[topology.NodeID][]BackboneEdge
+	// Backbone holds the spanning forest over cluster roots in Kruskal
+	// order; Rooted is the same forest rooted for traversal.
+	Backbone []BackboneEdge
+	Rooted   RootedBackbone
 
 	// BuildStats charges index aggregation and backbone construction.
 	BuildStats cluster.Stats
 
-	// order lists every entry children-before-parents (each cluster's
+	// The cluster trees, flat and indexed by node id: each node's tree
+	// parent (itself at a cluster root) and depth, and its children as
+	// kids[kidOff[u]:kidOff[u+1]] in the order they were discovered.
+	parent []topology.NodeID
+	depth  []int
+	kidOff []int
+	kids   []topology.NodeID
+
+	// order lists every node children-before-parents (each cluster's
 	// reversed BFS order), the schedule of a bottom-up aggregation.
-	order    []*Entry
+	order    []topology.NodeID
 	maxDepth int
 }
 
-// Build constructs the index over an existing clustering. Every cluster
-// must have a recorded root that is a member (true for all clusterings
-// produced in this repository).
+// Build constructs the index over an existing clustering. The clusters
+// must partition the nodes, and every cluster must have a recorded root
+// that is a member (true for all clusterings produced in this
+// repository).
 func Build(g *topology.Graph, c *cluster.Clustering, feats []metric.Feature, m metric.Metric) (*Index, error) {
-	if len(feats) != g.N() {
-		return nil, fmt.Errorf("index: %d features for %d nodes", len(feats), g.N())
+	n := g.N()
+	if len(feats) != n {
+		return nil, fmt.Errorf("index: %d features for %d nodes", len(feats), n)
 	}
-	owned := make([]metric.Feature, len(feats))
+	owned := make([]metric.Feature, n)
 	for i, f := range feats {
 		owned[i] = f.Clone()
 	}
 	idx := &Index{
-		Graph:       g,
-		Metric:      m,
-		Features:    owned,
-		Radius:      make([]float64, g.N()),
-		ClusterOf:   make([]int, g.N()),
-		BackboneAdj: make(map[topology.NodeID][]BackboneEdge),
-		BuildStats:  cluster.Stats{Breakdown: make(map[string]int64)},
+		Graph:      g,
+		Metric:     m,
+		Features:   owned,
+		Radius:     make([]float64, n),
+		ClusterOf:  make([]int, n),
+		BuildStats: cluster.Stats{Breakdown: make(map[string]int64)},
+		parent:     make([]topology.NodeID, n),
+		depth:      make([]int, n),
 	}
+	for u := range idx.ClusterOf {
+		idx.ClusterOf[u] = -1
+		idx.parent[u] = -1
+	}
+	for ci, members := range c.Members {
+		for _, u := range members {
+			if prev := idx.ClusterOf[u]; prev >= 0 {
+				return nil, fmt.Errorf("index: node %d is in clusters %d and %d", u, prev, ci)
+			}
+			idx.ClusterOf[u] = ci
+		}
+	}
+	for u, ci := range idx.ClusterOf {
+		if ci < 0 {
+			return nil, fmt.Errorf("index: node %d is in no cluster", u)
+		}
+	}
+	// Hang each cluster on a BFS tree from its root. bfs collects every
+	// cluster's visit order; a node's children are discovered together,
+	// in neighbour order, so they are contiguous in it.
+	bfs := make([]topology.NodeID, 0, n)
 	for ci, members := range c.Members {
 		root := c.Roots[ci]
 		if root < 0 {
 			root = members[0]
 		}
-		tree, err := buildClusterTree(g, members, root)
-		if err != nil {
-			return nil, fmt.Errorf("index: cluster %d: %w", ci, err)
+		if int(root) >= n || idx.ClusterOf[root] != ci {
+			return nil, fmt.Errorf("index: cluster %d: root %d is not a member", ci, root)
 		}
-		idx.Clusters = append(idx.Clusters, tree)
-		idx.addOrder(tree)
-		for _, u := range members {
-			idx.ClusterOf[u] = ci
+		idx.Clusters = append(idx.Clusters, &ClusterIndex{Root: root, Members: append([]topology.NodeID(nil), members...)})
+		start := len(bfs)
+		idx.parent[root] = root
+		bfs = append(bfs, root)
+		for qi := start; qi < len(bfs); qi++ {
+			u := bfs[qi]
+			for _, v := range g.Neighbors(u) {
+				if idx.ClusterOf[v] == ci && idx.parent[v] < 0 {
+					idx.parent[v] = u
+					idx.depth[v] = idx.depth[u] + 1
+					bfs = append(bfs, v)
+				}
+			}
+		}
+		if got := len(bfs) - start; got != len(members) {
+			return nil, fmt.Errorf("index: cluster %d: cluster rooted at %d is not connected (%d of %d reachable)", ci, root, got, len(members))
 		}
 		// One upward report per tree edge.
 		idx.charge("index", int64(len(members)-1))
 	}
-	for _, e := range idx.order {
-		idx.aggregate(e)
+	idx.kidOff = make([]int, n+1)
+	for u, p := range idx.parent {
+		if int(p) != u {
+			idx.kidOff[p+1]++
+		}
 	}
-	if err := idx.buildBackbone(c); err != nil {
-		return nil, err
+	for u := 0; u < n; u++ {
+		idx.kidOff[u+1] += idx.kidOff[u]
 	}
+	idx.kids = make([]topology.NodeID, idx.kidOff[n])
+	fill := append([]int(nil), idx.kidOff[:n]...)
+	for _, v := range bfs {
+		if p := idx.parent[v]; p != v {
+			idx.kids[fill[p]] = v
+			fill[p]++
+		}
+	}
+	idx.layout()
+	for _, u := range idx.order {
+		idx.Radius[u] = idx.coverRadius(u)
+	}
+	idx.buildBackbone()
+	idx.rootBackbone()
 	return idx, nil
 }
 
-// addOrder appends cl's entries to the aggregation order, children
-// before parents, and tracks the deepest entry. It walks cl's child
-// lists breadth-first from the root and reverses the visit.
-func (idx *Index) addOrder(cl *ClusterIndex) {
-	start := len(idx.order)
-	idx.order = append(idx.order, cl.Entries[cl.Root])
-	for qi := start; qi < len(idx.order); qi++ {
-		e := idx.order[qi]
-		idx.maxDepth = max(idx.maxDepth, e.Depth)
-		for _, ch := range e.Children {
-			idx.order = append(idx.order, cl.Entries[ch])
+// layout derives the aggregation order and the maximum depth from the
+// cluster trees' child lists: each cluster breadth-first from its root,
+// reversed so children precede parents.
+func (idx *Index) layout() {
+	idx.order = make([]topology.NodeID, 0, len(idx.parent))
+	idx.maxDepth = 0
+	for _, cl := range idx.Clusters {
+		start := len(idx.order)
+		idx.order = append(idx.order, cl.Root)
+		for qi := start; qi < len(idx.order); qi++ {
+			u := idx.order[qi]
+			idx.maxDepth = max(idx.maxDepth, idx.depth[u])
+			idx.order = append(idx.order, idx.Children(u)...)
 		}
+		slices.Reverse(idx.order[start:])
 	}
-	slices.Reverse(idx.order[start:])
 }
 
-// aggregate recomputes e's covering radius from its own feature and its
+// coverRadius computes u's covering radius from its own feature and its
 // children's summaries (feature, radius).
-func (idx *Index) aggregate(e *Entry) {
+func (idx *Index) coverRadius(u topology.NodeID) float64 {
 	r := 0.0
-	for _, ch := range e.Children {
-		if cd := idx.Metric.Distance(idx.Features[e.ID], idx.Features[ch]) + idx.Radius[ch]; cd > r {
+	for _, ch := range idx.Children(u) {
+		if cd := idx.Metric.Distance(idx.Features[u], idx.Features[ch]) + idx.Radius[ch]; cd > r {
 			r = cd
 		}
 	}
-	idx.Radius[e.ID] = r
+	return r
 }
 
 func (idx *Index) charge(kind string, cost int64) {
@@ -155,43 +225,11 @@ func (idx *Index) charge(kind string, cost int64) {
 	idx.BuildStats.Messages += cost
 }
 
-// buildClusterTree hangs the members on a BFS tree from the root.
-func buildClusterTree(g *topology.Graph, members []topology.NodeID, root topology.NodeID) (*ClusterIndex, error) {
-	in := make(map[topology.NodeID]bool, len(members))
-	for _, u := range members {
-		in[u] = true
-	}
-	if !in[root] {
-		return nil, fmt.Errorf("root %d is not a member", root)
-	}
-	ci := &ClusterIndex{
-		Root:    root,
-		Members: append([]topology.NodeID(nil), members...),
-		Entries: make(map[topology.NodeID]*Entry, len(members)),
-	}
-	ci.Entries[root] = &Entry{ID: root, Parent: root}
-	order := []topology.NodeID{root}
-	for qi := 0; qi < len(order); qi++ {
-		u := order[qi]
-		for _, v := range g.Neighbors(u) {
-			if in[v] && ci.Entries[v] == nil {
-				ci.Entries[v] = &Entry{ID: v, Parent: u, Depth: ci.Entries[u].Depth + 1}
-				ci.Entries[u].Children = append(ci.Entries[u].Children, v)
-				order = append(order, v)
-			}
-		}
-	}
-	if len(order) != len(members) {
-		return nil, fmt.Errorf("cluster rooted at %d is not connected (%d of %d reachable)", root, len(order), len(members))
-	}
-	return ci, nil
-}
-
 // buildBackbone links adjacent clusters' roots into a spanning tree,
 // choosing hop-cheap edges first (Kruskal over the cluster adjacency).
 // Clusters in distinct graph components (possible only on disconnected
 // deployments) get their own backbone trees.
-func (idx *Index) buildBackbone(c *cluster.Clustering) error {
+func (idx *Index) buildBackbone() {
 	type cedge struct {
 		a, b int // cluster ordinals
 		hops int
@@ -224,36 +262,114 @@ func (idx *Index) buildBackbone(c *cluster.Clustering) error {
 		}
 		return edges[i].b < edges[j].b
 	})
-	parent := make([]int, len(idx.Clusters))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	uf := newUnionFind(len(idx.Clusters))
 	for _, e := range edges {
-		ra, rb := find(e.a), find(e.b)
-		if ra == rb {
+		if !uf.union(e.a, e.b) {
 			continue
 		}
-		parent[ra] = rb
-		edge := BackboneEdge{A: idx.Clusters[e.a].Root, B: idx.Clusters[e.b].Root, Hops: e.hops}
-		idx.Backbone = append(idx.Backbone, edge)
-		idx.BackboneAdj[edge.A] = append(idx.BackboneAdj[edge.A], edge)
-		idx.BackboneAdj[edge.B] = append(idx.BackboneAdj[edge.B], edge)
+		idx.Backbone = append(idx.Backbone, BackboneEdge{A: idx.Clusters[e.a].Root, B: idx.Clusters[e.b].Root, Hops: e.hops})
 		idx.charge("backbone", int64(e.hops))
 	}
-	return nil
+}
+
+// unionFind tracks the components of a growing forest.
+type unionFind []int
+
+func newUnionFind(n int) unionFind {
+	uf := make(unionFind, n)
+	for i := range uf {
+		uf[i] = i
+	}
+	return uf
+}
+
+func (uf unionFind) find(x int) int {
+	for uf[x] != x {
+		uf[x] = uf[uf[x]]
+		x = uf[x]
+	}
+	return x
+}
+
+// union joins a's and b's components, reporting false when they were
+// already one (the edge would close a cycle).
+func (uf unionFind) union(a, b int) bool {
+	ra, rb := uf.find(a), uf.find(b)
+	if ra == rb {
+		return false
+	}
+	uf[ra] = rb
+	return true
+}
+
+// rootBackbone roots the backbone forest once per component, at the
+// component's lowest cluster ordinal, into idx.Rooted. The backbone must
+// be a forest over cluster roots (Build makes it one; FromState checks).
+func (idx *Index) rootBackbone() {
+	k := len(idx.Clusters)
+	off := make([]int, k+1)
+	for _, e := range idx.Backbone {
+		off[idx.ClusterOf[e.A]+1]++
+		off[idx.ClusterOf[e.B]+1]++
+	}
+	for c := 0; c < k; c++ {
+		off[c+1] += off[c]
+	}
+	adj := make([]int, off[k]) // backbone edge indices by cluster
+	fill := append([]int(nil), off[:k]...)
+	for i, e := range idx.Backbone {
+		for _, c := range [2]int{idx.ClusterOf[e.A], idx.ClusterOf[e.B]} {
+			adj[fill[c]] = i
+			fill[c]++
+		}
+	}
+	rb := RootedBackbone{
+		Order:  make([]int, 0, k),
+		Parent: make([]int, k),
+		Hops:   make([]int64, k),
+		Comp:   make([]int, k),
+	}
+	for c := range rb.Parent {
+		rb.Parent[c] = -1
+	}
+	for c0 := 0; c0 < k; c0++ {
+		if rb.Parent[c0] >= 0 {
+			continue
+		}
+		comp := len(rb.CompStart)
+		rb.CompStart = append(rb.CompStart, len(rb.Order))
+		rb.Parent[c0], rb.Comp[c0] = c0, comp
+		rb.Order = append(rb.Order, c0)
+		var total int64
+		for qi := rb.CompStart[comp]; qi < len(rb.Order); qi++ {
+			c := rb.Order[qi]
+			for _, ei := range adj[off[c]:off[c+1]] {
+				e := idx.Backbone[ei]
+				o := idx.ClusterOf[e.A]
+				if o == c {
+					o = idx.ClusterOf[e.B]
+				}
+				if rb.Parent[o] >= 0 {
+					continue // c's own parent: a forest has no other visited neighbour
+				}
+				rb.Parent[o], rb.Hops[o], rb.Comp[o] = c, int64(e.Hops), comp
+				total += int64(e.Hops)
+				rb.Order = append(rb.Order, o)
+			}
+		}
+		rb.CompHops = append(rb.CompHops, total)
+	}
+	rb.CompStart = append(rb.CompStart, len(rb.Order))
+	idx.Rooted = rb
 }
 
 // Depth returns node u's hop depth in its cluster tree.
-func (idx *Index) Depth(u topology.NodeID) int {
-	return idx.Clusters[idx.ClusterOf[u]].Entries[u].Depth
+func (idx *Index) Depth(u topology.NodeID) int { return idx.depth[u] }
+
+// Children returns node u's children in its cluster tree. The slice is
+// the index's own and must not be modified.
+func (idx *Index) Children(u topology.NodeID) []topology.NodeID {
+	return idx.kids[idx.kidOff[u]:idx.kidOff[u+1]:idx.kidOff[u+1]]
 }
 
 // Validate checks the covering-radius invariant: every member's feature
@@ -262,18 +378,13 @@ func (idx *Index) Depth(u topology.NodeID) int {
 func (idx *Index) Validate() error {
 	for ci, cl := range idx.Clusters {
 		for _, u := range cl.Members {
-			// Walk ancestors.
-			for a := u; ; {
-				e := cl.Entries[a]
-				d := idx.Metric.Distance(idx.Features[e.ID], idx.Features[u])
-				if d > idx.Radius[a]+1e-9 && a != u {
+			for a := u; idx.parent[a] != a; {
+				a = idx.parent[a]
+				d := idx.Metric.Distance(idx.Features[a], idx.Features[u])
+				if d > idx.Radius[a]+1e-9 {
 					return fmt.Errorf("index: cluster %d: node %d at distance %v from ancestor %d exceeds radius %v",
 						ci, u, d, a, idx.Radius[a])
 				}
-				if e.Parent == a {
-					break
-				}
-				a = e.Parent
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func TestBuildStructure(t *testing.T) {
 	}
 	// Chain 0-1-2: entry depths 0,1,2; radii: leaf 2 has 0, node 1 has
 	// d(1,2)=1, root has d(0,1)+R(1)=2.
-	if d := cl.Entries[2].Depth; d != 2 {
+	if d := idx.Depth(2); d != 2 {
 		t.Errorf("depth(2) = %d, want 2", d)
 	}
 	if r := idx.Radius[2]; r != 0 {

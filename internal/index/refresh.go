@@ -44,15 +44,15 @@ func (idx *Index) Refresh(nodes []topology.NodeID, feats []metric.Feature) (int6
 		mark[u] = dirty | fed
 	}
 	var msgs int64
-	for _, e := range idx.order {
-		if mark[e.ID] == 0 {
+	for _, u := range idx.order {
+		if mark[u] == 0 {
 			continue
 		}
-		old := idx.Radius[e.ID]
-		idx.aggregate(e)
-		if e.Parent != e.ID && (mark[e.ID]&fed != 0 || idx.Radius[e.ID] != old) {
+		old := idx.Radius[u]
+		idx.Radius[u] = idx.coverRadius(u)
+		if p := idx.parent[u]; p != u && (mark[u]&fed != 0 || idx.Radius[u] != old) {
 			msgs++
-			mark[e.Parent] |= dirty
+			mark[p] |= dirty
 		}
 	}
 	return msgs, nil

@@ -15,18 +15,16 @@ import (
 // re-aggregating each node, until the root or the first ancestor whose
 // radius did not change. It returns one message per edge climbed.
 func refreshWave(idx *Index, u topology.NodeID, f metric.Feature) int64 {
-	cl := idx.Clusters[idx.ClusterOf[u]]
 	idx.Features[u] = f.Clone()
 	var msgs int64
 	for cur := u; ; {
-		e := cl.Entries[cur]
 		old := idx.Radius[cur]
-		idx.aggregate(e)
-		if cur == cl.Root || (cur != u && idx.Radius[cur] == old) {
+		idx.Radius[cur] = idx.coverRadius(cur)
+		if idx.parent[cur] == cur || (cur != u && idx.Radius[cur] == old) {
 			return msgs
 		}
 		msgs++
-		cur = e.Parent
+		cur = idx.parent[cur]
 	}
 }
 
@@ -157,10 +155,9 @@ func TestRefreshChargesChangedSummariesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := idx.Clusters[0]
-	if cl.Entries[2].Parent != 1 || cl.Entries[4].Parent != 1 || cl.Entries[1].Parent != 0 {
+	if idx.parent[2] != 1 || idx.parent[4] != 1 || idx.parent[1] != 0 {
 		t.Fatalf("unexpected BFS tree: parents of 1, 2, 4 = %d, %d, %d",
-			cl.Entries[1].Parent, cl.Entries[2].Parent, cl.Entries[4].Parent)
+			idx.parent[1], idx.parent[2], idx.parent[4])
 	}
 	next := append([]metric.Feature(nil), feats...)
 	next[2], next[4] = metric.Feature{3}, metric.Feature{10}
@@ -225,6 +222,39 @@ func TestCloneCopyOnWrite(t *testing.T) {
 	}
 }
 
+// MalformedTrees are corruptions of lineSetup's index state whose child
+// lists are not the cluster tree. Entries are sorted by id: cluster 0
+// holds 0 (root), 1, 2. FuzzIndexFromState seeds its corpus with them.
+var MalformedTrees = map[string]func(st *State){
+	"leaf lists the root": func(st *State) {
+		st.Clusters[0].Entries[2].Children = []topology.NodeID{0}
+	},
+	"leaf lists its parent": func(st *State) {
+		st.Clusters[0].Entries[2].Children = []topology.NodeID{1}
+	},
+	"child outside the cluster": func(st *State) {
+		st.Clusters[0].Entries[2].Children = []topology.NodeID{3}
+	},
+	"child names another parent": func(st *State) {
+		st.Clusters[0].Entries[0].Children = []topology.NodeID{1, 2}
+	},
+	"child listed twice": func(st *State) {
+		st.Clusters[0].Entries[1].Children = []topology.NodeID{2, 2}
+	},
+	"child depth skips a level": func(st *State) {
+		st.Clusters[0].Entries[2].Depth = 3
+	},
+	"entry unreachable": func(st *State) {
+		st.Clusters[0].Entries[1].Children = nil
+	},
+	"root has a parent": func(st *State) {
+		st.Clusters[0].Entries[0].Parent = 1
+	},
+	"member listed twice": func(st *State) {
+		st.Clusters[0].Members = []topology.NodeID{0, 1, 1}
+	},
+}
+
 // TestFromStateRejectsMalformedTrees crafts child lists that are not the
 // cluster tree. Each must be rejected: queries recurse down child lists
 // without a visited set, and Refresh derives its order from them.
@@ -243,37 +273,7 @@ func TestFromStateRejectsMalformedTrees(t *testing.T) {
 	}
 	sameRadii(t, "restored", back.Radius, idx.Radius)
 
-	// Entries are sorted by id: cluster 0 holds 0 (root), 1, 2.
-	cases := map[string]func(st *State){
-		"leaf lists the root": func(st *State) {
-			st.Clusters[0].Entries[2].Children = []topology.NodeID{0}
-		},
-		"leaf lists its parent": func(st *State) {
-			st.Clusters[0].Entries[2].Children = []topology.NodeID{1}
-		},
-		"child outside the cluster": func(st *State) {
-			st.Clusters[0].Entries[2].Children = []topology.NodeID{3}
-		},
-		"child names another parent": func(st *State) {
-			st.Clusters[0].Entries[0].Children = []topology.NodeID{1, 2}
-		},
-		"child listed twice": func(st *State) {
-			st.Clusters[0].Entries[1].Children = []topology.NodeID{2, 2}
-		},
-		"child depth skips a level": func(st *State) {
-			st.Clusters[0].Entries[2].Depth = 3
-		},
-		"entry unreachable": func(st *State) {
-			st.Clusters[0].Entries[1].Children = nil
-		},
-		"root has a parent": func(st *State) {
-			st.Clusters[0].Entries[0].Parent = 1
-		},
-		"member listed twice": func(st *State) {
-			st.Clusters[0].Members = []topology.NodeID{0, 1, 1}
-		},
-	}
-	for name, corrupt := range cases {
+	for name, corrupt := range MalformedTrees {
 		st := idx.State()
 		corrupt(&st)
 		if _, err := FromState(g, metric.Scalar{}, st); err == nil {

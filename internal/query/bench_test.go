@@ -57,3 +57,29 @@ func TestRangeQueryAllocs(t *testing.T) {
 		t.Fatalf("Range allocates %v objects per query, want <= 4", allocs)
 	}
 }
+
+func BenchmarkPathQuery400(b *testing.B) {
+	idx := rangeFixture400(b)
+	n := topology.NodeID(idx.Graph.N())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Path(idx, metric.Feature{7.5}, 1.5, topology.NodeID(i)%n, topology.NodeID(i*7+3)%n)
+	}
+}
+
+// TestPathQueryAllocs pins the garbage of one path query: classification,
+// the backbone charge and the safe-region BFS run on pooled scratch,
+// leaving the result, its cost breakdown and the returned path.
+func TestPathQueryAllocs(t *testing.T) {
+	idx := rangeFixture400(t)
+	n := topology.NodeID(idx.Graph.N())
+	src, danger := topology.NodeID(0), metric.Feature{7.5}
+	allocs := testing.AllocsPerRun(50, func() {
+		Path(idx, danger, 1.5, src, (src*7+3)%n)
+		src = (src + 37) % n
+	})
+	if allocs > 4 {
+		t.Fatalf("Path allocates %v objects per query, want <= 4", allocs)
+	}
+}

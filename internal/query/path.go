@@ -52,38 +52,38 @@ func Path(idx *index.Index, danger metric.Feature, gamma float64, src, dst topol
 // safe-subgraph search — traced as children of sp (nil sp: no tracing;
 // span methods are nil-safe).
 func PathSpanned(idx *index.Index, danger metric.Feature, gamma float64, src, dst topology.NodeID, sp *obs.Span) *PathResult {
-	res := &PathResult{Stats: cluster.Stats{Breakdown: make(map[string]int64)}}
-	charge := func(kind string, cost int64) {
-		res.Stats.Breakdown[kind] += cost
-		res.Stats.Messages += cost
-	}
+	res := &PathResult{}
+	sc := getScratch(idx)
+	defer putScratch(sc)
 
-	// Classify clusters; collect the safe node set.
+	// Classify clusters; collect the safe node set and, per cluster,
+	// whether it holds any safe node.
 	cs := sp.Child("q-classify")
-	safe := make([]bool, idx.Graph.N())
-	for ci := range idx.Clusters {
-		root := idx.Clusters[ci].Root
+	pc := pathClassify{idx: idx, danger: danger, gamma: gamma, safe: sc.safe}
+	for ci, cl := range idx.Clusters {
+		root := cl.Root
 		d := idx.Metric.Distance(idx.Features[root], danger)
 		switch {
 		case d > gamma+idx.Radius[root]:
 			res.ClustersSafe++
-			for _, u := range idx.Clusters[ci].Members {
-				safe[u] = true
+			for _, u := range cl.Members {
+				sc.safe[u] = true
 			}
+			sc.hasSafe[ci] = true
 		case d <= gamma-idx.Radius[root]:
 			res.ClustersUnsafe++
 		default:
 			res.ClustersMixed++
-			classify(idx, ci, root, danger, gamma, safe, charge)
+			sc.hasSafe[ci] = pc.classify(root, d)
 		}
 	}
-
 	cs.Finish()
 
 	// The source routes the query to its cluster root; if the source
 	// itself is unsafe there is no safe path.
-	charge(KindQueryRoute, int64(idx.Depth(src)))
-	if !safe[src] || !safe[dst] {
+	route := int64(idx.Depth(src))
+	if !sc.safe[src] || !sc.safe[dst] {
+		res.Stats = costStats(route, 0, pc.tree, false)
 		return res
 	}
 
@@ -92,69 +92,91 @@ func PathSpanned(idx *index.Index, danger metric.Feature, gamma float64, src, ds
 	// contain safe nodes), and the answer is the hop path itself.
 	ss := sp.Child("q-search")
 	defer ss.Finish()
-	walkBackbone(idx, idx.Clusters[idx.ClusterOf[src]].Root, -1, func(e index.BackboneEdge) {
-		if clusterHasSafe(idx, e.A, safe) && clusterHasSafe(idx, e.B, safe) {
-			charge(KindBackbone, int64(e.Hops))
+	rb := &idx.Rooted
+	comp := rb.Comp[idx.ClusterOf[src]]
+	var bone int64
+	boneCharged := false
+	for _, c := range rb.Order[rb.CompStart[comp]+1 : rb.CompStart[comp+1]] {
+		if sc.hasSafe[c] && sc.hasSafe[rb.Parent[c]] {
+			bone += rb.Hops[c]
+			boneCharged = true
 		}
-	})
-
-	path := safeBFS(idx.Graph, safe, src, dst)
-	if path == nil {
-		return res
 	}
-	res.Path = path
-	res.Found = true
-	// Tracing the path back to the source costs its length (§7.3).
-	charge(KindQueryRoute, int64(len(path)-1))
+
+	path := sc.safeBFS(idx.Graph, sc.safe, src, dst)
+	if path != nil {
+		res.Path = path
+		res.Found = true
+		// Tracing the path back to the source costs its length (§7.3).
+		route += int64(len(path) - 1)
+	}
+	res.Stats = costStats(route, bone, pc.tree, boneCharged)
 	return res
 }
 
-// classify drills a mixed subtree down the M-tree, stopping wherever the
-// covering radius resolves a whole subtree. Each drill into a child costs
-// one message down and one up.
-func classify(idx *index.Index, ci int, u topology.NodeID, danger metric.Feature, gamma float64, safe []bool, charge func(string, int64)) {
-	cl := idx.Clusters[ci]
-	e := cl.Entries[u]
-	if idx.Metric.Distance(idx.Features[u], danger) >= gamma {
-		safe[u] = true
-	}
-	for _, ch := range e.Children {
-		d := idx.Metric.Distance(idx.Features[ch], danger)
-		switch {
-		case d > gamma+idx.Radius[ch]:
-			for _, v := range appendSubtree(nil, cl, ch) {
-				safe[v] = true
-			}
-		case d <= gamma-idx.Radius[ch]:
-			// Entire subtree unsafe.
-		default:
-			charge(KindDescend, 2)
-			classify(idx, ci, ch, danger, gamma, safe, charge)
-		}
-	}
+// pathClassify is one path query's M-tree drill state: safe nodes are
+// marked in safe, and drill messages add up in tree.
+type pathClassify struct {
+	idx    *index.Index
+	danger metric.Feature
+	gamma  float64
+	safe   []bool
+	tree   int64
 }
 
-func clusterHasSafe(idx *index.Index, root topology.NodeID, safe []bool) bool {
-	for _, u := range idx.Clusters[idx.ClusterOf[root]].Members {
-		if safe[u] {
-			return true
+// classify drills a mixed subtree rooted at u, whose feature lies at
+// distance d from the danger feature, down the M-tree, stopping wherever
+// the covering radius resolves a whole subtree. Each drill into a child
+// costs one message down and one up. It reports whether it marked any
+// node safe.
+func (pc *pathClassify) classify(u topology.NodeID, d float64) bool {
+	idx := pc.idx
+	found := false
+	if d >= pc.gamma {
+		pc.safe[u] = true
+		found = true
+	}
+	for _, ch := range idx.Children(u) {
+		dch := idx.Metric.Distance(idx.Features[ch], pc.danger)
+		switch {
+		case dch > pc.gamma+idx.Radius[ch]:
+			pc.markSafe(ch)
+			found = true
+		case dch <= pc.gamma-idx.Radius[ch]:
+			// Entire subtree unsafe.
+		default:
+			pc.tree += 2
+			if pc.classify(ch, dch) {
+				found = true
+			}
 		}
 	}
-	return false
+	return found
+}
+
+// markSafe marks every node of the cluster subtree rooted at u safe.
+func (pc *pathClassify) markSafe(u topology.NodeID) {
+	pc.safe[u] = true
+	for _, ch := range pc.idx.Children(u) {
+		pc.markSafe(ch)
+	}
 }
 
 // safeBFS finds a shortest hop path between src and dst through safe
-// nodes only.
-func safeBFS(g *topology.Graph, safe []bool, src, dst topology.NodeID) []topology.NodeID {
-	prev := make([]topology.NodeID, g.N())
+// nodes only, on sc's predecessor and queue arrays.
+func (sc *scratch) safeBFS(g *topology.Graph, safe []bool, src, dst topology.NodeID) []topology.NodeID {
+	n := g.N()
+	if cap(sc.prev) < n {
+		sc.prev = make([]topology.NodeID, n)
+	}
+	prev := sc.prev[:n]
 	for i := range prev {
 		prev[i] = -1
 	}
 	prev[src] = src
-	queue := []topology.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(sc.queue[:0], src)
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
 		if u == dst {
 			break
 		}
@@ -165,19 +187,17 @@ func safeBFS(g *topology.Graph, safe []bool, src, dst topology.NodeID) []topolog
 			}
 		}
 	}
+	sc.queue = queue
 	if prev[dst] < 0 {
 		return nil
 	}
-	var rev []topology.NodeID
-	for u := dst; ; u = prev[u] {
-		rev = append(rev, u)
-		if u == src {
-			break
-		}
+	hops := 0
+	for u := dst; u != src; u = prev[u] {
+		hops++
 	}
-	out := make([]topology.NodeID, len(rev))
-	for i, u := range rev {
-		out[len(rev)-1-i] = u
+	out := make([]topology.NodeID, hops+1)
+	for i, u := hops, dst; i >= 0; i, u = i-1, prev[u] {
+		out[i] = u
 	}
 	return out
 }
@@ -217,7 +237,9 @@ func BFSFlood(g *topology.Graph, feats []metric.Feature, m metric.Metric, danger
 	res.Stats.Breakdown["flood"] = flood
 	res.Stats.Messages += flood
 
-	path := safeBFS(g, safe, src, dst)
+	sc := takeScratch()
+	defer putScratch(sc)
+	path := sc.safeBFS(g, safe, src, dst)
 	if path == nil {
 		return res
 	}

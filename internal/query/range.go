@@ -9,7 +9,7 @@
 package query
 
 import (
-	"sort"
+	"math/bits"
 
 	"elink/internal/cluster"
 	"elink/internal/index"
@@ -50,32 +50,29 @@ func Range(idx *index.Index, q metric.Feature, r float64, initiator topology.Nod
 // prune/descend, answer aggregation — traced as children of sp (nil sp:
 // no tracing; span methods are nil-safe).
 func RangeSpanned(idx *index.Index, q metric.Feature, r float64, initiator topology.NodeID, sp *obs.Span) *RangeResult {
-	res := &RangeResult{Stats: cluster.Stats{Breakdown: make(map[string]int64)}}
-	charge := func(kind string, cost int64) {
-		res.Stats.Breakdown[kind] += cost
-		res.Stats.Messages += cost
-	}
+	res := &RangeResult{}
+	sc := getScratch(idx)
+	defer putScratch(sc)
 
 	// Initiator -> its cluster root, and the answer back at the end.
-	charge(KindQueryRoute, 2*int64(idx.Depth(initiator)))
+	route := 2 * int64(idx.Depth(initiator))
 
 	// The query floods the backbone tree from the initiator's root (one
 	// traversal of every edge in its component); the aggregation return
 	// pass is charged afterwards, only on edges that carry answers —
 	// roots whose clusters were pruned suppress their (empty) replies.
 	bs := sp.Child("q-backbone")
-	start := idx.Clusters[idx.ClusterOf[initiator]].Root
-	walkBackbone(idx, start, -1, func(e index.BackboneEdge) {
-		charge(KindBackbone, int64(e.Hops))
-	})
+	start := idx.ClusterOf[initiator]
+	comp := idx.Rooted.Comp[start]
+	bone := idx.Rooted.CompHops[comp]
 	bs.Finish()
 
 	cs := sp.Child("q-clusters")
-	answered := make(map[topology.NodeID]bool)
-	for ci := range idx.Clusters {
-		root := idx.Clusters[ci].Root
+	rs := rangeSearch{idx: idx, q: q, r: r, bits: sc.bits}
+	for ci, cl := range idx.Clusters {
+		root := cl.Root
 		dRoot := idx.Metric.Distance(q, idx.Features[root])
-		before := len(res.Matches)
+		before := rs.matched
 		switch {
 		case dRoot > r+idx.Radius[root]:
 			// No member can match (§7.2's exclusion, with the measured
@@ -86,115 +83,129 @@ func RangeSpanned(idx *index.Index, q metric.Feature, r float64, initiator topol
 			// Every member matches; the root answers for the whole
 			// cluster without descending.
 			res.ClustersIncluded++
-			res.Matches = append(res.Matches, idx.Clusters[ci].Members...)
+			for _, u := range cl.Members {
+				rs.mark(u)
+			}
 		default:
 			res.ClustersSearched++
-			res.Matches = descend(res.Matches, idx, ci, root, q, r, charge)
+			rs.descend(root, dRoot)
 		}
 		// Answers ride back on the descent replies (already charged); a
 		// wholesale inclusion is answered by the root directly, which is
 		// exactly the saving the δ-compactness pruning buys (§7.2).
-		if len(res.Matches) > before {
-			answered[root] = true
+		if rs.matched > before {
+			sc.count[ci] = 1
 		}
 	}
 	cs.Finish()
+
 	// Aggregation return pass over the backbone: each edge on the path
 	// from an answering root toward the initiator's root carries one
 	// message.
 	as := sp.Child("q-aggregate")
-	charge(KindBackbone, backboneReturnCost(idx, start, answered))
-	sort.Slice(res.Matches, func(i, j int) bool { return res.Matches[i] < res.Matches[j] })
+	sc.count[start] = 1
+	bone += replyCost(&idx.Rooted, comp, sc.count)
+	if rs.matched > 0 {
+		res.Matches = make([]topology.NodeID, 0, rs.matched)
+		for w, word := range sc.bits {
+			for ; word != 0; word &= word - 1 {
+				res.Matches = append(res.Matches, topology.NodeID(w<<6|bits.TrailingZeros64(word)))
+			}
+		}
+	}
 	as.Finish()
+
+	res.Stats = costStats(route, bone, rs.tree, true)
 	return res
 }
 
-// backboneReturnCost sums the hop weights of the backbone edges lying on
-// a path from any answering cluster root to the initiator's root.
-func backboneReturnCost(idx *index.Index, start topology.NodeID, answered map[topology.NodeID]bool) int64 {
-	if len(answered) == 0 {
-		return 0
+// costStats assembles a query's cost from its per-kind totals. The
+// breakdown always holds the route charge, holds the backbone charge
+// when the backbone was charged at all, and the descent charge when the
+// query drilled any M-tree edge.
+func costStats(route, bone, tree int64, boneCharged bool) cluster.Stats {
+	st := cluster.Stats{Messages: route + bone + tree, Breakdown: make(map[string]int64, 3)}
+	st.Breakdown[KindQueryRoute] = route
+	if boneCharged {
+		st.Breakdown[KindBackbone] = bone
 	}
-	// Root the backbone tree at start; an edge carries a reply iff its
-	// far subtree contains an answering root.
+	if tree > 0 {
+		st.Breakdown[KindDescend] = tree
+	}
+	return st
+}
+
+// replyCost sums the hop weights of the backbone edges in component comp
+// that lie on a path from an answering cluster root to the initiator's
+// root. count holds 1 for each answering cluster and for the initiator's
+// cluster, 0 elsewhere, and is consumed. One sweep up the rooted
+// component accumulates subtree counts: the edge above a subtree
+// carries a reply iff the subtree holds some but not all of the marked
+// clusters, i.e. separates an answering root from the initiator's.
+func replyCost(rb *index.RootedBackbone, comp int, count []int) int64 {
+	order := rb.Order[rb.CompStart[comp]:rb.CompStart[comp+1]]
+	total := 0
+	for _, c := range order {
+		total += count[c]
+	}
 	var cost int64
-	var walk func(node, parent topology.NodeID) bool
-	walk = func(node, parent topology.NodeID) bool {
-		carries := answered[node]
-		for _, e := range idx.BackboneAdj[node] {
-			other := e.A
-			if other == node {
-				other = e.B
-			}
-			if other == parent {
-				continue
-			}
-			if walk(other, node) {
-				cost += int64(e.Hops)
-				carries = true
-			}
+	for i := len(order) - 1; i > 0; i-- { // order[0] is the component root
+		c := order[i]
+		if k := count[c]; k > 0 && k < total {
+			cost += rb.Hops[c]
 		}
-		return carries
+		count[rb.Parent[c]] += count[c]
 	}
-	walk(start, -1)
 	return cost
 }
 
-// descend runs the M-tree search below node u (which has already been
-// reached; reaching a child costs one message down and its reply one up),
-// appending the matches to out in pre-order.
-func descend(out []topology.NodeID, idx *index.Index, ci int, u topology.NodeID, q metric.Feature, r float64, charge func(string, int64)) []topology.NodeID {
-	cl := idx.Clusters[ci]
-	e := cl.Entries[u]
-	du := idx.Metric.Distance(q, idx.Features[u])
-	if du <= r {
-		out = append(out, u)
+// rangeSearch is one range query's M-tree search state: matches go into
+// a node bitset, and descent messages add up in tree.
+type rangeSearch struct {
+	idx     *index.Index
+	q       metric.Feature
+	r       float64
+	bits    []uint64
+	matched int
+	tree    int64
+}
+
+func (rs *rangeSearch) mark(u topology.NodeID) {
+	rs.bits[u>>6] |= 1 << (u & 63)
+	rs.matched++
+}
+
+// descend runs the M-tree search below node u, which has already been
+// reached and lies at feature distance du from the query; reaching a
+// child costs one message down and its reply one up.
+func (rs *rangeSearch) descend(u topology.NodeID, du float64) {
+	idx := rs.idx
+	if du <= rs.r {
+		rs.mark(u)
 	}
-	for _, ch := range e.Children {
+	for _, ch := range idx.Children(u) {
 		rch := idx.Radius[ch]
 		dch := idx.Metric.Distance(idx.Features[u], idx.Features[ch])
 		// Prune the child subtree from the parent's stored child info —
 		// no message needed (§7.1's |d(q,F_i)-d(F_i,F_j)| > r+R_j rule).
-		if abs(du-dch) > r+rch {
+		if abs(du-dch) > rs.r+rch {
 			continue
 		}
 		// Include the whole child subtree without descending.
-		if du+dch <= r-rch {
-			out = appendSubtree(out, cl, ch)
+		if du+dch <= rs.r-rch {
+			rs.markSubtree(ch)
 			continue
 		}
-		charge(KindDescend, 2) // one hop down, the answer back up
-		out = descend(out, idx, ci, ch, q, r, charge)
+		rs.tree += 2 // one hop down, the answer back up
+		rs.descend(ch, idx.Metric.Distance(rs.q, idx.Features[ch]))
 	}
-	return out
 }
 
-// appendSubtree appends the members of cl's subtree rooted at u to out in
-// pre-order.
-func appendSubtree(out []topology.NodeID, cl *index.ClusterIndex, u topology.NodeID) []topology.NodeID {
-	out = append(out, u)
-	for _, ch := range cl.Entries[u].Children {
-		out = appendSubtree(out, cl, ch)
-	}
-	return out
-}
-
-// walkBackbone calls visit once for every backbone edge in the tree
-// holding node, reached from parent (-1 at the start). The backbone is a
-// forest — index.Build links cluster roots by Kruskal — so skipping the
-// edge back to the parent visits each edge exactly once, with no visited
-// set.
-func walkBackbone(idx *index.Index, node, parent topology.NodeID, visit func(index.BackboneEdge)) {
-	for _, e := range idx.BackboneAdj[node] {
-		other := e.A
-		if other == node {
-			other = e.B
-		}
-		if other == parent {
-			continue
-		}
-		visit(e)
-		walkBackbone(idx, other, node, visit)
+// markSubtree marks every node of the cluster subtree rooted at u.
+func (rs *rangeSearch) markSubtree(u topology.NodeID) {
+	rs.mark(u)
+	for _, ch := range rs.idx.Children(u) {
+		rs.markSubtree(ch)
 	}
 }
 

@@ -569,6 +569,9 @@ func (e *Engine) RangeQuerySpanned(q metric.Feature, r float64, initiator topolo
 	if int(initiator) < 0 || int(initiator) >= e.g.N() {
 		return nil, fmt.Errorf("stream: initiator %d outside [0,%d)", initiator, e.g.N())
 	}
+	if err := s.checkDim("query feature", q); err != nil {
+		return nil, err
+	}
 	sp := e.startSpan("range-query", parent)
 	start := time.Now() //elink:allow walltime — query latency telemetry; never feeds deterministic figure state
 	res := query.RangeSpanned(s.Index, q, r, initiator, sp)
@@ -595,6 +598,9 @@ func (e *Engine) PathQuerySpanned(danger metric.Feature, gamma float64, src, dst
 	if int(src) < 0 || int(src) >= e.g.N() || int(dst) < 0 || int(dst) >= e.g.N() {
 		return nil, fmt.Errorf("stream: endpoints (%d,%d) outside [0,%d)", src, dst, e.g.N())
 	}
+	if err := s.checkDim("danger feature", danger); err != nil {
+		return nil, err
+	}
 	sp := e.startSpan("path-query", parent)
 	start := time.Now() //elink:allow walltime — query latency telemetry; never feeds deterministic figure state
 	res := query.PathSpanned(s.Index, danger, gamma, src, dst, sp)
@@ -603,6 +609,15 @@ func (e *Engine) PathQuerySpanned(danger metric.Feature, gamma float64, src, dst
 	e.recordQuery(&e.pathQ, d, res.Stats.Messages)
 	query.ObservePath(e.cfg.Obs, res, d)
 	return res, nil
+}
+
+// checkDim rejects a query feature whose dimension differs from the
+// snapshot's features; the metric would panic on it.
+func (s *Snapshot) checkDim(what string, f metric.Feature) error {
+	if want := len(s.Features[0]); len(f) != want {
+		return fmt.Errorf("stream: %s has dimension %d, the engine's features have %d", what, len(f), want)
+	}
+	return nil
 }
 
 func (e *Engine) recordQuery(counter *int64, d time.Duration, msgs int64) {

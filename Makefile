@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint fmt test race fuzz-smoke bench bench-smoke examples clean
+.PHONY: check build vet lint fmt test race fuzz-smoke bench bench-smoke paper-check examples clean
 
 ## check: everything CI runs — build, vet, the invariant analyzers,
 ## gofmt cleanliness, tests, the race pass, a short run of every fuzz
@@ -32,30 +32,40 @@ test:
 	$(GO) test ./...
 
 ## race: the concurrent subsystems (streaming engine, async runtime,
-## pooled routing and query scratch, metrics registry/tracer, parallel
+## pooled routing and query scratch, metrics registry/span tracer, parallel
 ## execution layer and the kernels/figures running on it) under the race
 ## detector
 race:
 	$(GO) test -race ./internal/stream ./internal/sim ./internal/topology ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
 
-## fuzz-smoke: a few seconds of each fuzz target — index.FromState and
-## the snapshot decoder. A crasher is written under the package's
-## testdata/fuzz; fix the bug and commit the file as a regression seed
+## fuzz-smoke: a few seconds of each fuzz target — index.FromState, the
+## snapshot decoder and the WAL record decoder. A crasher is written under
+## the package's testdata/fuzz; fix the bug and commit the file as a
+## regression seed
 fuzz-smoke:
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzIndexFromState$$' -fuzztime 5s
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 5s
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 5s
 
 ## bench: one pass of every micro-benchmark — the facade's, routing
-## (internal/sim), range queries (internal/query) and the spectral
-## kernels (internal/linalg) — so none can rot
+## (internal/sim), range queries (internal/query), the spectral kernels
+## (internal/linalg) and the span cost per trace (internal/obs) — so none
+## can rot
 bench:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim ./internal/query ./internal/linalg
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim ./internal/query ./internal/linalg ./internal/obs
 
 ## bench-smoke: vet the benchmark in bench/ and run its smoke tests,
 ## which drive every workload briefly (elink-serve is built into a temp
 ## dir). Full runs: sh bench/run.sh -workload <name>; see bench/README.md
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+## paper-check: regenerate the paper-scale figures (about a minute) and
+## compare them byte for byte with the committed golden; make check does
+## not run it. After a deliberate figure change, rewrite the golden with
+##   go run ./cmd/elink-experiments -paper -j 1 -csv > internal/experiments/testdata/paper.csv
+paper-check:
+	$(GO) run ./cmd/elink-experiments -paper -j 1 -csv | cmp - internal/experiments/testdata/paper.csv
 
 ## examples: compile every example without running them
 examples:

@@ -32,7 +32,6 @@
 //	GET  /v1/snapshot      current epoch's clustering
 //	POST /admin/snapshot   write a snapshot now (requires -data-dir)
 //	GET  /metrics          Prometheus text exposition of the obs registry
-//	GET  /debug/trace      last ?n= trace events as JSON lines
 //	GET  /debug/spans      span traces: recent ring, top-K slowest and the
 //	                       per-phase latency attribution table as JSON;
 //	                       ?format=chrome emits Chrome trace-event JSON
@@ -93,7 +92,6 @@ func main() {
 		period    = flag.Int("period", 20, "epoch period for -policy periodic")
 		warmup    = flag.Int("warmup", 0, "observations per node before bootstrap (0 = 4*order)")
 		seed      = flag.Int64("seed", 1, "seed for topology and clustering runs")
-		tracebuf  = flag.Int("tracebuf", 0, "trace ring capacity (0 = default)")
 		spanbuf   = flag.Int("spanbuf", 0, "span trace ring capacity (0 = default 256)")
 		spanTopK  = flag.Int("span-topk", 0, "slowest span traces retained (0 = default 16)")
 		withPprof = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -123,7 +121,6 @@ func main() {
 	reg := elink.NewMetricsRegistry()
 	elink.RegisterBuildInfo(reg, version) // build metadata + uptime on /metrics
 	elink.InstrumentParallelism(reg)      // pool utilization on /metrics
-	tracer := elink.NewTraceBuffer(*tracebuf)
 	spans := elink.NewSpanTracer(*spanbuf, *spanTopK)
 	spans.Instrument(reg)                   // span_phase_seconds on /metrics
 	elink.InstrumentParallelismSpans(spans) // fork-join batches feed the tracer
@@ -138,7 +135,6 @@ func main() {
 		Period:              *period,
 		WarmupObs:           *warmup,
 		Obs:                 reg,
-		Trace:               tracer,
 		Spans:               spans,
 	})
 	if err != nil {
@@ -146,7 +142,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	srv := &server{engine: engine, reg: reg, tracer: tracer, spans: spans, dataDir: *dataDir}
+	srv := &server{engine: engine, reg: reg, spans: spans, dataDir: *dataDir}
 	mux := newMux(srv, *withPprof)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -227,7 +223,6 @@ func parsePolicy(s string) (elink.ReclusterPolicy, error) {
 type server struct {
 	engine *elink.Engine
 	reg    *elink.MetricsRegistry
-	tracer *elink.TraceBuffer
 	// spans collects the hierarchical request/epoch/query span traces
 	// served by /debug/spans; nil disables tracing (every Span method is
 	// nil-safe).
@@ -418,7 +413,6 @@ func newMux(s *server, withPprof bool) *http.ServeMux {
 	handle("GET", "/v1/snapshot", s.snapshot)
 	handle("POST", "/admin/snapshot", s.adminSnapshot)
 	handle("GET", "/metrics", s.metrics)
-	handle("GET", "/debug/trace", s.trace)
 	handle("GET", "/debug/spans", s.spansDump)
 	if withPprof {
 		// The pprof handlers are wired explicitly so nothing is exposed
@@ -650,29 +644,6 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
 		log.Printf("elink-serve: write metrics: %v", err)
-	}
-}
-
-// trace streams the last n trace events (default: all buffered) as JSON
-// lines, oldest first.
-func (s *server) trace(w http.ResponseWriter, r *http.Request) {
-	n := s.tracer.Len()
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q: want a non-negative integer", raw))
-			return
-		}
-		n = v
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if n == 0 {
-		// Tracer.Last treats n<=0 as "everything buffered"; an explicit
-		// n=0 means none.
-		return
-	}
-	if err := s.tracer.WriteJSONL(w, n); err != nil {
-		log.Printf("elink-serve: write trace: %v", err)
 	}
 }
 

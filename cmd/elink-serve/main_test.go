@@ -17,17 +17,16 @@ func newTestServer(t *testing.T) (*server, *http.ServeMux) {
 	t.Helper()
 	g := elink.NewGrid(1, 6)
 	reg := elink.NewMetricsRegistry()
-	tracer := elink.NewTraceBuffer(0)
 	spans := elink.NewSpanTracer(0, 0)
 	spans.Instrument(reg)
 	engine, err := elink.NewEngine(g, elink.EngineConfig{
 		Order: 0, Delta: 2, Slack: 0.1, Metric: elink.Euclidean(), Seed: 1,
-		Obs: reg, Trace: tracer, Spans: spans,
+		Obs: reg, Spans: spans,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &server{engine: engine, reg: reg, tracer: tracer, spans: spans}
+	s := &server{engine: engine, reg: reg, spans: spans}
 	return s, newMux(s, false)
 }
 
@@ -188,46 +187,6 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
-	}
-}
-
-func TestServeTraceEndpoint(t *testing.T) {
-	_, mux := newTestServer(t)
-	bootstrapTestServer(t, mux)
-
-	w := do(t, mux, "GET", "/debug/trace", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("trace = %d", w.Code)
-	}
-	if ct := w.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("trace Content-Type = %q", ct)
-	}
-	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("trace returned %d lines, want the bootstrap rounds plus the epoch event", len(lines))
-	}
-	var last elink.TraceEvent
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-		t.Fatalf("last trace line %q: %v", lines[len(lines)-1], err)
-	}
-	if last.Scope != "engine" || last.Kind != "epoch" || last.Epoch != 1 {
-		t.Errorf("last event = %+v, want engine/epoch for epoch 1", last)
-	}
-
-	// n=1 returns exactly the newest event.
-	w = do(t, mux, "GET", "/debug/trace?n=1", "")
-	if got := strings.Count(w.Body.String(), "\n"); got != 1 {
-		t.Errorf("trace?n=1 returned %d lines", got)
-	}
-	// Explicit n=0 returns no events, not everything buffered.
-	w = do(t, mux, "GET", "/debug/trace?n=0", "")
-	if w.Code != http.StatusOK || w.Body.Len() != 0 {
-		t.Errorf("trace?n=0 = %d %q, want empty 200", w.Code, w.Body.String())
-	}
-	// Bad n is a JSON 400.
-	w = do(t, mux, "GET", "/debug/trace?n=bogus", "")
-	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"error"`) {
-		t.Errorf("trace?n=bogus = %d %s, want JSON 400", w.Code, w.Body.String())
 	}
 }
 
@@ -477,6 +436,13 @@ func TestServeSpansEndpoint(t *testing.T) {
 	for _, want := range []string{"http", "epoch", "validate", "publish"} {
 		if !names[want] {
 			t.Fatalf("ingest trace spans = %v, missing %q", names, want)
+		}
+	}
+	// The published snapshot's epoch, fragmentation and index depth ride
+	// on the trace as labels.
+	for _, want := range []string{"epoch", "fragmentation", "index_depth"} {
+		if ingestTrace.Labels[want] == "" {
+			t.Fatalf("ingest trace labels = %v, missing %q", ingestTrace.Labels, want)
 		}
 	}
 

@@ -197,13 +197,13 @@ func BuildIndex(g *Graph, c *Clustering, feats []Feature, m Metric) (*Index, err
 // pruning whole clusters by their covering radii and descending the
 // M-tree only where the boundary cuts through (§7.2).
 func RangeQuery(idx *Index, q Feature, r float64, initiator NodeID) *RangeResult {
-	return query.Range(idx, q, r, initiator)
+	return query.Range(idx, q, r, initiator, nil)
 }
 
 // PathQuery returns a path from src to dst on which every node's feature
 // stays at least gamma away from the danger feature (§7.3).
 func PathQuery(idx *Index, danger Feature, gamma float64, src, dst NodeID) *PathResult {
-	return query.Path(idx, danger, gamma, src, dst)
+	return query.Path(idx, danger, gamma, src, dst, nil)
 }
 
 // TAGCost returns the fixed per-query cost of the TAG aggregation
@@ -383,21 +383,12 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return persist.ParseFsync
 // WALOptions.Metrics.
 func NewWALMetrics(reg *MetricsRegistry) persist.WALMetrics { return persist.NewWALMetrics(reg) }
 
-// Observability types, aliased from internal/obs. Hand a registry and a
-// trace buffer to EngineConfig.Obs/Trace (or elink.Config.Obs/Trace for
-// batch runs) and every layer — simulator rounds, ELink runs, slack-Δ
-// maintenance, index repairs, queries — reports into them.
-type (
-	// MetricsRegistry is a concurrency-safe registry of counters, gauges
-	// and histograms with Prometheus-text and JSON export.
-	MetricsRegistry = obs.Registry
-	// TraceBuffer is a bounded ring buffer of structured trace events
-	// (per-round simulator activity, per-epoch engine summaries) with
-	// JSONL export.
-	TraceBuffer = obs.Tracer
-	// TraceEvent is one structured trace record.
-	TraceEvent = obs.Event
-)
+// MetricsRegistry is a concurrency-safe registry of counters, gauges and
+// histograms with Prometheus-text and JSON export, aliased from
+// internal/obs. Hand one to EngineConfig.Obs (or elink.Config.Obs for
+// batch runs) and every layer — simulator messages, ELink runs, slack-Δ
+// maintenance, index repairs, queries — reports into it.
+type MetricsRegistry = obs.Registry
 
 // Span tracing types, aliased from internal/obs. Hand a SpanTracer to
 // EngineConfig.Spans and every epoch, snapshot and query records a
@@ -440,10 +431,6 @@ func InstrumentParallelismSpans(t *SpanTracer) { par.InstrumentSpans(t) }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewTraceBuffer returns a trace ring buffer holding the last capacity
-// events (capacity <= 0 selects obs.DefaultTraceCapacity).
-func NewTraceBuffer(capacity int) *TraceBuffer { return obs.NewTracer(capacity) }
 
 // LatencyBuckets returns the shared latency histogram layout (1µs–10s)
 // used by every *_latency_seconds and *_duration_seconds family.

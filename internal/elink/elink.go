@@ -106,10 +106,6 @@ type Config struct {
 	// elink_runs_total, elink_run_rounds / elink_run_messages histograms
 	// and the elink_clusters gauge, all labelled by signalling mode.
 	Obs *obs.Registry
-	// Trace, when non-nil, receives one event per simulated round (round
-	// number, messages by kind, nodes active) and a final "converged"
-	// event — the raw data behind the O(√N log N) round claim.
-	Trace *obs.Tracer
 }
 
 func (c *Config) withDefaults(n int) Config {
@@ -169,7 +165,7 @@ func Run(g *topology.Graph, cfg Config) (*cluster.Result, error) {
 	sh := newShared(g, qt, cfg)
 
 	net := sim.NewNetwork(g, cfg.Delay, cfg.Seed)
-	net.Instrument(cfg.Obs, cfg.Trace, "elink")
+	net.Instrument(cfg.Obs, "elink")
 	if cfg.Loss > 0 {
 		net.SetLoss(cfg.Loss)
 	}
@@ -192,10 +188,9 @@ func Run(g *topology.Graph, cfg Config) (*cluster.Result, error) {
 	return res, nil
 }
 
-// observeRun publishes a completed run's summary into the configured
-// observability sinks. With the synchronous unit-delay model the run's
-// end time is its round count, the quantity Theorem 2/3 bound by
-// O(√N log N).
+// observeRun publishes a completed run's summary into cfg.Obs. With the
+// synchronous unit-delay model the run's end time is its round count,
+// the quantity Theorem 2/3 bound by O(√N log N).
 func observeRun(cfg Config, res *cluster.Result, end float64) {
 	mode := cfg.Mode.String()
 	if cfg.Obs != nil {
@@ -208,22 +203,14 @@ func observeRun(cfg Config, res *cluster.Result, end float64) {
 		cfg.Obs.Histogram("elink_run_messages", obs.MessageBuckets(), "mode", mode).Observe(float64(res.Stats.Messages))
 		cfg.Obs.Gauge("elink_clusters", "mode", mode).Set(float64(res.Clustering.NumClusters()))
 	}
-	cfg.Trace.Record(obs.Event{
-		Scope: "elink", Kind: "converged", Time: end,
-		Fields: map[string]float64{
-			"clusters": float64(res.Clustering.NumClusters()),
-			"messages": float64(res.Stats.Messages),
-			"rounds":   end,
-		},
-	})
 }
 
 // RunAsync executes the explicit-signalling protocol on the goroutine
 // runtime (one goroutine per node, channels as links). The clustering it
 // returns satisfies the same invariants as Run's, but the exact clusters
-// depend on the scheduler's interleaving. The Obs/Trace sinks are not
-// wired here: the goroutine runtime has no synchronous round structure
-// to trace (use Run for instrumented experiments).
+// depend on the scheduler's interleaving. The Obs sink is not wired
+// here: the goroutine runtime has no synchronous round structure to
+// count (use Run for instrumented experiments).
 func RunAsync(g *topology.Graph, cfg Config) (*cluster.Result, error) {
 	if err := cfg.validate(g); err != nil {
 		return nil, err
@@ -676,7 +663,7 @@ func TxPerNode(g *topology.Graph, cfg Config) ([]int64, error) {
 	sh := newShared(g, qt, cfg)
 
 	net := sim.NewNetwork(g, cfg.Delay, cfg.Seed)
-	net.Instrument(cfg.Obs, cfg.Trace, "elink")
+	net.Instrument(cfg.Obs, "elink")
 	if cfg.Loss > 0 {
 		net.SetLoss(cfg.Loss)
 	}

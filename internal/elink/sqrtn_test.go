@@ -5,27 +5,24 @@ import (
 	"testing"
 
 	"elink/internal/metric"
-	"elink/internal/obs"
 	"elink/internal/topology"
 )
 
-// tracedRounds runs ELink on a side x side grid with uniform features
+// runRounds runs ELink on a side x side grid with uniform features
 // (everything merges into one cluster — the worst case for sentinel
-// escalation) and reads the synchronous round count off the per-round
-// trace events rather than any internal counter.
-func tracedRounds(t *testing.T, side int) float64 {
+// escalation) and returns the synchronous round count: under UnitDelay
+// the run's end time, Stats.Time.
+func runRounds(t *testing.T, side int) float64 {
 	t.Helper()
 	g := topology.NewGrid(side, side)
 	feats := make([]metric.Feature, g.N())
 	for u := range feats {
 		feats[u] = metric.Feature{0}
 	}
-	tr := obs.NewTracer(1 << 16)
 	res, err := Run(g, Config{
 		Delta:    1,
 		Metric:   metric.Scalar{},
 		Features: feats,
-		Trace:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,16 +30,10 @@ func tracedRounds(t *testing.T, side int) float64 {
 	if res.Clustering.NumClusters() != 1 {
 		t.Fatalf("side %d: %d clusters, want 1", side, res.Clustering.NumClusters())
 	}
-	rounds := 0
-	for _, e := range tr.Last(tr.Len()) {
-		if e.Scope == "elink" && e.Kind == "round" && e.Round > rounds {
-			rounds = e.Round
-		}
+	if res.Stats.Time <= 0 {
+		t.Fatalf("side %d: run took %v rounds", side, res.Stats.Time)
 	}
-	if rounds == 0 {
-		t.Fatalf("side %d: no round events traced", side)
-	}
-	return float64(rounds)
+	return res.Stats.Time
 }
 
 // TestRoundsGrowSqrtN pins ELink's Theorem 2 complexity end to end: the
@@ -54,7 +45,7 @@ func TestRoundsGrowSqrtN(t *testing.T) {
 	var xs, ys []float64
 	for _, side := range sides {
 		n := float64(side * side)
-		r := tracedRounds(t, side)
+		r := runRounds(t, side)
 		t.Logf("N=%4.0f rounds=%3.0f", n, r)
 		xs = append(xs, math.Log(n))
 		ys = append(ys, math.Log(r))

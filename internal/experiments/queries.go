@@ -42,7 +42,7 @@ func rangeQueryCost(g *topology.Graph, c *cluster.Clustering, feats []metric.Fea
 	}
 	costs := make([]int64, queries)
 	par.For(queries, func(q int) {
-		res := query.Range(idx, plans[q].target, r, plans[q].initiator)
+		res := query.Range(idx, plans[q].target, r, plans[q].initiator, nil)
 		costs[q] = res.Stats.Messages
 	})
 	var total int64
@@ -168,7 +168,7 @@ func PathQueries(sc Scale) (*Table, error) {
 		}
 		outs := make([]outcome, sc.Queries)
 		par.For(sc.Queries, func(q int) {
-			a := query.Path(idx, danger, gamma, pairs[q].src, pairs[q].dst)
+			a := query.Path(idx, danger, gamma, pairs[q].src, pairs[q].dst, nil)
 			b := query.BFSFlood(g, ds.Features, m, danger, gamma, pairs[q].src, pairs[q].dst)
 			outs[q] = outcome{cluster: a.Stats.Messages, flood: b.Stats.Messages, found: a.Found}
 		})

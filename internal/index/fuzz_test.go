@@ -190,12 +190,12 @@ func FuzzIndexFromState(f *testing.F) {
 		}
 		for u, q := range idx.Features {
 			for _, r := range []float64{0, 0.5, 1, 2.5, 100} {
-				got := query.Range(idx, q, r, topology.NodeID(u)).Matches
+				got := query.Range(idx, q, r, topology.NodeID(u), nil).Matches
 				if want := query.BruteForce(idx.Features, m, q, r); !slices.Equal(got, want) {
 					t.Fatalf("Range(F_%d, %v) = %v, brute force %v", u, r, got, want)
 				}
 			}
-			res := query.Path(idx, q, 1, topology.NodeID(u), topology.NodeID(len(idx.Features)-1-u))
+			res := query.Path(idx, q, 1, topology.NodeID(u), topology.NodeID(len(idx.Features)-1-u), nil)
 			if res.Found && !query.VerifyPath(g, idx.Features, m, q, 1, res.Path) {
 				t.Fatalf("Path from %d returned an unsafe or broken path %v", u, res.Path)
 			}

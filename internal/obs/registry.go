@@ -14,7 +14,7 @@
 // figure regeneration and production monitoring read the same numbers.
 //
 // Instrumentation is opt-in everywhere: call sites take a *Registry
-// and/or *Tracer that may be nil, and every metric method is safe on a
+// and/or *SpanTracer that may be nil, and every metric method is safe on a
 // nil receiver, so the un-instrumented hot paths pay a single pointer
 // test. Call sites are expected to cache the *Counter/*Gauge/*Histogram
 // handles they use on hot paths; lookups take the registry mutex, but

@@ -131,11 +131,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 || h.Cumulative() != nil {
 		t.Error("nil histogram should read empty")
 	}
-	var tr *Tracer
-	tr.Record(Event{Kind: "x"})
-	if tr.Len() != 0 || tr.Total() != 0 || tr.Last(5) != nil {
-		t.Error("nil tracer should read empty")
-	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Error(err)
 	}

@@ -11,9 +11,8 @@ import (
 	"time"
 )
 
-// Hierarchical span tracing: where the Tracer (trace.go) answers "what
-// happened each round/epoch", spans answer "where did this slow epoch's
-// TIME go". A SpanTracer hands out root Spans; each span may fork
+// Hierarchical span tracing answers "where did this slow epoch's TIME
+// go". A SpanTracer hands out root Spans; each span may fork
 // children (Child), and finishing the root freezes the whole tree into a
 // SpanTrace that the tracer retains two ways — a bounded ring of recent
 // traces and a top-K set of the slowest ones — so both "what just

@@ -80,16 +80,11 @@ type SnapshotInfo struct {
 }
 
 // WriteSnapshot encodes st to w in the versioned section format and
-// returns the number of bytes written.
-func WriteSnapshot(w io.Writer, st *EngineState) (int64, error) {
-	return WriteSnapshotSpanned(w, st, nil)
-}
-
-// WriteSnapshotSpanned is WriteSnapshot with each section's encode+write
+// returns the number of bytes written. Each section's encode+write is
 // traced as an "enc-<section>" child of parent, so a slow snapshot shows
 // which section (models, index, ...) carried the bytes. A nil parent
 // disables tracing; span methods are nil-safe.
-func WriteSnapshotSpanned(w io.Writer, st *EngineState, parent *obs.Span) (int64, error) {
+func WriteSnapshot(w io.Writer, st *EngineState, parent *obs.Span) (int64, error) {
 	var total int64
 	hdr := make([]byte, 0, 12)
 	hdr = append(hdr, snapMagic...)

@@ -76,7 +76,7 @@ func TestSnapshotRoundTripDeterministic(t *testing.T) {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		var buf bytes.Buffer
-		n, err := persist.WriteSnapshot(&buf, st)
+		n, err := persist.WriteSnapshot(&buf, st, nil)
 		if err != nil {
 			t.Fatalf("%s: re-encode: %v", name, err)
 		}
@@ -217,7 +217,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		// Whatever decoded must re-encode without panicking.
-		if _, err := persist.WriteSnapshot(&bytes.Buffer{}, st); err != nil {
+		if _, err := persist.WriteSnapshot(&bytes.Buffer{}, st, nil); err != nil {
 			t.Errorf("decoded state does not re-encode: %v", err)
 		}
 	})

@@ -222,16 +222,12 @@ func (w *WAL) segments() ([]int, error) {
 }
 
 // Append journals one batch record and applies the fsync policy. It
-// must not be called concurrently with Replay.
-func (w *WAL) Append(rec *BatchRecord) error {
-	return w.AppendSpanned(rec, nil)
-}
-
-// AppendSpanned is Append traced as a "wal-append" child of parent, with
-// the fsync (when the policy triggers one) as its own "fsync" child so a
-// slow epoch distinguishes encode/write cost from flush stalls. A nil
-// parent disables tracing; span methods are nil-safe.
-func (w *WAL) AppendSpanned(rec *BatchRecord, parent *obs.Span) error {
+// must not be called concurrently with Replay. The append is traced as a
+// "wal-append" child of parent, with the fsync (when the policy triggers
+// one) as its own "fsync" child so a slow epoch distinguishes
+// encode/write cost from flush stalls. A nil parent disables tracing;
+// span methods are nil-safe.
+func (w *WAL) Append(rec *BatchRecord, parent *obs.Span) error {
 	sp := parent.Child("wal-append")
 	defer sp.Finish()
 	w.mu.Lock()
@@ -491,10 +487,10 @@ func decodeRecord(b []byte) (*BatchRecord, []byte, error) {
 	case RecordFeatures:
 		rec.Nodes = d.ints()
 		nf := d.count(4)
+		if d.err == nil && nf != len(rec.Nodes) {
+			d.fail("record has %d nodes, %d features", len(rec.Nodes), nf)
+		}
 		if d.err == nil {
-			if nf != len(rec.Nodes) {
-				d.fail("record has %d nodes, %d features", len(rec.Nodes), nf)
-			}
 			rec.Features = make([][]float64, nf)
 			for i := range rec.Features {
 				rec.Features[i] = d.floats()
@@ -502,6 +498,11 @@ func decodeRecord(b []byte) (*BatchRecord, []byte, error) {
 		}
 	default:
 		d.fail("unknown record kind %d", rec.Kind)
+	}
+	if d.err == nil && d.off != len(payload) {
+		// encodeRecord writes nothing after the last field: trailing
+		// bytes mean the frame is not one of ours.
+		d.fail("record has %d trailing bytes", len(payload)-d.off)
 	}
 	if d.err != nil {
 		return nil, nil, d.err

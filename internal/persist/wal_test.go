@@ -43,7 +43,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		readingsRecord(3, 1),
 	}
 	for _, rec := range want {
-		if err := w.Append(rec); err != nil {
+		if err := w.Append(rec, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,10 +71,10 @@ func TestWALAppendRejectsStaleSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(readingsRecord(5, 1)); err != nil {
+	if err := w.Append(readingsRecord(5, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(readingsRecord(5, 1)); err == nil {
+	if err := w.Append(readingsRecord(5, 1), nil); err == nil {
 		t.Error("append with a non-advancing seq succeeded")
 	}
 }
@@ -89,7 +89,7 @@ func TestWALTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 3; seq++ {
-		if err := w.Append(readingsRecord(seq, 2)); err != nil {
+		if err := w.Append(readingsRecord(seq, 2), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestWALTornTailRepairedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 3; seq++ {
-		if err := w.Append(readingsRecord(seq, 2)); err != nil {
+		if err := w.Append(readingsRecord(seq, 2), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestWALTornTailRepairedOnReopen(t *testing.T) {
 	if got := collect(t, r, 0); len(got) != 2 {
 		t.Fatalf("first recovery replayed %d records, want 2", len(got))
 	}
-	if err := r.Append(readingsRecord(3, 2)); err != nil {
+	if err := r.Append(readingsRecord(3, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -197,7 +197,7 @@ func TestWALHeaderlessStubRemovedOnReopen(t *testing.T) {
 	if _, err := os.Stat(stub); !os.IsNotExist(err) {
 		t.Errorf("headerless stub still present after OpenWAL (stat err: %v)", err)
 	}
-	if err := w.Append(readingsRecord(1, 1)); err != nil {
+	if err := w.Append(readingsRecord(1, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -223,7 +223,7 @@ func TestWALCorruptMiddleSegmentFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 3; seq++ {
-		if err := w.Append(readingsRecord(seq, 2)); err != nil {
+		if err := w.Append(readingsRecord(seq, 2), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestWALRotationAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 4; seq++ {
-		if err := w.Append(readingsRecord(seq, 1)); err != nil {
+		if err := w.Append(readingsRecord(seq, 1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +282,7 @@ func TestWALRotationAndTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Append(readingsRecord(5, 1)); err != nil {
+	if err := r.Append(readingsRecord(5, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := collect(t, r, 2); len(got) != 3 || got[2].Seq != 5 {

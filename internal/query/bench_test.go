@@ -39,7 +39,7 @@ func BenchmarkRangeQuery400(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Range(idx, metric.Feature{7.5}, 1.5, topology.NodeID(i%idx.Graph.N()))
+		Range(idx, metric.Feature{7.5}, 1.5, topology.NodeID(i%idx.Graph.N()), nil)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestRangeQueryAllocs(t *testing.T) {
 	idx := rangeFixture400(t)
 	initiator := topology.NodeID(0)
 	allocs := testing.AllocsPerRun(50, func() {
-		Range(idx, metric.Feature{7.5}, 1.5, initiator)
+		Range(idx, metric.Feature{7.5}, 1.5, initiator, nil)
 		initiator = (initiator + 37) % topology.NodeID(idx.Graph.N())
 	})
 	if allocs > 4 {
@@ -64,7 +64,7 @@ func BenchmarkPathQuery400(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Path(idx, metric.Feature{7.5}, 1.5, topology.NodeID(i)%n, topology.NodeID(i*7+3)%n)
+		Path(idx, metric.Feature{7.5}, 1.5, topology.NodeID(i)%n, topology.NodeID(i*7+3)%n, nil)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestPathQueryAllocs(t *testing.T) {
 	n := topology.NodeID(idx.Graph.N())
 	src, danger := topology.NodeID(0), metric.Feature{7.5}
 	allocs := testing.AllocsPerRun(50, func() {
-		Path(idx, danger, 1.5, src, (src*7+3)%n)
+		Path(idx, danger, 1.5, src, (src*7+3)%n, nil)
 		src = (src + 37) % n
 	})
 	if allocs > 4 {

@@ -100,12 +100,12 @@ func TestQueriesMatchReference(t *testing.T) {
 					r = 1e6
 				}
 				init := topology.NodeID(rng.Intn(n))
-				if got, want := Range(idx, feat, r, init), rangeRef(ri, feat, r, init); !reflect.DeepEqual(got, want) {
+				if got, want := Range(idx, feat, r, init, nil), rangeRef(ri, feat, r, init); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d: Range(%v, %v, %d)\n got %+v\nwant %+v", trial, feat, r, init, got, want)
 				}
 				gamma := rng.Float64() * 4
 				src, dst := topology.NodeID(rng.Intn(n)), topology.NodeID(rng.Intn(n))
-				if got, want := Path(idx, feat, gamma, src, dst), pathRef(ri, feat, gamma, src, dst); !reflect.DeepEqual(got, want) {
+				if got, want := Path(idx, feat, gamma, src, dst, nil), pathRef(ri, feat, gamma, src, dst); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d: Path(%v, %v, %d, %d)\n got %+v\nwant %+v", trial, feat, gamma, src, dst, got, want)
 				}
 			}
@@ -131,8 +131,8 @@ func TestQueriesConcurrent(t *testing.T) {
 	for i := range wants {
 		u := topology.NodeID(i * 7 % n)
 		wants[i] = want{
-			Range(idx, metric.Feature{float64(i % 20)}, 1.5, u),
-			Path(idx, metric.Feature{float64(i % 20)}, 2, u, topology.NodeID((i*131+5)%n)),
+			Range(idx, metric.Feature{float64(i % 20)}, 1.5, u, nil),
+			Path(idx, metric.Feature{float64(i % 20)}, 2, u, topology.NodeID((i*131+5)%n), nil),
 		}
 	}
 	var wg sync.WaitGroup
@@ -145,8 +145,8 @@ func TestQueriesConcurrent(t *testing.T) {
 				for j := range wants {
 					i := (j + w*16) % len(wants)
 					u := topology.NodeID(i * 7 % n)
-					r := Range(idx, metric.Feature{float64(i % 20)}, 1.5, u)
-					p := Path(idx, metric.Feature{float64(i % 20)}, 2, u, topology.NodeID((i*131+5)%n))
+					r := Range(idx, metric.Feature{float64(i % 20)}, 1.5, u, nil)
+					p := Path(idx, metric.Feature{float64(i % 20)}, 2, u, topology.NodeID((i*131+5)%n), nil)
 					if !reflect.DeepEqual(r, wants[i].r) || !reflect.DeepEqual(p, wants[i].p) {
 						errs <- fmt.Sprintf("worker %d: query %d differs from its serial answer", w, i)
 						return

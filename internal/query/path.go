@@ -43,15 +43,10 @@ type PathResult struct {
 // d(F_root, danger) > γ + R_root, unsafe when ≤ γ − R_root, and drilled
 // down the M-tree otherwise (each drill step costs messages). The safe
 // region is then searched cluster-by-cluster along the backbone, with the
-// final hop-level path resolved inside the safe subgraph.
-func Path(idx *index.Index, danger metric.Feature, gamma float64, src, dst topology.NodeID) *PathResult {
-	return PathSpanned(idx, danger, gamma, src, dst, nil)
-}
-
-// PathSpanned is Path with its phases — cluster classification and the
-// safe-subgraph search — traced as children of sp (nil sp: no tracing;
-// span methods are nil-safe).
-func PathSpanned(idx *index.Index, danger metric.Feature, gamma float64, src, dst topology.NodeID, sp *obs.Span) *PathResult {
+// final hop-level path resolved inside the safe subgraph. Both phases
+// are traced as children of sp (nil sp: untraced; span methods are
+// nil-safe).
+func Path(idx *index.Index, danger metric.Feature, gamma float64, src, dst topology.NodeID, sp *obs.Span) *PathResult {
 	res := &PathResult{}
 	sc := getScratch(idx)
 	defer putScratch(sc)

@@ -41,7 +41,7 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 			q := metric.Feature{rng.Float64() * 20}
 			r := rng.Float64() * 6
 			initiator := topology.NodeID(rng.Intn(len(feats)))
-			got := Range(idx, q, r, initiator)
+			got := Range(idx, q, r, initiator, nil)
 			want := BruteForce(feats, metric.Scalar{}, q, r)
 			if len(got.Matches) != len(want) {
 				t.Fatalf("seed %d trial %d: got %d matches, want %d", seed, trial, len(got.Matches), len(want))
@@ -58,7 +58,7 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 func TestRangePrunesFarQueries(t *testing.T) {
 	idx, _ := randomClusteredIndex(t, 3, 80)
 	// A query far outside the feature range excludes every cluster.
-	res := Range(idx, metric.Feature{1e6}, 0.5, 0)
+	res := Range(idx, metric.Feature{1e6}, 0.5, 0, nil)
 	if len(res.Matches) != 0 {
 		t.Error("far query should match nothing")
 	}
@@ -73,7 +73,7 @@ func TestRangePrunesFarQueries(t *testing.T) {
 func TestRangeIncludesWholeClusters(t *testing.T) {
 	idx, feats := randomClusteredIndex(t, 4, 80)
 	// A huge radius covers everything.
-	res := Range(idx, metric.Feature{10}, 1e6, 0)
+	res := Range(idx, metric.Feature{10}, 1e6, 0, nil)
 	if len(res.Matches) != len(feats) {
 		t.Errorf("matches = %d, want all %d", len(res.Matches), len(feats))
 	}
@@ -84,8 +84,8 @@ func TestRangeIncludesWholeClusters(t *testing.T) {
 
 func TestRangeCostGrowsWithRadius(t *testing.T) {
 	idx, _ := randomClusteredIndex(t, 5, 120)
-	small := Range(idx, metric.Feature{7}, 0.5, 0)
-	large := Range(idx, metric.Feature{7}, 4, 0)
+	small := Range(idx, metric.Feature{7}, 0.5, 0, nil)
+	large := Range(idx, metric.Feature{7}, 4, 0, nil)
 	if small.Stats.Breakdown[KindDescend] > large.Stats.Breakdown[KindDescend] {
 		t.Errorf("descent cost should not shrink with radius: %d vs %d",
 			small.Stats.Breakdown[KindDescend], large.Stats.Breakdown[KindDescend])
@@ -95,7 +95,7 @@ func TestRangeCostGrowsWithRadius(t *testing.T) {
 func TestRangeBeatsTAGOnSelectiveQueries(t *testing.T) {
 	idx, _ := randomClusteredIndex(t, 6, 150)
 	tag := TAG(idx.Graph)
-	res := Range(idx, metric.Feature{2.5}, 0.8, 0)
+	res := Range(idx, metric.Feature{2.5}, 0.8, 0, nil)
 	if res.Stats.Messages >= tag.Messages {
 		t.Errorf("selective range query cost %d should beat TAG's fixed %d",
 			res.Stats.Messages, tag.Messages)
@@ -134,7 +134,7 @@ func TestPathFindsSafeRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	danger := metric.Feature{0}
-	res := Path(idx, danger, 5, 0, topology.NodeID(g.N()-1))
+	res := Path(idx, danger, 5, 0, topology.NodeID(g.N()-1), nil)
 	if !res.Found {
 		t.Fatal("safe path exists through the gap but was not found")
 	}
@@ -168,7 +168,7 @@ func TestPathReportsUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Path(idx, metric.Feature{0}, 5, 0, topology.NodeID(g.N()-1))
+	res := Path(idx, metric.Feature{0}, 5, 0, topology.NodeID(g.N()-1), nil)
 	if res.Found {
 		t.Errorf("no safe path exists, got %v", res.Path)
 	}
@@ -182,7 +182,7 @@ func TestPathUnsafeSourceSuppressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Path(idx, metric.Feature{0}, 5, 0, 3)
+	res := Path(idx, metric.Feature{0}, 5, 0, 3, nil)
 	if res.Found {
 		t.Error("query from an unsafe source must be suppressed")
 	}
@@ -201,7 +201,7 @@ func TestPathAgreesWithFloodOnExistence(t *testing.T) {
 		gamma := 1 + rng.Float64()*3
 		src := topology.NodeID(rng.Intn(g.N()))
 		dst := topology.NodeID(rng.Intn(g.N()))
-		a := Path(idx, danger, gamma, src, dst)
+		a := Path(idx, danger, gamma, src, dst, nil)
 		b := BFSFlood(g, feats, metric.Scalar{}, danger, gamma, src, dst)
 		if a.Found != b.Found {
 			t.Fatalf("seed %d: cluster search found=%v, flood found=%v", seed, a.Found, b.Found)
@@ -223,7 +223,7 @@ func TestPathCheaperThanFlood(t *testing.T) {
 	idx, feats := randomClusteredIndex(t, 77, 200)
 	g := idx.Graph
 	danger := metric.Feature{-100} // everything is safe
-	a := Path(idx, danger, 5, 0, topology.NodeID(g.N()-1))
+	a := Path(idx, danger, 5, 0, topology.NodeID(g.N()-1), nil)
 	b := BFSFlood(g, feats, metric.Scalar{}, danger, 5, 0, topology.NodeID(g.N()-1))
 	if !a.Found || !b.Found {
 		t.Fatal("both searches should succeed when everything is safe")
@@ -256,7 +256,7 @@ func TestRangeZeroRadiusExactMatch(t *testing.T) {
 	idx, feats := randomClusteredIndex(t, 9, 50)
 	// r=0 finds exactly the nodes with the identical feature value.
 	target := feats[7]
-	got := Range(idx, target, 0, 0)
+	got := Range(idx, target, 0, 0, nil)
 	want := BruteForce(feats, metric.Scalar{}, target, 0)
 	if len(got.Matches) != len(want) {
 		t.Fatalf("matches = %d, want %d", len(got.Matches), len(want))
@@ -268,7 +268,7 @@ func TestRangeFromEveryInitiatorSameAnswer(t *testing.T) {
 	q := metric.Feature{7}
 	var first []topology.NodeID
 	for u := 0; u < len(feats); u++ {
-		res := Range(idx, q, 2, topology.NodeID(u))
+		res := Range(idx, q, 2, topology.NodeID(u), nil)
 		if first == nil {
 			first = res.Matches
 			continue
@@ -281,7 +281,7 @@ func TestRangeFromEveryInitiatorSameAnswer(t *testing.T) {
 
 func TestPathSrcEqualsDst(t *testing.T) {
 	idx, _ := randomClusteredIndex(t, 11, 40)
-	res := Path(idx, metric.Feature{-1000}, 1, 5, 5)
+	res := Path(idx, metric.Feature{-1000}, 1, 5, 5, nil)
 	if !res.Found || len(res.Path) != 1 || res.Path[0] != 5 {
 		t.Errorf("self path = %+v", res)
 	}
@@ -309,7 +309,7 @@ func TestRangeCorrectnessProperty(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			q := metric.Feature{rng.Float64()*24 - 2}
 			r := rng.Float64() * 8
-			got := Range(idx, q, r, topology.NodeID(rng.Intn(len(feats))))
+			got := Range(idx, q, r, topology.NodeID(rng.Intn(len(feats))), nil)
 			want := BruteForce(feats, metric.Scalar{}, q, r)
 			if len(got.Matches) != len(want) {
 				t.Fatalf("seed %d: %d matches, want %d", seed, len(got.Matches), len(want))
@@ -337,10 +337,10 @@ func TestQueriesFloodWholeBackbone(t *testing.T) {
 			t.Fatalf("seed %d: fixture has no backbone", seed)
 		}
 		initiator := topology.NodeID(seed * 7 % 80)
-		if got := Range(idx, metric.Feature{1e6}, 0.5, initiator).Stats.Breakdown[KindBackbone]; got != want {
+		if got := Range(idx, metric.Feature{1e6}, 0.5, initiator, nil).Stats.Breakdown[KindBackbone]; got != want {
 			t.Errorf("seed %d: range backbone cost %d, want %d", seed, got, want)
 		}
-		if got := Path(idx, metric.Feature{1e6}, 0, initiator, 0).Stats.Breakdown[KindBackbone]; got != want {
+		if got := Path(idx, metric.Feature{1e6}, 0, initiator, 0, nil).Stats.Breakdown[KindBackbone]; got != want {
 			t.Errorf("seed %d: path backbone cost %d, want %d", seed, got, want)
 		}
 	}

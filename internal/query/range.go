@@ -41,15 +41,10 @@ type RangeResult struct {
 }
 
 // Range answers "find all nodes whose feature is within radius r of q"
-// starting from the given initiator node.
-func Range(idx *index.Index, q metric.Feature, r float64, initiator topology.NodeID) *RangeResult {
-	return RangeSpanned(idx, q, r, initiator, nil)
-}
-
-// RangeSpanned is Range with its phases — backbone flood, per-cluster
-// prune/descend, answer aggregation — traced as children of sp (nil sp:
-// no tracing; span methods are nil-safe).
-func RangeSpanned(idx *index.Index, q metric.Feature, r float64, initiator topology.NodeID, sp *obs.Span) *RangeResult {
+// starting from the given initiator node. Its phases — backbone flood,
+// per-cluster prune/descend, answer aggregation — are traced as children
+// of sp (nil sp: untraced; span methods are nil-safe).
+func Range(idx *index.Index, q metric.Feature, r float64, initiator topology.NodeID, sp *obs.Span) *RangeResult {
 	res := &RangeResult{}
 	sc := getScratch(idx)
 	defer putScratch(sc)

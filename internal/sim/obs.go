@@ -1,68 +1,45 @@
 package sim
 
-import (
-	"elink/internal/obs"
-	"elink/internal/topology"
-)
+import "elink/internal/obs"
 
-// netObs is the event-driven executor's observability sink: it mirrors
-// the per-kind transmission counters into a metrics registry and folds
-// the event stream into per-round trace events (round number, messages
-// sent by kind, nodes active). With UnitDelay one simulated time unit is
-// one synchronous round, so the trace directly measures the quantity
-// Theorems 2 and 3 bound.
+// netObs is the event-driven executor's metrics sink: it mirrors the
+// per-kind transmission counters into a registry. Round counts are not
+// traced here — a run's end time (Stats.Time, and elink_run_rounds for
+// ELink) is its synchronous round count under UnitDelay.
 type netObs struct {
 	reg   *obs.Registry
-	tr    *obs.Tracer
 	scope string
 
 	dropped *obs.Counter
 	kinds   map[string]*obs.Counter // cached sim_messages_total handles
-
-	round      int
-	roundMsgs  map[string]int64
-	roundTotal int64
-	activeMark []bool
-	activeList []topology.NodeID
 }
 
 // Instrument mirrors the network's message accounting into reg (family
-// sim_messages_total{scope,kind}, sim_dropped_total{scope}) and, when tr
-// is non-nil, records one trace event per simulated round. scope labels
-// the run ("elink", "forest", ...). Both sinks are optional; passing two
-// nils is a no-op. Call before Run/Start.
-func (n *Network) Instrument(reg *obs.Registry, tr *obs.Tracer, scope string) {
-	if reg == nil && tr == nil {
+// sim_messages_total{scope,kind}, sim_dropped_total{scope}). scope labels
+// the run ("elink", "forest", ...). A nil reg is a no-op. Call before
+// Run/Start.
+func (n *Network) Instrument(reg *obs.Registry, scope string) {
+	if reg == nil {
 		return
 	}
-	o := &netObs{reg: reg, tr: tr, scope: scope}
-	if reg != nil {
-		reg.Help("sim_messages_total", "Radio transmissions by run scope and message kind.")
-		reg.Help("sim_dropped_total", "Transmissions lost to injected faults, by run scope.")
-		o.dropped = reg.Counter("sim_dropped_total", "scope", scope)
-		o.kinds = make(map[string]*obs.Counter)
+	reg.Help("sim_messages_total", "Radio transmissions by run scope and message kind.")
+	reg.Help("sim_dropped_total", "Transmissions lost to injected faults, by run scope.")
+	n.obs = &netObs{
+		reg:     reg,
+		scope:   scope,
+		dropped: reg.Counter("sim_dropped_total", "scope", scope),
+		kinds:   make(map[string]*obs.Counter),
 	}
-	if tr != nil {
-		o.roundMsgs = make(map[string]int64)
-		o.activeMark = make([]bool, n.Graph.N())
-	}
-	n.obs = o
 }
 
 // count mirrors one charge of cost transmissions of the given kind.
 func (o *netObs) count(kind string, cost int64) {
-	if o.kinds != nil {
-		ctr := o.kinds[kind]
-		if ctr == nil {
-			ctr = o.reg.Counter("sim_messages_total", "scope", o.scope, "kind", kind)
-			o.kinds[kind] = ctr
-		}
-		ctr.Add(cost)
+	ctr := o.kinds[kind]
+	if ctr == nil {
+		ctr = o.reg.Counter("sim_messages_total", "scope", o.scope, "kind", kind)
+		o.kinds[kind] = ctr
 	}
-	if o.roundMsgs != nil {
-		o.roundMsgs[kind] += cost
-		o.roundTotal += cost
-	}
+	ctr.Add(cost)
 }
 
 // droppedInc counts one fault-injected loss (nil-safe: the loss path
@@ -72,53 +49,4 @@ func (o *netObs) droppedInc() {
 		return
 	}
 	o.dropped.Inc()
-}
-
-// tick advances the round clock to simulated time t, flushing the
-// accumulated round event when a round boundary is crossed.
-func (o *netObs) tick(t float64) {
-	if o.tr == nil {
-		return
-	}
-	if r := int(t); r > o.round {
-		o.flush()
-		o.round = r
-	}
-}
-
-// markActive notes that node u handled an event in the current round.
-func (o *netObs) markActive(u topology.NodeID) {
-	if o.tr == nil {
-		return
-	}
-	if !o.activeMark[u] {
-		o.activeMark[u] = true
-		o.activeList = append(o.activeList, u)
-	}
-}
-
-// flush emits the current round's trace event if anything happened, then
-// resets the accumulators for the next round.
-func (o *netObs) flush() {
-	if o.tr == nil || (o.roundTotal == 0 && len(o.activeList) == 0) {
-		return
-	}
-	msgs := make(map[string]int64, len(o.roundMsgs))
-	for k, v := range o.roundMsgs {
-		msgs[k] = v
-		delete(o.roundMsgs, k)
-	}
-	o.tr.Record(obs.Event{
-		Scope:  o.scope,
-		Kind:   "round",
-		Round:  o.round,
-		Time:   float64(o.round),
-		Active: len(o.activeList),
-		Msgs:   msgs,
-	})
-	o.roundTotal = 0
-	for _, u := range o.activeList {
-		o.activeMark[u] = false
-	}
-	o.activeList = o.activeList[:0]
 }

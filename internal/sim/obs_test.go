@@ -28,14 +28,12 @@ func (p *pingPong) OnMessage(ctx Context, msg Message) {
 func (p *pingPong) OnTimer(Context, string) {}
 
 // TestInstrumentMirrorsCounters checks that the registry sees exactly
-// the transmissions the network's own accounting charges, and that the
-// tracer records per-round events whose message totals add back up.
+// the transmissions the network's own accounting charges.
 func TestInstrumentMirrorsCounters(t *testing.T) {
 	g := topology.NewGrid(1, 2)
 	net := NewNetwork(g, nil, 1)
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(128)
-	net.Instrument(reg, tr, "test")
+	net.Instrument(reg, "test")
 
 	budget := 6
 	net.SetAll(func(topology.NodeID) Protocol { return &pingPong{budget: &budget} })
@@ -48,70 +46,14 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 	if got := reg.Counter("sim_messages_total", "scope", "test", "kind", "token").Value(); got != want {
 		t.Errorf("registry counter = %d, want %d", got, want)
 	}
-
-	events := tr.Last(0)
-	if len(events) == 0 {
-		t.Fatal("no trace events recorded")
-	}
-	var traced int64
-	lastRound := -1
-	for _, e := range events {
-		if e.Kind != "round" {
-			continue
-		}
-		if e.Round <= lastRound {
-			t.Errorf("rounds not strictly increasing: %d after %d", e.Round, lastRound)
-		}
-		lastRound = e.Round
-		// Round 0 may carry Init-time sends before any event has been
-		// dispatched, so it can have messages but no active handler.
-		if e.Active <= 0 && len(e.Msgs) == 0 {
-			t.Errorf("round %d recorded neither activity nor messages", e.Round)
-		}
-		traced += e.Msgs["token"]
-	}
-	if traced != want {
-		t.Errorf("per-round message sum = %d, want %d", traced, want)
-	}
 }
 
-// TestStepUntilFlushesTrailingRound pins that a network driven purely
-// via Inject/StepUntil (never Drain) still records the trailing round's
-// trace event, so per-round message sums match the network's accounting.
-func TestStepUntilFlushesTrailingRound(t *testing.T) {
-	g := topology.NewGrid(1, 3)
-	net := NewNetwork(g, nil, 1)
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(128)
-	net.Instrument(reg, tr, "test")
-	net.SetAll(func(u topology.NodeID) Protocol {
-		return protoFunc{onMsg: func(ctx Context, m Message) {
-			if ctx.ID() != 2 {
-				ctx.Send(ctx.ID()+1, m.Kind, nil)
-			}
-		}}
-	})
-	net.Start()
-	net.Inject(0, "q", nil)
-	net.StepUntil(1) // injection (t=0) and first hop (t=1); t=2 stays queued
-
-	var traced int64
-	for _, e := range tr.Last(0) {
-		if e.Kind == "round" {
-			traced += e.Msgs["q"]
-		}
-	}
-	if want := net.Messages("q"); traced != want {
-		t.Errorf("per-round message sum after StepUntil = %d, want %d", traced, want)
-	}
-}
-
-// TestInstrumentNoSinksIsNoOp pins that Instrument(nil, nil, ...) leaves
-// the network un-instrumented (zero overhead on the hot path).
+// TestInstrumentNoSinksIsNoOp pins that Instrument(nil, ...) leaves the
+// network un-instrumented (zero overhead on the hot path).
 func TestInstrumentNoSinksIsNoOp(t *testing.T) {
 	g := topology.NewGrid(1, 2)
 	net := NewNetwork(g, nil, 1)
-	net.Instrument(nil, nil, "test")
+	net.Instrument(nil, "test")
 	if net.obs != nil {
 		t.Error("nil sinks should not install an observer")
 	}

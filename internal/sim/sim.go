@@ -199,8 +199,7 @@ type Network struct {
 	delivered int64
 	dropped   int64
 	loss      float64
-	trace     func(at float64, msg Message)
-	obs       *netObs // optional metrics/trace sink (see Instrument)
+	obs       *netObs // optional metrics sink (see Instrument)
 
 	// MaxEvents guards against protocol bugs that never quiesce.
 	MaxEvents int64
@@ -310,11 +309,6 @@ func (n *Network) TxPerNode() []int64 {
 	return out
 }
 
-// SetTrace installs a callback invoked on every message delivery (after
-// any loss filtering, before the handler runs). Useful for debugging
-// protocols and asserting on traffic in tests.
-func (n *Network) SetTrace(fn func(at float64, msg Message)) { n.trace = fn }
-
 // Run starts every protocol and processes events until the queue drains,
 // returning the final simulated time. It panics if MaxEvents is exceeded
 // (a protocol that never terminates is a bug worth failing loudly on).
@@ -344,16 +338,10 @@ func (n *Network) Drain() float64 {
 		}
 		n.dispatch(e)
 	}
-	if n.obs != nil {
-		n.obs.flush() // the final, possibly partial round
-	}
 	return n.now
 }
 
 // StepUntil processes events with time <= t, leaving later events queued.
-// Like Drain it flushes the instrumented trailing round, so traces stay
-// complete for networks driven purely via Inject/StepUntil; a round that
-// straddles the t boundary therefore emits one partial event per step.
 func (n *Network) StepUntil(t float64) {
 	for {
 		e, ok := n.pq.Peek()
@@ -363,32 +351,20 @@ func (n *Network) StepUntil(t float64) {
 		n.pq.pop()
 		n.dispatch(e)
 	}
-	if n.obs != nil {
-		n.obs.flush()
-	}
 }
 
-// dispatch runs one event's handler, keeping the clock, the delivery
-// accounting and the optional observability sink in step.
+// dispatch runs one event's handler, keeping the clock and the delivery
+// accounting in step.
 func (n *Network) dispatch(e event) {
 	n.now = e.time
-	if n.obs != nil {
-		n.obs.tick(e.time)
-	}
 	p := n.protocols[e.node]
 	if p == nil {
 		return
-	}
-	if n.obs != nil {
-		n.obs.markActive(e.node)
 	}
 	ctx := &nodeCtx{net: n, id: e.node}
 	switch e.kind {
 	case evMessage:
 		n.delivered++
-		if n.trace != nil {
-			n.trace(n.now, e.msg)
-		}
 		p.OnMessage(ctx, e.msg)
 	case evTimer:
 		p.OnTimer(ctx, e.key)

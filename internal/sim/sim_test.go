@@ -488,30 +488,6 @@ func TestSetLossValidation(t *testing.T) {
 	}
 }
 
-func TestTraceSeesDeliveries(t *testing.T) {
-	g := topology.NewGrid(1, 3)
-	net := NewNetwork(g, nil, 1)
-	var traced []string
-	net.SetTrace(func(at float64, m Message) {
-		traced = append(traced, m.Kind)
-	})
-	net.SetAll(func(u topology.NodeID) Protocol {
-		return protoFunc{init: func(ctx Context) {
-			if ctx.ID() == 0 {
-				ctx.Send(1, "hop", nil)
-			}
-		}, onMsg: func(ctx Context, m Message) {
-			if ctx.ID() == 1 {
-				ctx.Send(2, "relay", nil)
-			}
-		}}
-	})
-	net.Run()
-	if len(traced) != 2 || traced[0] != "hop" || traced[1] != "relay" {
-		t.Errorf("trace = %v", traced)
-	}
-}
-
 func TestTxPerNodeAttribution(t *testing.T) {
 	g := topology.NewGrid(1, 4) // 0-1-2-3
 	net := NewNetwork(g, nil, 1)

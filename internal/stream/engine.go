@@ -131,7 +131,7 @@ func New(g *topology.Graph, cfg Config) (*Engine, error) {
 		feats:   make([]metric.Feature, g.N()),
 		featSet: make([]bool, g.N()),
 		touched: make([]bool, g.N()),
-		eobs:    newEngineObs(cfg.Obs, cfg.Trace),
+		eobs:    newEngineObs(cfg.Obs),
 	}
 	if cfg.Order >= 1 {
 		e.models = make([]*ar.Model, g.N())
@@ -214,8 +214,22 @@ func (e *Engine) IngestSpanned(batch []Reading, parent *obs.Span) (*IngestResult
 		}
 	}
 	e.seq++
-	sp.Label("epoch", strconv.FormatInt(e.epoch, 10))
+	e.labelEpoch(sp)
 	return res, nil
+}
+
+// labelEpoch annotates a traced epoch with the published snapshot's
+// epoch number and, once bootstrapped, its fragmentation and index
+// depth. Nothing is formatted when sp is nil.
+func (e *Engine) labelEpoch(sp *obs.Span) {
+	if sp == nil {
+		return
+	}
+	sp.Label("epoch", strconv.FormatInt(e.epoch, 10))
+	if e.ready {
+		sp.Label("fragmentation", strconv.FormatFloat(e.maint.Fragmentation(), 'g', -1, 64))
+		sp.Label("index_depth", strconv.Itoa(e.idx.MaxDepth()))
+	}
 }
 
 // ingestLocked validates the whole batch up front, then applies it, so a
@@ -315,7 +329,7 @@ func (e *Engine) IngestFeaturesSpanned(batch []FeatureUpdate, parent *obs.Span) 
 		}
 	}
 	e.seq++
-	sp.Label("epoch", strconv.FormatInt(e.epoch, 10))
+	e.labelEpoch(sp)
 	return res, nil
 }
 
@@ -492,11 +506,14 @@ func (e *Engine) fullCluster(sp *obs.Span, stats *cluster.Stats) (*index.Index, 
 		Mode:     e.cfg.Mode,
 		Seed:     e.cfg.Seed,
 		Obs:      e.cfg.Obs,
-		Trace:    e.cfg.Trace,
 	})
 	rs.Finish()
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: clustering run: %w", err)
+	}
+	if rs != nil {
+		rs.Label("elink_rounds", strconv.FormatFloat(res.Stats.Time, 'g', -1, 64))
+		rs.Label("elink_msgs", strconv.FormatInt(res.Stats.Messages, 10))
 	}
 	m, err := update.NewMaintainer(e.g, res.Clustering, feats, update.Config{
 		Delta: e.cfg.Delta, Slack: e.cfg.Slack, Metric: e.cfg.Metric,
@@ -574,7 +591,7 @@ func (e *Engine) RangeQuerySpanned(q metric.Feature, r float64, initiator topolo
 	}
 	sp := e.startSpan("range-query", parent)
 	start := time.Now() //elink:allow walltime — query latency telemetry; never feeds deterministic figure state
-	res := query.RangeSpanned(s.Index, q, r, initiator, sp)
+	res := query.Range(s.Index, q, r, initiator, sp)
 	d := time.Since(start) //elink:allow walltime — query latency telemetry; never feeds deterministic figure state
 	sp.Finish()
 	e.recordQuery(&e.rangeQ, d, res.Stats.Messages)
@@ -603,7 +620,7 @@ func (e *Engine) PathQuerySpanned(danger metric.Feature, gamma float64, src, dst
 	}
 	sp := e.startSpan("path-query", parent)
 	start := time.Now() //elink:allow walltime — query latency telemetry; never feeds deterministic figure state
-	res := query.PathSpanned(s.Index, danger, gamma, src, dst, sp)
+	res := query.Path(s.Index, danger, gamma, src, dst, sp)
 	d := time.Since(start) //elink:allow walltime — query latency telemetry; never feeds deterministic figure state
 	sp.Finish()
 	e.recordQuery(&e.pathQ, d, res.Stats.Messages)

@@ -260,7 +260,7 @@ func TestSnapshotImmutableUnderIngest(t *testing.T) {
 	e := twoClusterEngine(t, PolicyNever)
 	pinned := e.Snapshot()
 	q := metric.Feature{10.1}
-	before := query.Range(pinned.Index, q, 0.15, 0)
+	before := query.Range(pinned.Index, q, 0.15, 0, nil)
 
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20; i++ {
@@ -274,7 +274,7 @@ func TestSnapshotImmutableUnderIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := query.Range(pinned.Index, q, 0.15, 0)
+	after := query.Range(pinned.Index, q, 0.15, 0, nil)
 	if !reflect.DeepEqual(before.Matches, after.Matches) || before.Stats.Messages != after.Stats.Messages {
 		t.Errorf("pinned snapshot changed answers: %v/%d msgs vs %v/%d msgs",
 			before.Matches, before.Stats.Messages, after.Matches, after.Stats.Messages)
@@ -326,7 +326,7 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 				}
 				// Snapshot-pinned query must agree with brute force over
 				// the same frozen features.
-				got := query.Range(s.Index, qf, radius, topology.NodeID(rng.Intn(n)))
+				got := query.Range(s.Index, qf, radius, topology.NodeID(rng.Intn(n)), nil)
 				want := query.BruteForce(s.Features, metric.Scalar{}, qf, radius)
 				if !reflect.DeepEqual(got.Matches, want) {
 					t.Errorf("snapshot range mismatch: got %v want %v", got.Matches, want)

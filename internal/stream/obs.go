@@ -30,12 +30,10 @@ type engineObs struct {
 	replayTotal  *obs.Counter
 	snapLastSeq  *obs.Gauge
 	snapLastSize *obs.Gauge
-
-	tracer *obs.Tracer
 }
 
-func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
-	eo := engineObs{tracer: tr}
+func newEngineObs(reg *obs.Registry) engineObs {
+	var eo engineObs
 	if reg == nil {
 		return eo
 	}
@@ -75,23 +73,13 @@ func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
 	return eo
 }
 
-// publish records the per-epoch gauges and the epoch trace event. Called
-// under the engine lock right after a snapshot swap.
+// publish records the per-epoch gauges. Called under the engine lock
+// right after a snapshot swap.
 func (eo *engineObs) publish(epoch int64, clusters int, frag float64, depth int) {
 	eo.epoch.Set(float64(epoch))
 	eo.clusters.Set(float64(clusters))
 	eo.frag.Set(frag)
 	eo.depth.Set(float64(depth))
-	eo.tracer.Record(obs.Event{
-		Scope: "engine",
-		Kind:  "epoch",
-		Epoch: epoch,
-		Fields: map[string]float64{
-			"clusters":      float64(clusters),
-			"fragmentation": frag,
-			"index_depth":   float64(depth),
-		},
-	})
 }
 
 // snapshot records one written snapshot.

@@ -60,7 +60,7 @@ func (e *Engine) AttachWAL(w *persist.WAL) {
 // policy triggers one) is traced under sp.
 func (e *Engine) journalLocked(rec *persist.BatchRecord, sp *obs.Span) error {
 	rec.Seq = e.seq + 1
-	if err := e.wal.AppendSpanned(rec, sp); err != nil {
+	if err := e.wal.Append(rec, sp); err != nil {
 		e.walErr = fmt.Errorf("%w: batch %d: %v", ErrWALDiverged, rec.Seq, err)
 		return e.walErr
 	}
@@ -150,7 +150,7 @@ func (e *Engine) SaveSnapshot(w io.Writer) (persist.SnapshotInfo, error) {
 	st := e.stateLocked()
 	e.mu.Unlock()
 	cs.Finish()
-	n, err := persist.WriteSnapshotSpanned(w, st, sp)
+	n, err := persist.WriteSnapshot(w, st, sp)
 	info := persist.SnapshotInfo{
 		Bytes:    n,
 		Seq:      st.Seq,

@@ -381,7 +381,7 @@ func TestReplayWALGapFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &persist.BatchRecord{Seq: 5, Kind: persist.RecordReadings, Nodes: []int64{0}, Values: []float64{1}}
-	if err := wal.Append(rec); err != nil {
+	if err := wal.Append(rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {

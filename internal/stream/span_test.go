@@ -3,10 +3,12 @@ package stream
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
 	"elink/internal/ar"
+	"elink/internal/elink"
 	"elink/internal/metric"
 	"elink/internal/obs"
 	"elink/internal/persist"
@@ -142,6 +144,46 @@ func TestEpochSpanAttribution(t *testing.T) {
 	for phase, seen := range want {
 		if !seen {
 			t.Fatalf("phase %q missing from attribution table: %+v", phase, st.Phases)
+		}
+	}
+}
+
+// TestBootstrapRunLabels: the bootstrap epoch's trace carries the ELink
+// run's round and message counts as elink_rounds / elink_msgs labels,
+// equal to the Stats of the same run made directly.
+func TestBootstrapRunLabels(t *testing.T) {
+	g := topology.NewGrid(4, 4)
+	rng := rand.New(rand.NewSource(3))
+	feats := make([]metric.Feature, g.N())
+	for u := range feats {
+		feats[u] = metric.Feature{rng.Float64()}
+	}
+	spans := obs.NewSpanTracer(16, 4)
+	e := featEngine(t, g, feats, Config{
+		Delta: 0.3, Slack: 0.03, Metric: metric.Scalar{}, Seed: 5, Spans: spans,
+	})
+	cfg := e.Config()
+	run, err := elink.Run(g, elink.Config{
+		Delta: cfg.Delta - 2*cfg.Slack, Metric: cfg.Metric, Features: feats,
+		Mode: cfg.Mode, Seed: cfg.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Stats.Messages == 0 {
+		t.Fatal("sanity: the bootstrap run sent no messages")
+	}
+	tr := bootstrapEpoch(spans.Recent(0))
+	if tr == nil {
+		t.Fatal("no epoch trace with a bootstrap child")
+	}
+	want := map[string]string{
+		"elink_rounds": strconv.FormatFloat(run.Stats.Time, 'g', -1, 64),
+		"elink_msgs":   strconv.FormatInt(run.Stats.Messages, 10),
+	}
+	for k, v := range want {
+		if got := tr.Labels[k]; got != v {
+			t.Errorf("bootstrap label %s = %q, want %q (labels %v)", k, got, v, tr.Labels)
 		}
 	}
 }

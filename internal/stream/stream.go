@@ -106,10 +106,6 @@ type Config struct {
 	// per-kind message counters. The registry is concurrency-safe; one
 	// registry may serve many engines if their metrics should aggregate.
 	Obs *obs.Registry
-	// Trace, when non-nil, receives one structured event per published
-	// epoch plus the per-round simulator events of every full
-	// (re-)clustering run the policy triggers.
-	Trace *obs.Tracer
 	// Spans, when non-nil, receives one hierarchical span trace per
 	// engine operation: every ingested epoch (children: validate, refit,
 	// maintain, index/recluster, journal, publish), every query, and

@@ -39,20 +39,21 @@ race:
 	$(GO) test -race ./internal/stream ./internal/sim ./internal/topology ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
 
 ## fuzz-smoke: a few seconds of each fuzz target — index.FromState, the
-## snapshot decoder and the WAL record decoder. A crasher is written under
+## snapshot decoder and the WAL record decoder. Minimization is off: on a
+## large seed it would take the whole run. A crasher is written under
 ## the package's testdata/fuzz; fix the bug and commit the file as a
 ## regression seed
 fuzz-smoke:
-	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzIndexFromState$$' -fuzztime 5s
-	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 5s
-	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 5s
+	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzIndexFromState$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 5s -fuzzminimizetime 0
 
 ## bench: one pass of every micro-benchmark — the facade's, routing
 ## (internal/sim), range queries (internal/query), the spectral kernels
-## (internal/linalg) and the span cost per trace (internal/obs) — so none
-## can rot
+## (internal/linalg), the span cost per trace (internal/obs) and a Tao
+## replay with and without span tracing (internal/stream) — so none can rot
 bench:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim ./internal/query ./internal/linalg ./internal/obs
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim ./internal/query ./internal/linalg ./internal/obs ./internal/stream
 
 ## bench-smoke: vet the benchmark in bench/ and run its smoke tests,
 ## which drive every workload briefly (elink-serve is built into a temp

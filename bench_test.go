@@ -180,3 +180,24 @@ func BenchmarkOptimalExact12(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkELinkDeathValley2500 runs ELink on the paper's 2500-node Death
+// Valley network at δ 50, the size the dv-paper workload uses. Per-run
+// start-up work that grows with nodes × quadtree cells shows here, where
+// the 400-node benchmarks barely register it.
+func BenchmarkELinkDeathValley2500(b *testing.B) {
+	ds, err := elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: 2500, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []elink.Mode{elink.Implicit, elink.Explicit} {
+		cfg := elink.Config{Delta: 50, Metric: ds.Metric, Features: ds.Features, Mode: mode, Seed: 1}
+		b.Run(mode.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := elink.Cluster(ds.Graph, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -24,6 +24,8 @@ package elink
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"elink/internal/cluster"
 	"elink/internal/metric"
@@ -260,6 +262,11 @@ type shared struct {
 
 	// Explicit-mode cell bookkeeping, all derived from the quadtree.
 	maxDepth []int // per cell: deepest occupied level in its subtree
+
+	// Cells each node leads, shallowest first: node u's are
+	// ledCells[ledStart[u]:ledStart[u+1]].
+	ledStart []int
+	ledCells []int
 }
 
 func newShared(g *topology.Graph, qt *topology.Quadtree, cfg Config) *shared {
@@ -278,6 +285,26 @@ func newShared(g *topology.Graph, qt *topology.Quadtree, cfg Config) *shared {
 			}
 		}
 	}
+	// Bucket cells by leader: count, prefix-sum, then fill in cell-id
+	// order, which is shallowest first along each leader's chain of
+	// nested cells. (An empty network's lone root cell has no leader.)
+	sh.ledStart = make([]int, g.N()+1)
+	for i := range qt.Cells {
+		if u := qt.Cells[i].Leader; u >= 0 {
+			sh.ledStart[u+1]++
+		}
+	}
+	for u := 0; u < g.N(); u++ {
+		sh.ledStart[u+1] += sh.ledStart[u]
+	}
+	sh.ledCells = make([]int, sh.ledStart[g.N()])
+	fill := append([]int(nil), sh.ledStart[:g.N()]...)
+	for i := range qt.Cells {
+		if u := qt.Cells[i].Leader; u >= 0 {
+			sh.ledCells[fill[u]] = i
+			fill[u]++
+		}
+	}
 	return sh
 }
 
@@ -287,13 +314,7 @@ func (sh *shared) dist(a, b metric.Feature) float64 { return sh.cfg.Metric.Dista
 
 // cellsLedBy returns the cells u leads, shallowest first.
 func (sh *shared) cellsLedBy(u topology.NodeID) []int {
-	var out []int
-	for _, c := range sh.qt.Cells {
-		if c.Leader == u {
-			out = append(out, c.ID)
-		}
-	}
-	return out
+	return sh.ledCells[sh.ledStart[u]:sh.ledStart[u+1]]
 }
 
 // expandPayload carries a cluster-expansion offer.
@@ -349,26 +370,24 @@ type node struct {
 
 	switches  int
 	nextEpoch int64
-	sessions  map[int64]*session
+	sessions  map[int64]*session // explicit mode only: replies look sessions up
 
 	// Session of the most recent join, so a later switch can be related
 	// to the right obligations. (Sessions complete independently, so no
 	// cleanup is needed on switch.)
-	// Explicit-mode per-cell synchronization state, keyed by cell id.
+	// Explicit-mode per-cell synchronization state, keyed by cell id and
+	// allocated on first write: only cell leaders in explicit mode use it.
 	phase1Seen map[int]int // phase1 replies received for the active round
 	obligated  map[int]bool
 }
 
 func newNode(id topology.NodeID, sh *shared) *node {
 	return &node{
-		sh:         sh,
-		id:         id,
-		root:       -1,
-		parent:     -1,
-		level:      -1,
-		sessions:   make(map[int64]*session),
-		phase1Seen: make(map[int]int),
-		obligated:  make(map[int]bool),
+		sh:     sh,
+		id:     id,
+		root:   -1,
+		parent: -1,
+		level:  -1,
 	}
 }
 
@@ -386,7 +405,7 @@ func (n *node) Init(ctx sim.Context) {
 			} else {
 				at = float64(l) // compressed schedule: one unit per level
 			}
-			ctx.SetTimer(at, fmt.Sprintf("elink:%d", l))
+			ctx.SetTimer(at, timerPrefix+strconv.Itoa(l))
 		}
 	case Explicit:
 		// Only the root-cell leader self-starts; everything else waits
@@ -397,10 +416,17 @@ func (n *node) Init(ctx sim.Context) {
 	}
 }
 
+// timerPrefix starts every sentinel timer key; the level follows it.
+const timerPrefix = "elink:"
+
 // OnTimer implements sim.Protocol (implicit signalling, Fig 17).
 func (n *node) OnTimer(ctx sim.Context, key string) {
-	var l int
-	if _, err := fmt.Sscanf(key, "elink:%d", &l); err != nil {
+	level, ok := strings.CutPrefix(key, timerPrefix)
+	if !ok {
+		return
+	}
+	l, err := strconv.Atoi(level)
+	if err != nil {
 		return
 	}
 	n.startCluster(ctx, l, -1)
@@ -431,14 +457,20 @@ func (n *node) newSession(parent topology.NodeID, parentEpoch int64, cellID int)
 	epoch := int64(n.id)<<32 | n.nextEpoch
 	n.nextEpoch++
 	s := &session{epoch: epoch, parent: parent, parentEpoch: parentEpoch, cellID: cellID}
-	n.sessions[epoch] = s
+	if n.explicit() {
+		if n.sessions == nil {
+			n.sessions = make(map[int64]*session)
+		}
+		n.sessions[epoch] = s
+	}
 	return s
 }
 
 // broadcastExpand offers the current cluster to every neighbour except
 // the one the node just joined through.
 func (n *node) broadcastExpand(ctx sim.Context, s *session, except topology.NodeID) {
-	p := expandPayload{Root: n.root, RootFeat: n.rootFeat, Level: n.level, Epoch: s.epoch}
+	// Box the offer once; every neighbour receives the same immutable value.
+	var p any = expandPayload{Root: n.root, RootFeat: n.rootFeat, Level: n.level, Epoch: s.epoch}
 	for _, nb := range ctx.Neighbors() {
 		if nb == except {
 			continue
@@ -554,6 +586,9 @@ func (n *node) runObligation(ctx sim.Context, cellID int) {
 	if n.obligated[cellID] {
 		return
 	}
+	if n.obligated == nil {
+		n.obligated = make(map[int]bool)
+	}
 	n.obligated[cellID] = true
 	// startCluster reports the obligation immediately when the node is
 	// already clustered, or on root-session completion otherwise.
@@ -583,6 +618,9 @@ func (n *node) reportObligation(ctx sim.Context, cellID int) {
 // once every participating child subtree has reported.
 func (n *node) onPhase1(ctx sim.Context, p phasePayload) {
 	c := &n.sh.qt.Cells[p.ToCell]
+	if n.phase1Seen == nil {
+		n.phase1Seen = make(map[int]int)
+	}
 	n.phase1Seen[p.ToCell]++
 	expected := 0
 	for _, ch := range c.Children {

@@ -2,7 +2,9 @@ package persist_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -192,10 +194,53 @@ func crc32IEEE(b []byte) uint32 {
 	return ^crc
 }
 
+// resealSections returns data with every complete section's CRC
+// recomputed over its (possibly mutated) payload. The 12-byte header and
+// any trailing partial section are kept as they are.
+func resealSections(data []byte) []byte {
+	const hdrLen, frameLen = 12, 5
+	if len(data) < hdrLen {
+		return data
+	}
+	out := append([]byte(nil), data[:hdrLen]...)
+	rest := data[hdrLen:]
+	for len(rest) >= frameLen+4 {
+		n := binary.LittleEndian.Uint32(rest[1:frameLen])
+		if uint64(n) > uint64(len(rest)-frameLen-4) {
+			break
+		}
+		end := frameLen + int(n)
+		out = append(out, rest[:end]...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(rest[frameLen:end]))
+		rest = rest[end+4:]
+	}
+	return append(out, rest...)
+}
+
+// TestResealSectionsReachesDecoders checks the fuzz helper: resealing an
+// intact snapshot changes nothing, and a payload byte flipped then
+// resealed gets past the CRC check.
+func TestResealSectionsReachesDecoders(t *testing.T) {
+	ready := readyEngineBytes(t)
+	if !bytes.Equal(resealSections(ready), ready) {
+		t.Fatal("resealing an intact snapshot changed it")
+	}
+	mut := append([]byte(nil), ready...)
+	mut[len(mut)/3] ^= 0xFF
+	if _, err := persist.ReadSnapshot(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("flipped snapshot: err %v, want a CRC mismatch", err)
+	}
+	if _, err := persist.ReadSnapshot(bytes.NewReader(resealSections(mut))); err != nil && strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("resealed snapshot still fails its CRC: %v", err)
+	}
+}
+
 // FuzzSnapshotDecode proves the decoder never panics: arbitrary bytes
 // either decode into a state that re-encodes cleanly or fail with an
 // error. Truncations and bit flips of two real snapshots seed the
-// corpus so the fuzzer starts deep inside the format.
+// corpus so the fuzzer starts deep inside the format. Each input is also
+// decoded with its section CRCs re-sealed, so mutations reach the
+// section decoders instead of dying at the checksum.
 func FuzzSnapshotDecode(f *testing.F) {
 	ready := readyEngineBytes(f)
 	warm := warmupEngineBytes(f)
@@ -209,16 +254,24 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := persist.ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			if !strings.Contains(err.Error(), "persist:") {
-				t.Errorf("error %v does not carry the package prefix", err)
-			}
-			return
-		}
-		// Whatever decoded must re-encode without panicking.
-		if _, err := persist.WriteSnapshot(&bytes.Buffer{}, st, nil); err != nil {
-			t.Errorf("decoded state does not re-encode: %v", err)
+		checkSnapshotDecode(t, data)
+		if sealed := resealSections(data); !bytes.Equal(sealed, data) {
+			checkSnapshotDecode(t, sealed)
 		}
 	})
+}
+
+func checkSnapshotDecode(t *testing.T, data []byte) {
+	t.Helper()
+	st, err := persist.ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		if !strings.Contains(err.Error(), "persist:") {
+			t.Errorf("error %v does not carry the package prefix", err)
+		}
+		return
+	}
+	// Whatever decoded must re-encode without panicking.
+	if _, err := persist.WriteSnapshot(&bytes.Buffer{}, st, nil); err != nil {
+		t.Errorf("decoded state does not re-encode: %v", err)
+	}
 }

@@ -58,8 +58,7 @@ func uncachedRoute(n *Network, src, dst topology.NodeID, kind string) {
 		n.perNode[path[i]]++
 		delay += n.delay.HopDelay(n.rng, path[i], path[i+1])
 	}
-	n.push(event{time: n.now + delay, kind: evMessage, node: dst,
-		msg: Message{From: src, To: dst, Kind: kind, Payload: nil, Hops: len(path) - 1}})
+	n.pushMessage(n.now+delay, src, dst, kind, nil, len(path)-1)
 }
 
 func benchDests(g *topology.Graph, k int) []topology.NodeID {

@@ -114,38 +114,55 @@ const (
 	evTimer
 )
 
+// event is one scheduled delivery or timer, packed to 64 bytes because
+// the heap moves it on every sift step. A message's Message is rebuilt
+// at dispatch: its To is always the handling node. Node ids and hop
+// counts are held as int32; a network of 2^31 nodes would not fit in
+// memory.
 type event struct {
-	time float64
-	seq  int64 // tie-break for determinism
-	kind eventKind
-	node topology.NodeID
-	msg  Message
-	key  string
+	time    float64
+	seq     int64 // tie-break for determinism
+	node    int32 // handling node (a message's To)
+	from    int32 // a message's sender
+	hops    int32 // radio hops a message travelled
+	kind    eventKind
+	label   string // a message's Kind or a timer's key
+	payload any
 }
 
 // eventHeap is a binary min-heap of events by (time, seq). Its typed
 // push and pop avoid container/heap's boxing of every event into an
-// interface, which would cost an allocation per scheduled message. The
-// order is a total one (seq is unique), so pops are deterministic.
+// interface, which would cost an allocation per scheduled message. Both
+// sift by moving events into a hole and write the sifted event once at
+// the end, so each level costs one event copy instead of a swap's two.
+// The order is a total one (seq is unique), so pops are deterministic.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before reports whether a pops ahead of b.
+func before(a, b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(e event) {
-	q := append(*h, e)
-	for i := len(q) - 1; i > 0; {
+	q := *h
+	if len(q) < cap(q) {
+		q = q[:len(q)+1]
+	} else {
+		q = append(q, event{})
+	}
+	i := len(q) - 1
+	for i > 0 {
 		p := (i - 1) / 2
-		if !q.less(i, p) {
+		if !before(&e, &q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = e
 	*h = q
 }
 
@@ -154,32 +171,28 @@ func (h *eventHeap) pop() event {
 	q := *h
 	top := q[0]
 	last := len(q) - 1
-	q[0] = q[last]
+	if last > 0 {
+		// Sift the last event down from the root's hole.
+		i := 0
+		for {
+			m := 2*i + 1
+			if m >= last {
+				break
+			}
+			if r := m + 1; r < last && before(&q[r], &q[m]) {
+				m = r
+			}
+			if !before(&q[m], &q[last]) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = q[last]
+	}
 	q[last] = event{} // release the payload
-	q = q[:last]
-	for i := 0; ; {
-		m := 2*i + 1
-		if m >= len(q) {
-			break
-		}
-		if r := m + 1; r < len(q) && q.less(r, m) {
-			m = r
-		}
-		if !q.less(m, i) {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	*h = q
+	*h = q[:last]
 	return top
-}
-
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
-	}
-	return h[0], true
 }
 
 // Network is the deterministic discrete-event executor.
@@ -187,6 +200,7 @@ type Network struct {
 	Graph *topology.Graph
 
 	protocols []Protocol
+	ctxs      []nodeCtx // one handler context per node, reused by every event
 	delay     DelayModel
 	rng       *rand.Rand
 
@@ -217,15 +231,20 @@ func NewNetwork(g *topology.Graph, delay DelayModel, seed int64) *Network {
 	if err := ValidateDelay(delay); err != nil {
 		panic(err.Error())
 	}
-	return &Network{
+	n := &Network{
 		Graph:     g,
 		protocols: make([]Protocol, g.N()),
+		ctxs:      make([]nodeCtx, g.N()),
 		delay:     delay,
 		rng:       detrand.New(seed),
 		counts:    make(map[string]int64),
 		perNode:   make([]int64, g.N()),
 		MaxEvents: int64(g.N())*100000 + 1000000,
 	}
+	for u := range n.ctxs {
+		n.ctxs[u] = nodeCtx{net: n, id: topology.NodeID(u)}
+	}
+	return n
 }
 
 // SetProtocol installs the state machine for node u.
@@ -322,7 +341,7 @@ func (n *Network) Run() float64 {
 func (n *Network) Start() {
 	for u, p := range n.protocols {
 		if p != nil {
-			p.Init(&nodeCtx{net: n, id: topology.NodeID(u)})
+			p.Init(&n.ctxs[u])
 		}
 	}
 }
@@ -343,13 +362,8 @@ func (n *Network) Drain() float64 {
 
 // StepUntil processes events with time <= t, leaving later events queued.
 func (n *Network) StepUntil(t float64) {
-	for {
-		e, ok := n.pq.Peek()
-		if !ok || e.time > t {
-			break
-		}
-		n.pq.pop()
-		n.dispatch(e)
+	for len(n.pq) > 0 && n.pq[0].time <= t {
+		n.dispatch(n.pq.pop())
 	}
 }
 
@@ -361,21 +375,27 @@ func (n *Network) dispatch(e event) {
 	if p == nil {
 		return
 	}
-	ctx := &nodeCtx{net: n, id: e.node}
+	ctx := &n.ctxs[e.node]
 	switch e.kind {
 	case evMessage:
 		n.delivered++
-		p.OnMessage(ctx, e.msg)
+		p.OnMessage(ctx, Message{From: topology.NodeID(e.from), To: topology.NodeID(e.node),
+			Kind: e.label, Payload: e.payload, Hops: int(e.hops)})
 	case evTimer:
-		p.OnTimer(ctx, e.key)
+		p.OnTimer(ctx, e.label)
 	}
 }
 
 // Inject delivers a message to node u at the current time without
 // charging any radio cost; experiments use it to pose queries "at" a node.
 func (n *Network) Inject(u topology.NodeID, kind string, payload any) {
-	n.push(event{time: n.now, kind: evMessage, node: u,
-		msg: Message{From: u, To: u, Kind: kind, Payload: payload}})
+	n.pushMessage(n.now, u, u, kind, payload, 0)
+}
+
+// pushMessage schedules the delivery of a message to node to at time at.
+func (n *Network) pushMessage(at float64, from, to topology.NodeID, kind string, payload any, hops int) {
+	n.push(event{time: at, kind: evMessage, node: int32(to), from: int32(from), hops: int32(hops),
+		label: kind, payload: payload})
 }
 
 func (n *Network) push(e event) {
@@ -384,7 +404,8 @@ func (n *Network) push(e event) {
 	n.pq.push(e)
 }
 
-// nodeCtx implements Context for one handler invocation.
+// nodeCtx implements Context for one node's handlers. The Network owns
+// one per node, so dispatching an event allocates no context.
 type nodeCtx struct {
 	net *Network
 	id  topology.NodeID
@@ -400,8 +421,7 @@ func (c *nodeCtx) Send(to topology.NodeID, kind string, payload any) {
 	if to == c.id {
 		// A node talking to itself (e.g. it is both cluster root and
 		// quadtree leader) costs nothing.
-		n.push(event{time: n.now, kind: evMessage, node: to,
-			msg: Message{From: c.id, To: to, Kind: kind, Payload: payload}})
+		n.pushMessage(n.now, c.id, to, kind, payload, 0)
 		return
 	}
 	if !n.Graph.HasEdge(c.id, to) {
@@ -418,15 +438,13 @@ func (c *nodeCtx) Send(to topology.NodeID, kind string, payload any) {
 		return
 	}
 	d := n.delay.HopDelay(n.rng, c.id, to)
-	n.push(event{time: n.now + d, kind: evMessage, node: to,
-		msg: Message{From: c.id, To: to, Kind: kind, Payload: payload, Hops: 1}})
+	n.pushMessage(n.now+d, c.id, to, kind, payload, 1)
 }
 
 func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
 	n := c.net
 	if to == c.id {
-		n.push(event{time: n.now, kind: evMessage, node: to,
-			msg: Message{From: c.id, To: to, Kind: kind, Payload: payload}})
+		n.pushMessage(n.now, c.id, to, kind, payload, 0)
 		return
 	}
 	// The graph walks the smallest-id shortest path over a truncated BFS
@@ -455,11 +473,10 @@ func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
 	if lost {
 		return
 	}
-	n.push(event{time: n.now + delay, kind: evMessage, node: to,
-		msg: Message{From: c.id, To: to, Kind: kind, Payload: payload, Hops: hops}})
+	n.pushMessage(n.now+delay, c.id, to, kind, payload, hops)
 }
 
 func (c *nodeCtx) SetTimer(delay float64, key string) {
 	n := c.net
-	n.push(event{time: n.now + delay, kind: evTimer, node: c.id, key: key})
+	n.push(event{time: n.now + delay, kind: evTimer, node: int32(c.id), label: key})
 }

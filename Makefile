@@ -31,12 +31,11 @@ fmt:
 test:
 	$(GO) test ./...
 
-## race: the concurrent subsystems (streaming engine, async runtime,
-## pooled routing and query scratch, metrics registry/span tracer, parallel
-## execution layer and the kernels/figures running on it) under the race
-## detector
+## race: the concurrent subsystems (streaming engine, pooled routing and
+## query scratch, metrics registry/span tracer, parallel execution layer
+## and the kernels/figures running on it) under the race detector
 race:
-	$(GO) test -race ./internal/stream ./internal/sim ./internal/topology ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
+	$(GO) test -race ./internal/stream ./internal/topology ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
 
 ## fuzz-smoke: a few seconds of each fuzz target — index.FromState, the
 ## snapshot decoder and the WAL record decoder. Minimization is off: on a

@@ -46,17 +46,6 @@ func BenchmarkELinkExplicit400(b *testing.B) {
 	}
 }
 
-func BenchmarkELinkAsyncRuntime200(b *testing.B) {
-	g, feats := benchGraphAndFeatures(200, 1)
-	cfg := elink.Config{Delta: 2, Metric: elink.Scalar(), Features: feats, Mode: elink.Explicit}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := elink.ClusterAsync(g, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSpanningForest400(b *testing.B) {
 	g, feats := benchGraphAndFeatures(400, 1)
 	cfg := elink.ForestConfig{Delta: 2, Metric: elink.Scalar(), Features: feats}

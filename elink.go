@@ -23,9 +23,10 @@
 //	})
 //	// res.Clustering partitions the grid; res.Stats counts messages.
 //
-// Everything runs on a built-in discrete-event network simulator (or a
-// goroutine-per-node asynchronous runtime via ClusterAsync), so results
-// are reproducible and message costs are exact.
+// Everything runs on a built-in discrete-event network simulator, so
+// results are reproducible and message costs are exact. An asynchronous
+// network is a seeded random hop delay: Config{Mode: Explicit, Delay:
+// AsynchronousDelay(min, max), Seed: s}.
 package elink
 
 import (
@@ -152,11 +153,6 @@ func AsynchronousDelay(min, max float64) DelayModel { return sim.UniformDelay{Mi
 // Cluster runs ELink on the deterministic event-driven simulator and
 // returns the δ-clustering with its exact communication cost.
 func Cluster(g *Graph, cfg Config) (*Result, error) { return elink.Run(g, cfg) }
-
-// ClusterAsync runs the explicit-signalling ELink on the goroutine-per-
-// node asynchronous runtime. The clustering satisfies the same invariants
-// as Cluster's, but depends on the scheduler's interleaving.
-func ClusterAsync(g *Graph, cfg Config) (*Result, error) { return elink.RunAsync(g, cfg) }
 
 // SpectralConfig parameterizes the centralized baseline.
 type SpectralConfig = baseline.SpectralConfig

@@ -49,15 +49,21 @@ func TestPublicQuickstartFlow(t *testing.T) {
 }
 
 func TestPublicAsyncAndBaselines(t *testing.T) {
-	g := elink.NewRandomNetwork(50, 4, 7)
 	ds, err := elink.SyntheticDataset(50, 500, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = g // the dataset carries its own graph
-	cfg := elink.Config{Delta: 0.2, Metric: ds.Metric, Features: ds.Features, Mode: elink.Explicit}
-	if _, err := elink.ClusterAsync(ds.Graph, cfg); err != nil {
+	// An asynchronous network: explicit signalling under seeded random
+	// hop delays.
+	res, err := elink.Cluster(ds.Graph, elink.Config{
+		Delta: 0.2, Metric: ds.Metric, Features: ds.Features,
+		Mode: elink.Explicit, Delay: elink.AsynchronousDelay(0.1, 2.5), Seed: 3,
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := res.Clustering.Validate(ds.Graph, ds.Features, ds.Metric, 0.2, 1e-9); err != nil {
+		t.Fatalf("asynchronous run: %v", err)
 	}
 	if _, err := elink.SpanningForestCluster(ds.Graph, elink.ForestConfig{
 		Delta: 0.2, Metric: ds.Metric, Features: ds.Features,

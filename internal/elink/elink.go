@@ -24,6 +24,7 @@ package elink
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -125,8 +126,16 @@ func (c *Config) withDefaults(n int) Config {
 }
 
 func (c *Config) validate(g *topology.Graph) error {
-	if c.Delta < 0 {
-		return fmt.Errorf("elink: negative delta %v", c.Delta)
+	// NaN fails every comparison, so each bound is written to reject it.
+	// Delta = +Inf is valid: one cluster per connected component.
+	if !(c.Delta >= 0) {
+		return fmt.Errorf("elink: delta %v is negative or NaN", c.Delta)
+	}
+	if math.IsNaN(c.Phi) || math.IsInf(c.Phi, 0) {
+		return fmt.Errorf("elink: phi %v is not finite", c.Phi)
+	}
+	if math.IsNaN(c.Gamma) || math.IsInf(c.Gamma, 0) {
+		return fmt.Errorf("elink: gamma %v is not finite", c.Gamma)
 	}
 	if c.Metric == nil {
 		return fmt.Errorf("elink: nil metric")
@@ -134,13 +143,13 @@ func (c *Config) validate(g *topology.Graph) error {
 	if len(c.Features) != g.N() {
 		return fmt.Errorf("elink: %d features for %d nodes", len(c.Features), g.N())
 	}
-	if c.Loss < 0 || c.Loss >= 1 {
+	if !(c.Loss >= 0 && c.Loss < 1) {
 		return fmt.Errorf("elink: loss %v out of [0,1)", c.Loss)
 	}
 	if c.Delay != nil {
-		// Reject inverted/negative delay bounds here with an error; the
-		// simulator would otherwise panic before scheduling events in
-		// the past (sim.ValidateDelay).
+		// Reject inverted, negative or non-finite delay bounds here with
+		// an error; the simulator would otherwise panic before scheduling
+		// events in the past (sim.ValidateDelay).
 		if err := sim.ValidateDelay(c.Delay); err != nil {
 			return fmt.Errorf("elink: %w", err)
 		}
@@ -205,38 +214,6 @@ func observeRun(cfg Config, res *cluster.Result, end float64) {
 		cfg.Obs.Histogram("elink_run_messages", obs.MessageBuckets(), "mode", mode).Observe(float64(res.Stats.Messages))
 		cfg.Obs.Gauge("elink_clusters", "mode", mode).Set(float64(res.Clustering.NumClusters()))
 	}
-}
-
-// RunAsync executes the explicit-signalling protocol on the goroutine
-// runtime (one goroutine per node, channels as links). The clustering it
-// returns satisfies the same invariants as Run's, but the exact clusters
-// depend on the scheduler's interleaving. The Obs sink is not wired
-// here: the goroutine runtime has no synchronous round structure to
-// count (use Run for instrumented experiments).
-func RunAsync(g *topology.Graph, cfg Config) (*cluster.Result, error) {
-	if err := cfg.validate(g); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults(g.N())
-	if cfg.Mode != Explicit {
-		return nil, fmt.Errorf("elink: RunAsync requires Explicit mode (timers on the async runtime are conservative; use Run for %v)", cfg.Mode)
-	}
-	qt := topology.BuildQuadtree(g)
-	sh := newShared(g, qt, cfg)
-
-	net := sim.NewAsyncNetwork(g, cfg.Seed)
-	nodes := make([]*node, g.N())
-	for u := range nodes {
-		nodes[u] = newNode(topology.NodeID(u), sh)
-		net.SetProtocol(topology.NodeID(u), nodes[u])
-	}
-	end := net.Run()
-
-	return assemble(g, nodes, cluster.Stats{
-		Messages:  net.TotalMessages(),
-		Breakdown: net.MessageBreakdown(),
-		Time:      end,
-	})
 }
 
 func assemble(g *topology.Graph, nodes []*node, stats cluster.Stats) (*cluster.Result, error) {

@@ -1,6 +1,7 @@
 package elink
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -266,6 +267,10 @@ func TestRejectsInvalidDelayBounds(t *testing.T) {
 	for _, d := range []sim.UniformDelay{
 		{Min: 2, Max: 1},  // inverted: would draw negative delays
 		{Min: -1, Max: 1}, // negative: events scheduled in the past
+		{Min: 0, Max: math.NaN()},
+		{Min: 0, Max: math.Inf(1)},
+		{Min: math.NaN(), Max: 1},
+		{Min: math.Inf(-1), Max: 1},
 	} {
 		_, err := Run(g, Config{Delta: 1, Metric: metric.Scalar{}, Features: feats, Delay: d})
 		if err == nil {
@@ -287,39 +292,91 @@ func TestExplicitWithAsyncDelaysStillValid(t *testing.T) {
 	validateResult(t, g, res, feats, metric.Scalar{}, 2)
 }
 
-func TestRunAsyncGoroutineRuntime(t *testing.T) {
-	g := topology.NewGrid(6, 6)
-	rng := rand.New(rand.NewSource(31))
-	feats := smoothField(g, rng, 3, 8)
-	cfg := Config{Delta: 2, Metric: metric.Scalar{}, Features: feats, Mode: Explicit}
-	res, err := RunAsync(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	validateResult(t, g, res, feats, metric.Scalar{}, 2)
-	if res.Stats.Messages == 0 {
-		t.Error("async run recorded no messages")
-	}
-}
-
-func TestRunAsyncRejectsNonExplicit(t *testing.T) {
-	g := topology.NewGrid(2, 2)
-	feats := constFeats(4, 0)
-	if _, err := RunAsync(g, Config{Delta: 1, Metric: metric.Scalar{}, Features: feats, Mode: Implicit}); err == nil {
-		t.Error("RunAsync should reject implicit mode")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	g := topology.NewGrid(2, 2)
-	if _, err := Run(g, Config{Delta: -1, Metric: metric.Scalar{}, Features: constFeats(4, 0)}); err == nil {
-		t.Error("negative delta accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	feats := constFeats(4, 0)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative delta", Config{Delta: -1, Metric: metric.Scalar{}, Features: feats}},
+		{"nil metric", Config{Delta: 1, Features: feats}},
+		{"feature count mismatch", Config{Delta: 1, Metric: metric.Scalar{}, Features: constFeats(3, 0)}},
+		{"NaN delta", Config{Delta: nan, Metric: metric.Scalar{}, Features: feats}},
+		{"NaN phi", Config{Delta: 1, Phi: nan, Metric: metric.Scalar{}, Features: feats}},
+		{"infinite phi", Config{Delta: 1, Phi: inf, Metric: metric.Scalar{}, Features: feats}},
+		{"NaN gamma", Config{Delta: 1, Gamma: nan, Metric: metric.Scalar{}, Features: feats}},
+		{"infinite gamma", Config{Delta: 1, Gamma: -inf, Metric: metric.Scalar{}, Features: feats}},
+		{"NaN loss", Config{Delta: 1, Loss: nan, Metric: metric.Scalar{}, Features: feats}},
+	} {
+		if _, err := Run(g, c.cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := Run(g, Config{Delta: 1, Features: constFeats(4, 0)}); err == nil {
-		t.Error("nil metric accepted")
+	// An infinite delta is valid: one cluster per connected component.
+	g = topology.NewGrid(5, 5)
+	feats = smoothField(g, rand.New(rand.NewSource(1)), 3, 5)
+	for _, mode := range []Mode{Implicit, Explicit} {
+		res, err := Run(g, Config{Delta: inf, Metric: metric.Scalar{}, Features: feats, Mode: mode})
+		if err != nil {
+			t.Fatalf("%v: infinite delta rejected: %v", mode, err)
+		}
+		if k := res.Clustering.NumClusters(); k != 1 {
+			t.Errorf("%v: infinite delta gave %d clusters, want 1", mode, k)
+		}
 	}
-	if _, err := Run(g, Config{Delta: 1, Metric: metric.Scalar{}, Features: constFeats(3, 0)}); err == nil {
-		t.Error("feature count mismatch accepted")
+}
+
+// TestExplicitAsyncSchedulesProperty runs the explicit technique, the
+// one meant for asynchronous networks (§5), under many seeded random
+// hop-delay schedules. Each seed fixes one interleaving, so a failing
+// schedule replays exactly. On random geometric graphs with random δ,
+// under each of three delay ranges, every run must terminate with a
+// valid δ-clustering, keep the expand/ack conservation laws, stay within
+// the d·(c+2)·N message bound, and end no later than Max times the same
+// instance's unit-delay run.
+func TestExplicitAsyncSchedulesProperty(t *testing.T) {
+	delays := []sim.UniformDelay{{Min: 0, Max: 1}, {Min: 0.1, Max: 2.5}, {Min: 0.01, Max: 10}}
+	const instances = 100
+	for seed := int64(0); seed < instances; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := topology.RandomGeometricForDegree(25+rng.Intn(100), 4, rng)
+		feats := make([]metric.Feature, g.N())
+		for i := range feats {
+			feats[i] = metric.Feature{rng.NormFloat64() * 2}
+		}
+		delta := 0.5 + rng.Float64()*3
+		cfg := Config{Delta: delta, Metric: metric.Scalar{}, Features: feats, Mode: Explicit}
+		unit, err := Run(g, cfg)
+		if err != nil {
+			t.Fatalf("seed %d unit delay: %v", seed, err)
+		}
+		const c = 4 // the default MaxSwitches
+		bound := int64(g.MaxDegree()) * (c + 2) * int64(g.N())
+		for _, d := range delays {
+			for rep := int64(0); rep < 3; rep++ {
+				cfg.Delay, cfg.Seed = d, seed*3+rep
+				where := fmt.Sprintf("seed %d N %d δ %.3g delay %+v schedule %d", seed, g.N(), delta, d, cfg.Seed)
+				res, err := Run(g, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if err := res.Clustering.Validate(g, feats, metric.Scalar{}, delta, 1e-9); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				b := res.Stats.Breakdown
+				if b[KindExpand] != b[KindAck1]+b[KindNack] || b[KindAck2] != b[KindAck1] {
+					t.Fatalf("%s: conservation violated: %v", where, b)
+				}
+				if res.Stats.Messages > bound {
+					t.Fatalf("%s: %d messages exceed d·(c+2)·N = %d", where, res.Stats.Messages, bound)
+				}
+				if limit := d.Max * unit.Stats.Time; res.Stats.Time > limit {
+					t.Fatalf("%s: ended at %v, after Max × unit-delay end = %v", where, res.Stats.Time, limit)
+				}
+			}
+		}
 	}
 }
 
@@ -555,40 +612,5 @@ func TestExplicitMessageConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAsyncConservationHoldsToo(t *testing.T) {
-	g := topology.NewGrid(7, 7)
-	rng := rand.New(rand.NewSource(8))
-	feats := smoothField(g, rng, 3, 6)
-	res, err := RunAsync(g, Config{Delta: 2, Metric: metric.Scalar{}, Features: feats, Mode: Explicit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := res.Stats.Breakdown
-	if b[KindExpand] != b[KindAck1]+b[KindNack] {
-		t.Errorf("expand %d != ack1 %d + nack %d", b[KindExpand], b[KindAck1], b[KindNack])
-	}
-	if b[KindAck2] != b[KindAck1] {
-		t.Errorf("ack2 %d != ack1 %d", b[KindAck2], b[KindAck1])
-	}
-}
-
-func TestRunAsyncLargeGridUnderConcurrency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large async run")
-	}
-	g := topology.NewGrid(15, 15)
-	rng := rand.New(rand.NewSource(61))
-	feats := smoothField(g, rng, 4, 6)
-	res, err := RunAsync(g, Config{Delta: 2, Metric: metric.Scalar{}, Features: feats, Mode: Explicit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	validateResult(t, g, res, feats, metric.Scalar{}, 2)
-	b := res.Stats.Breakdown
-	if b[KindExpand] != b[KindAck1]+b[KindNack] || b[KindAck2] != b[KindAck1] {
-		t.Errorf("conservation violated at scale: %v", b)
 	}
 }

@@ -7,9 +7,9 @@ import "go/ast"
 // whose fixed-grain chunk layouts and index-ordered joins are what make
 // "bitwise identical at any worker count" (PR 4) a provable property —
 // an ad-hoc goroutine in a figure path reintroduces scheduling
-// nondeterminism that no golden test can pin down. Deliberate runtimes
-// outside the allowlist (the async sensor-node loops in sim, the
-// experiment runner's output pipeline) carry //elink:allow annotations.
+// nondeterminism that no golden test can pin down. Deliberate goroutines
+// outside the allowlist (the experiment runner's output pipeline) carry
+// //elink:allow annotations.
 var GoDiscipline = &Analyzer{
 	Name: "godiscipline",
 	Doc:  "bare go statements only in internal/par, internal/obs and cmd/elink-serve",

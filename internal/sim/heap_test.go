@@ -58,13 +58,13 @@ func TestDispatchAllocs(t *testing.T) {
 	g := topology.NewGrid(4, 4)
 	n := NewNetwork(g, nil, 1)
 	n.SetAll(func(topology.NodeID) Protocol { return protoFunc{} })
-	n.Start()
+	n.Run()
 	ctx := &n.ctxs[0]
 	nb := g.Neighbors(0)[0]
 	allocs := testing.AllocsPerRun(100, func() {
 		ctx.SetTimer(1, "tick")
 		ctx.Send(nb, "ping", nil)
-		n.Drain()
+		n.drain()
 	})
 	if allocs != 0 {
 		t.Fatalf("dispatching a timer and a message allocates %v objects, want 0", allocs)

@@ -78,8 +78,6 @@ func benchDests(g *topology.Graph, k int) []topology.NodeID {
 //     destination on pooled scratch.
 //   - bfs: a full BFS and a fresh path per message, the implementation
 //     the walk replaced.
-//
-// The async arm runs the goroutine-per-node runtime end to end.
 func BenchmarkRouting(b *testing.B) {
 	topologies := []struct {
 		name string
@@ -111,20 +109,4 @@ func BenchmarkRouting(b *testing.B) {
 			}
 		})
 	}
-
-	// Async runtime end to end: every node routes a burst to shared
-	// destinations, so this includes mailbox and goroutine costs; one op
-	// is one routed message.
-	g := topology.NewGrid(32, 32)
-	dests := benchDests(g, 8)
-	const burst = 4
-	b.Run("grid-32x32/async", func(b *testing.B) {
-		msgs := g.N() * burst
-		b.ResetTimer()
-		for i := 0; i < b.N; i += msgs {
-			an := NewAsyncNetwork(g, 1)
-			an.SetAll(func(topology.NodeID) Protocol { return routingProtocol{dests: dests, burst: burst} })
-			an.Run()
-		}
-	})
 }

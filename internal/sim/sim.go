@@ -1,5 +1,5 @@
 // Package sim is a deterministic discrete-event simulator for in-network
-// sensor protocols, plus a goroutine-based asynchronous runtime.
+// sensor protocols.
 //
 // A Protocol is the per-node state machine (message handler + timers). The
 // event-driven Network delivers single-hop messages between communication-
@@ -9,16 +9,15 @@
 // decompose its cost into expand/ack/phase traffic and so on.
 //
 // The paper's synchronous setting corresponds to the default unit hop
-// delay; the asynchronous setting is modelled either by a randomized hop
-// delay (still deterministic given the seed) or by the AsyncNetwork
-// runtime in async.go, which runs one goroutine per node with channels as
-// links.
+// delay; the asynchronous setting is modelled by a randomized hop delay
+// (UniformDelay). Each seed fixes one interleaving, so an asynchronous
+// schedule that breaks a protocol is reproducible from its seed.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 
 	"elink/internal/detrand"
 	"elink/internal/topology"
@@ -86,9 +85,13 @@ func (d UniformDelay) HopDelay(rng *rand.Rand, _, _ topology.NodeID) float64 {
 	return d.Min + rng.Float64()*(d.Max-d.Min)
 }
 
-// Validate rejects bounds that would schedule deliveries in the past and
-// corrupt the event clock: a negative Min or an inverted Min > Max.
+// Validate rejects bounds that would schedule deliveries in the past or
+// corrupt the event clock: a negative Min, an inverted Min > Max, or a
+// NaN or infinite bound (the run would end at time NaN or +Inf).
 func (d UniformDelay) Validate() error {
+	if math.IsNaN(d.Min) || math.IsInf(d.Min, 0) || math.IsNaN(d.Max) || math.IsInf(d.Max, 0) {
+		return fmt.Errorf("sim: UniformDelay bounds [%v, %v] are not finite", d.Min, d.Max)
+	}
 	if d.Min < 0 {
 		return fmt.Errorf("sim: UniformDelay.Min %v is negative; hop delays must be >= 0", d.Min)
 	}
@@ -215,8 +218,7 @@ type Network struct {
 	loss      float64
 	obs       *netObs // optional metrics sink (see Instrument)
 
-	// MaxEvents guards against protocol bugs that never quiesce.
-	MaxEvents int64
+	maxEvents int64 // guards against protocol bugs that never quiesce
 }
 
 // NewNetwork builds an executor over g. delay defaults to UnitDelay when
@@ -239,7 +241,7 @@ func NewNetwork(g *topology.Graph, delay DelayModel, seed int64) *Network {
 		rng:       detrand.New(seed),
 		counts:    make(map[string]int64),
 		perNode:   make([]int64, g.N()),
-		MaxEvents: int64(g.N())*100000 + 1000000,
+		maxEvents: int64(g.N())*100000 + 1000000,
 	}
 	for u := range n.ctxs {
 		n.ctxs[u] = nodeCtx{net: n, id: topology.NodeID(u)}
@@ -281,34 +283,11 @@ func (n *Network) MessageBreakdown() map[string]int64 {
 	return out
 }
 
-// Kinds returns the message kinds observed so far, sorted.
-func (n *Network) Kinds() []string {
-	ks := make([]string, 0, len(n.counts))
-	for k := range n.counts {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// ResetCounters zeroes the message accounting — per-kind counts, the
-// per-sender attribution behind TxPerNode, delivery and drop totals —
-// without touching protocol state or pending events; experiments use it
-// to separate phases.
-func (n *Network) ResetCounters() {
-	n.counts = make(map[string]int64)
-	for i := range n.perNode {
-		n.perNode[i] = 0
-	}
-	n.delivered = 0
-	n.dropped = 0
-}
-
 // SetLoss makes every radio hop fail independently with probability p
 // (fault injection; transmissions are still charged — the radio energy is
 // spent whether or not the frame arrives). Self-sends never fail.
 func (n *Network) SetLoss(p float64) {
-	if p < 0 || p >= 1 {
+	if !(p >= 0 && p < 1) { // also rejects NaN
 		panic(fmt.Sprintf("sim: loss probability %v out of [0,1)", p))
 	}
 	n.loss = p
@@ -328,43 +307,31 @@ func (n *Network) TxPerNode() []int64 {
 	return out
 }
 
-// Run starts every protocol and processes events until the queue drains,
-// returning the final simulated time. It panics if MaxEvents is exceeded
-// (a protocol that never terminates is a bug worth failing loudly on).
+// Run invokes Init on every installed protocol, then processes events
+// until the queue drains, returning the final simulated time. It panics
+// if maxEvents is exceeded (a protocol that never terminates is a bug
+// worth failing loudly on).
 func (n *Network) Run() float64 {
-	n.Start()
-	return n.Drain()
-}
-
-// Start invokes Init on every installed protocol without processing
-// events, so callers can interleave injections with Drain.
-func (n *Network) Start() {
 	for u, p := range n.protocols {
 		if p != nil {
 			p.Init(&n.ctxs[u])
 		}
 	}
+	return n.drain()
 }
 
-// Drain processes queued events until none remain.
-func (n *Network) Drain() float64 {
+// drain processes queued events until none remain.
+func (n *Network) drain() float64 {
 	var processed int64
 	for len(n.pq) > 0 {
 		e := n.pq.pop()
 		processed++
-		if processed > n.MaxEvents {
-			panic(fmt.Sprintf("sim: exceeded %d events; protocol likely does not terminate", n.MaxEvents))
+		if processed > n.maxEvents {
+			panic(fmt.Sprintf("sim: exceeded %d events; protocol likely does not terminate", n.maxEvents))
 		}
 		n.dispatch(e)
 	}
 	return n.now
-}
-
-// StepUntil processes events with time <= t, leaving later events queued.
-func (n *Network) StepUntil(t float64) {
-	for len(n.pq) > 0 && n.pq[0].time <= t {
-		n.dispatch(n.pq.pop())
-	}
 }
 
 // dispatch runs one event's handler, keeping the clock and the delivery
@@ -384,12 +351,6 @@ func (n *Network) dispatch(e event) {
 	case evTimer:
 		p.OnTimer(ctx, e.label)
 	}
-}
-
-// Inject delivers a message to node u at the current time without
-// charging any radio cost; experiments use it to pose queries "at" a node.
-func (n *Network) Inject(u topology.NodeID, kind string, payload any) {
-	n.pushMessage(n.now, u, u, kind, payload, 0)
 }
 
 // pushMessage schedules the delivery of a message to node to at time at.

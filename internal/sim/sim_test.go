@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -175,99 +176,10 @@ func TestUniformDelayWithinBounds(t *testing.T) {
 	}
 }
 
-func TestResetCounters(t *testing.T) {
-	g := topology.NewGrid(1, 4)
-	net := NewNetwork(g, nil, 1)
-	net.SetLoss(0.5)
-	net.SetProtocol(0, protoFunc{init: func(ctx Context) {
-		for i := 0; i < 20; i++ {
-			ctx.Send(1, "x", nil)
-			ctx.Route(3, "far", nil)
-		}
-	}})
-	for u := 1; u < 4; u++ {
-		net.SetProtocol(topology.NodeID(u), protoFunc{})
-	}
-	net.Run()
-	if net.TotalMessages() == 0 {
-		t.Fatal("expected messages")
-	}
-	if net.Dropped() == 0 {
-		t.Fatal("expected drops at 50% loss")
-	}
-	if maxTx(net.TxPerNode()) == 0 {
-		t.Fatal("expected per-node attribution")
-	}
-	net.ResetCounters()
-	if net.TotalMessages() != 0 {
-		t.Error("ResetCounters did not zero the counts")
-	}
-	if net.Dropped() != 0 {
-		t.Error("ResetCounters did not zero Dropped")
-	}
-	for u, tx := range net.TxPerNode() {
-		if tx != 0 {
-			t.Errorf("ResetCounters left TxPerNode[%d] = %d; energy metrics would mix phases", u, tx)
-		}
-	}
-}
-
-func maxTx(tx []int64) int64 {
-	var m int64
-	for _, v := range tx {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func TestInjectAndStepUntil(t *testing.T) {
-	g := topology.NewGrid(1, 3)
-	net := NewNetwork(g, nil, 1)
-	var got []string
-	net.SetAll(func(u topology.NodeID) Protocol {
-		return protoFunc{onMsg: func(ctx Context, m Message) {
-			got = append(got, m.Kind)
-			if m.Kind == "q" && ctx.ID() != 2 {
-				ctx.Send(ctx.ID()+1, "q", nil)
-			}
-		}}
-	})
-	net.Start()
-	net.Inject(0, "q", nil)
-	net.StepUntil(1) // only injection (t=0) and first hop (t=1) processed
-	if len(got) != 2 {
-		t.Fatalf("after StepUntil(1): %v", got)
-	}
-	net.Drain()
-	if len(got) != 3 {
-		t.Fatalf("after Drain: %v", got)
-	}
-	if net.Messages("q") != 2 {
-		t.Errorf("q cost = %d, want 2 (injection is free)", net.Messages("q"))
-	}
-}
-
-func TestKindsSorted(t *testing.T) {
-	g := topology.NewGrid(1, 2)
-	net := NewNetwork(g, nil, 1)
-	net.SetProtocol(0, protoFunc{init: func(ctx Context) {
-		ctx.Send(1, "zeta", nil)
-		ctx.Send(1, "alpha", nil)
-	}})
-	net.SetProtocol(1, protoFunc{})
-	net.Run()
-	ks := net.Kinds()
-	if len(ks) != 2 || ks[0] != "alpha" || ks[1] != "zeta" {
-		t.Errorf("Kinds = %v", ks)
-	}
-}
-
 func TestMaxEventsGuard(t *testing.T) {
 	g := topology.NewGrid(1, 2)
 	net := NewNetwork(g, nil, 1)
-	net.MaxEvents = 100
+	net.maxEvents = 100
 	// Ping-pong forever.
 	net.SetAll(func(u topology.NodeID) Protocol {
 		return protoFunc{
@@ -277,7 +189,7 @@ func TestMaxEventsGuard(t *testing.T) {
 	})
 	defer func() {
 		if recover() == nil {
-			t.Error("runaway protocol should trip MaxEvents")
+			t.Error("runaway protocol should trip maxEvents")
 		}
 	}()
 	net.Run()
@@ -303,124 +215,6 @@ func (p protoFunc) OnMessage(ctx Context, m Message) {
 func (p protoFunc) OnTimer(ctx Context, key string) {
 	if p.onTimer != nil {
 		p.onTimer(ctx, key)
-	}
-}
-
-func TestAsyncFloodReachesEveryone(t *testing.T) {
-	g := topology.NewGrid(4, 5)
-	an := NewAsyncNetwork(g, 1)
-	f := newFlood()
-	an.SetAll(func(topology.NodeID) Protocol { return f })
-	an.Run()
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.heard) != g.N() {
-		t.Fatalf("only %d/%d nodes heard the flood", len(f.heard), g.N())
-	}
-	if got, want := an.Messages("flood"), int64(2*g.Edges()); got != want {
-		t.Errorf("flood messages = %d, want %d", got, want)
-	}
-}
-
-func TestAsyncInitRunsBeforeMessages(t *testing.T) {
-	g := topology.NewGrid(1, 2)
-	an := NewAsyncNetwork(g, 1)
-	var mu sync.Mutex
-	initBeforeMsg := true
-	inited := map[topology.NodeID]bool{}
-	an.SetAll(func(u topology.NodeID) Protocol {
-		return protoFunc{
-			init: func(ctx Context) {
-				mu.Lock()
-				inited[ctx.ID()] = true
-				mu.Unlock()
-				if ctx.ID() == 0 {
-					ctx.Send(1, "hi", nil)
-				}
-			},
-			onMsg: func(ctx Context, m Message) {
-				mu.Lock()
-				if !inited[ctx.ID()] {
-					initBeforeMsg = false
-				}
-				mu.Unlock()
-			},
-		}
-	})
-	an.Run()
-	if !initBeforeMsg {
-		t.Error("a node handled a message before its Init")
-	}
-}
-
-func TestAsyncTimersFireAfterQuiescence(t *testing.T) {
-	g := topology.NewGrid(1, 3)
-	an := NewAsyncNetwork(g, 1)
-	var mu sync.Mutex
-	var order []string
-	an.SetProtocol(0, protoFunc{
-		init: func(ctx Context) {
-			ctx.SetTimer(10, "late")
-			ctx.Send(1, "msg", nil)
-		},
-		onTimer: func(ctx Context, key string) {
-			mu.Lock()
-			order = append(order, "timer")
-			mu.Unlock()
-		},
-	})
-	an.SetProtocol(1, protoFunc{onMsg: func(ctx Context, m Message) {
-		mu.Lock()
-		order = append(order, "msg")
-		mu.Unlock()
-		if m.Kind == "msg" {
-			ctx.Send(2, "relay", nil)
-		}
-	}})
-	an.SetProtocol(2, protoFunc{onMsg: func(ctx Context, m Message) {
-		mu.Lock()
-		order = append(order, "relay")
-		mu.Unlock()
-	}})
-	end := an.Run()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 3 || order[2] != "timer" {
-		t.Errorf("order = %v, want timer last", order)
-	}
-	if end != 10 {
-		t.Errorf("virtual end time = %v, want 10", end)
-	}
-}
-
-func TestAsyncRouteChargesHops(t *testing.T) {
-	g := topology.NewGrid(1, 4)
-	an := NewAsyncNetwork(g, 1)
-	done := make(chan Message, 1)
-	an.SetProtocol(0, protoFunc{init: func(ctx Context) { ctx.Route(3, "far", nil) }})
-	an.SetProtocol(3, protoFunc{onMsg: func(ctx Context, m Message) { done <- m }})
-	an.Run()
-	m := <-done
-	if m.Hops != 3 {
-		t.Errorf("hops = %d, want 3", m.Hops)
-	}
-	if an.Messages("far") != 3 {
-		t.Errorf("cost = %d, want 3", an.Messages("far"))
-	}
-}
-
-func TestAsyncManyNodesTerminate(t *testing.T) {
-	// A broadcast-echo storm on a larger graph must still quiesce.
-	g := topology.NewGrid(10, 10)
-	an := NewAsyncNetwork(g, 3)
-	f := newFlood()
-	an.SetAll(func(topology.NodeID) Protocol { return f })
-	an.Run()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.heard) != 100 {
-		t.Errorf("heard = %d, want 100", len(f.heard))
 	}
 }
 
@@ -476,7 +270,7 @@ func TestLossOnRoutedPath(t *testing.T) {
 
 func TestSetLossValidation(t *testing.T) {
 	net := NewNetwork(topology.NewGrid(1, 2), nil, 1)
-	for _, p := range []float64{-0.1, 1.0} {
+	for _, p := range []float64{-0.1, 1.0, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -17,9 +17,10 @@ vet:
 ## lint: the repo's invariant analyzers (internal/lint via
 ## cmd/elink-lint): explicit-seed randomness, wall-clock-free
 ## deterministic packages, goroutine discipline, order-insensitive map
-## iteration, HELP-described metrics, panic-free persist decode. A
-## deliberate violation is excused in place — and counted in the
-## summary — with:  //elink:allow <rule> — <reason>
+## iteration, HELP-described metrics, panic-free persist decode, no
+## dead exports under internal/. A deliberate violation is excused in
+## place — and counted in the summary — with:
+##   //elink:allow <rule> — <reason>
 lint:
 	$(GO) run ./cmd/elink-lint
 

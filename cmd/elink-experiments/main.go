@@ -39,16 +39,11 @@ func validNames() string {
 
 func main() {
 	var (
-		paper    = flag.Bool("paper", false, "run at the paper's full scale (2500-node Death Valley, 100k readings; takes minutes)")
-		only     = flag.String("only", "", "comma-separated figure names to run (default all); names: "+validNames())
-		seed     = flag.Int64("seed", 1, "random seed")
-		jobs     = flag.Int("j", 0, "worker count for the parallel execution layer and the figure runner (0 = GOMAXPROCS or ELINK_WORKERS); results are identical for every value")
-		queries  = flag.Int("queries", 0, "queries per data point (0 = scale default)")
-		taoDays  = flag.Int("tao-days", 0, "override Tao stream length in days")
-		dvNodes  = flag.Int("dv-nodes", 0, "override Death Valley node count")
-		dvTopos  = flag.Int("dv-topologies", 0, "override Death Valley topology count")
-		readings = flag.Int("readings", 0, "override synthetic readings per node")
-		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		paper  = flag.Bool("paper", false, "run at the paper's full scale (2500-node Death Valley, 100k readings; takes minutes)")
+		only   = flag.String("only", "", "comma-separated figure names to run (default all); names: "+validNames())
+		seed   = flag.Int64("seed", 1, "random seed")
+		jobs   = flag.Int("j", 0, "worker count for the parallel execution layer and the figure runner (0 = GOMAXPROCS or ELINK_WORKERS); results are identical for every value")
+		csvOut = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	)
 	flag.Parse()
 
@@ -61,21 +56,6 @@ func main() {
 		sc = experiments.DefaultScale()
 	}
 	sc.Seed = *seed
-	if *queries > 0 {
-		sc.Queries = *queries
-	}
-	if *taoDays > 0 {
-		sc.TaoDays = *taoDays
-	}
-	if *dvNodes > 0 {
-		sc.DVNodes = *dvNodes
-	}
-	if *dvTopos > 0 {
-		sc.DVTopologies = *dvTopos
-	}
-	if *readings > 0 {
-		sc.SynReadings = *readings
-	}
 
 	want := map[string]bool{}
 	for _, n := range strings.Split(*only, ",") {

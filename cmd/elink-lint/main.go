@@ -4,7 +4,8 @@
 // The rules protect contracts that golden tests can only catch after the
 // fact: explicit-seed randomness, wall-clock-free deterministic
 // packages, goroutine discipline, order-insensitive map iteration,
-// HELP-described metrics and panic-free decode paths. Diagnostics are
+// HELP-described metrics, panic-free decode paths and no dead exports
+// under internal/. Diagnostics are
 // position-accurate `file:line:col: [rule] message` lines; deliberate
 // violations are annotated in place with
 //

@@ -124,17 +124,17 @@ func main() {
 func loadDataset(name string, nodes, days int, seed int64) (*elink.Dataset, error) {
 	switch name {
 	case "tao":
-		return elink.TaoDataset(days, seed)
+		return elink.GenerateTao(elink.TaoGenConfig{Days: days, Seed: seed})
 	case "deathvalley":
 		if nodes == 0 {
 			nodes = 500
 		}
-		return elink.DeathValleyDataset(nodes, seed)
+		return elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: nodes, Seed: seed})
 	case "synthetic":
 		if nodes == 0 {
 			nodes = 300
 		}
-		return elink.SyntheticDataset(nodes, 5000, seed)
+		return elink.GenerateSynthetic(elink.SyntheticGenConfig{Nodes: nodes, Readings: 5000, Seed: seed})
 	default:
 		return nil, fmt.Errorf("unknown dataset %q", name)
 	}

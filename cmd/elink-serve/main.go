@@ -120,10 +120,8 @@ func main() {
 	}
 	reg := elink.NewMetricsRegistry()
 	elink.RegisterBuildInfo(reg, version) // build metadata + uptime on /metrics
-	elink.InstrumentParallelism(reg)      // pool utilization on /metrics
 	spans := elink.NewSpanTracer(*spanbuf, *spanTopK)
-	spans.Instrument(reg)                   // span_phase_seconds on /metrics
-	elink.InstrumentParallelismSpans(spans) // fork-join batches feed the tracer
+	spans.Instrument(reg) // span_phase_seconds on /metrics
 	engine, err := elink.NewEngine(g, elink.EngineConfig{
 		Order:               *order,
 		Delta:               *delta,

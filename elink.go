@@ -142,9 +142,6 @@ func WeightedEuclidean(weights ...float64) Metric {
 	return metric.NewWeightedEuclidean(weights...)
 }
 
-// SynchronousDelay returns the unit-per-hop delay model (the default).
-func SynchronousDelay() DelayModel { return sim.UnitDelay{} }
-
 // AsynchronousDelay returns a per-hop delay drawn uniformly from
 // [min, max], modelling an asynchronous network inside the deterministic
 // simulator.
@@ -223,24 +220,6 @@ func NewMaintainer(g *Graph, c *Clustering, feats []Feature, cfg MaintainerConfi
 // the node's hop distance.
 func NewCentralizedUpdater(g *Graph, base NodeID, feats []Feature, cfg MaintainerConfig, coeffs int64) *CentralizedUpdater {
 	return update.NewCentralizedUpdater(g, base, feats, cfg, coeffs)
-}
-
-// TaoDataset generates the Tao-like sea-surface-temperature dataset
-// (spatially correlated, dynamic; see DESIGN.md for the substitution).
-func TaoDataset(days int, seed int64) (*Dataset, error) {
-	return data.Tao(data.TaoConfig{Days: days, Seed: seed})
-}
-
-// DeathValleyDataset generates the terrain elevation dataset (spatially
-// correlated, static).
-func DeathValleyDataset(nodes int, seed int64) (*Dataset, error) {
-	return data.DeathValley(data.DeathValleyConfig{Nodes: nodes, Seed: seed})
-}
-
-// SyntheticDataset generates the paper's spatially uncorrelated AR(1)
-// dataset.
-func SyntheticDataset(nodes, readings int, seed int64) (*Dataset, error) {
-	return data.Synthetic(data.SyntheticConfig{Nodes: nodes, Readings: readings, Seed: seed})
 }
 
 // SVGOptions controls WriteNetworkSVG rendering.
@@ -420,11 +399,6 @@ func NewSpanTracer(capacity, topK int) *SpanTracer { return obs.NewSpanTracer(ca
 // process_uptime_seconds on reg.
 func RegisterBuildInfo(reg *MetricsRegistry, version string) { obs.RegisterBuildInfo(reg, version) }
 
-// InstrumentParallelismSpans makes the shared parallel execution layer
-// emit "par-batch" span traces (one child per worker) into t; nil
-// detaches. Batches faster than 1ms feed only the phase statistics.
-func InstrumentParallelismSpans(t *SpanTracer) { par.InstrumentSpans(t) }
-
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
@@ -432,28 +406,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // used by every *_latency_seconds and *_duration_seconds family.
 func LatencyBuckets() []float64 { return obs.LatencyBuckets() }
 
-// MessageBuckets returns the shared message-count histogram layout.
-func MessageBuckets() []float64 { return obs.MessageBuckets() }
-
-// RoundBuckets returns the shared round-count histogram layout (powers
-// of two).
-func RoundBuckets() []float64 { return obs.RoundBuckets() }
-
-// SetParallelism pins the worker count of the shared parallel execution
-// layer (the spectral eigensolver, k-means, AR fitting and query fan-out
-// all run on it). n <= 0 restores automatic resolution: the
-// ELINK_WORKERS environment variable if set, else GOMAXPROCS. Results
-// are bitwise identical for every worker count; only throughput changes.
-func SetParallelism(n int) { par.SetWorkers(n) }
-
 // Parallelism reports the worker count the parallel execution layer
 // resolves for new work.
 func Parallelism() int { return par.Workers() }
-
-// InstrumentParallelism exports the parallel execution layer's
-// utilization (par_tasks_total, par_workers, par_batch_latency_seconds)
-// through the given registry; nil detaches it again.
-func InstrumentParallelism(reg *MetricsRegistry) { par.Instrument(reg) }
 
 // NewEngine builds a streaming engine over the network. Ingest batches
 // with Engine.Ingest (raw readings, Order >= 1) or Engine.IngestFeatures
@@ -475,28 +430,24 @@ type (
 	SyntheticGenConfig = data.SyntheticConfig
 )
 
-// GenerateTao generates the Tao-like dataset with explicit control of
-// every knob; TaoDataset is the common-case shorthand.
+// GenerateTao generates the Tao-like sea-surface-temperature dataset
+// (spatially correlated, dynamic; see DESIGN.md for the substitution).
 func GenerateTao(cfg TaoGenConfig) (*Dataset, error) { return data.Tao(cfg) }
 
-// GenerateDeathValley generates the terrain dataset with explicit knobs;
-// DeathValleyDataset is the common-case shorthand.
+// GenerateDeathValley generates the terrain elevation dataset
+// (spatially correlated, static).
 func GenerateDeathValley(cfg DeathValleyGenConfig) (*Dataset, error) {
 	return data.DeathValley(cfg)
 }
 
-// GenerateSynthetic generates the uncorrelated AR(1) dataset with
-// explicit knobs; SyntheticDataset is the common-case shorthand.
+// GenerateSynthetic generates the paper's spatially uncorrelated AR(1)
+// dataset.
 func GenerateSynthetic(cfg SyntheticGenConfig) (*Dataset, error) {
 	return data.Synthetic(cfg)
 }
 
 // FitTaoFeature fits the Tao mixed-model feature vector (the 4
-// coefficients TaoMetric weighs) to a raw temperature series — the
-// per-day refit step when replaying Tao data through the streaming
-// engine.
+// coefficients the Tao dataset's Metric weighs) to a raw temperature
+// series — the per-day refit step when replaying Tao data through the
+// streaming engine.
 func FitTaoFeature(series []float64) (Feature, error) { return data.FitTaoModel(series) }
-
-// TaoMetric returns the weighted distance the paper pairs with Tao
-// features.
-func TaoMetric() Metric { return data.TaoMetric() }

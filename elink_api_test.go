@@ -49,7 +49,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 }
 
 func TestPublicAsyncAndBaselines(t *testing.T) {
-	ds, err := elink.SyntheticDataset(50, 500, 7)
+	ds, err := elink.GenerateSynthetic(elink.SyntheticGenConfig{Nodes: 50, Readings: 500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestPublicMaintainerFlow(t *testing.T) {
 }
 
 func TestPublicDatasets(t *testing.T) {
-	tao, err := elink.TaoDataset(6, 1)
+	tao, err := elink.GenerateTao(elink.TaoGenConfig{Days: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tao.Graph.N() != 54 || len(tao.Features[0]) != 4 {
 		t.Error("Tao dataset shape wrong")
 	}
-	dv, err := elink.DeathValleyDataset(120, 1)
+	dv, err := elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: 120, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPublicDatasets(t *testing.T) {
 }
 
 func TestPublicPathQuery(t *testing.T) {
-	ds, err := elink.DeathValleyDataset(150, 3)
+	ds, err := elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: 150, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRenderGridClusters(t *testing.T) {
 // random range queries against brute force plus a path query against the
 // flood baseline — the full pipeline a downstream user runs.
 func TestEndToEndPipeline(t *testing.T) {
-	ds, err := elink.DeathValleyDataset(250, 11)
+	ds, err := elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: 250, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +233,8 @@ func TestFacadeHelpers(t *testing.T) {
 		t.Errorf("WeightedEuclidean = %v", d)
 	}
 	// Delay models.
-	if elink.SynchronousDelay() == nil || elink.AsynchronousDelay(0.5, 1.5) == nil {
-		t.Error("delay constructors returned nil")
+	if elink.AsynchronousDelay(0.5, 1.5) == nil {
+		t.Error("AsynchronousDelay returned nil")
 	}
 	// Topology constructors.
 	g := elink.NewRandomGeometric(30, 10, 2, 5)

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	ds, err := elink.DeathValleyDataset(600, 7)
+	ds, err := elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: 600, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	ds, err := elink.TaoDataset(20, 42) // 20 days of 10-minute samples
+	ds, err := elink.GenerateTao(elink.TaoGenConfig{Days: 20, Seed: 42}) // 20 days of 10-minute samples
 	if err != nil {
 		log.Fatal(err)
 	}

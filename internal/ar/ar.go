@@ -196,19 +196,6 @@ func (m *Model) Snapshot() []float64 {
 	return out
 }
 
-// Predict returns the one-step-ahead forecast from the current lags. It
-// returns 0 until the lag window is full.
-func (m *Model) Predict() float64 {
-	if len(m.lags) < m.Order {
-		return 0
-	}
-	var s float64
-	for i := 0; i < m.Order; i++ {
-		s += m.Coef[i] * m.lags[i]
-	}
-	return s
-}
-
 // Seen returns the number of observations consumed so far.
 func (m *Model) Seen() int { return m.seen }
 

@@ -109,20 +109,6 @@ func TestObserveReportsUpdates(t *testing.T) {
 	}
 }
 
-func TestPredict(t *testing.T) {
-	m := NewModel(2)
-	m.SetCoef([]float64{0.5, 0.25})
-	if m.Predict() != 0 {
-		t.Error("Predict before lags should be 0")
-	}
-	m.Observe(4) // lags: [4]
-	m.Observe(8) // lags: [8 4]
-	// Predict = 0.5*8 + 0.25*4 = 5.
-	if got := m.Predict(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Predict = %v, want 5", got)
-	}
-}
-
 func TestSetCoefPanicsOnWrongLength(t *testing.T) {
 	defer func() {
 		if recover() == nil {

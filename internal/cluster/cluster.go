@@ -32,9 +32,6 @@ type Clustering struct {
 // NumClusters returns the number of clusters.
 func (c *Clustering) NumClusters() int { return len(c.Members) }
 
-// Size returns the number of clustered nodes.
-func (c *Clustering) Size() int { return len(c.Assign) }
-
 // ClusterOf returns the cluster index of node u.
 func (c *Clustering) ClusterOf(u topology.NodeID) int { return c.Assign[u] }
 

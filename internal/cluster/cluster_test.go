@@ -170,36 +170,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalClustering(data, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumClusters() != 2 || back.Roots[0] != 0 || back.Roots[1] != 2 {
-		t.Errorf("round trip lost structure: %+v", back)
-	}
-	for u := range c.Assign {
-		if c.ClusterOf(topology.NodeID(u)) != back.ClusterOf(topology.NodeID(u)) {
-			t.Fatalf("assignment differs at %d", u)
-		}
-	}
-}
-
-func TestUnmarshalRejectsBadInput(t *testing.T) {
-	cases := []struct {
-		name string
-		data string
-		n    int
-	}{
-		{"not json", "{", 2},
-		{"empty cluster", `{"clusters":[{"root":0,"members":[]}]}`, 1},
-		{"out of range", `{"clusters":[{"root":0,"members":[0,5]}]}`, 2},
-		{"duplicate node", `{"clusters":[{"root":0,"members":[0,0]}]}`, 1},
-		{"root not member", `{"clusters":[{"root":1,"members":[0]}]}`, 1},
-		{"missing node", `{"clusters":[{"root":0,"members":[0]}]}`, 2},
-	}
-	for _, c := range cases {
-		if _, err := UnmarshalClustering([]byte(c.data), c.n); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
+	const want = `{"clusters":[{"root":0,"members":[0,1]},{"root":2,"members":[2,3,4]}]}`
+	if string(data) != want {
+		t.Errorf("MarshalJSON = %s, want %s", data, want)
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"elink/internal/topology"
 )
@@ -25,45 +24,4 @@ func (c *Clustering) MarshalJSON() ([]byte, error) {
 		out.Clusters[ci] = clusterRecord{Root: c.Roots[ci], Members: members}
 	}
 	return json.Marshal(out)
-}
-
-// UnmarshalClustering parses a clustering serialized by MarshalJSON. n is
-// the network size; the clusters must partition [0, n) exactly.
-func UnmarshalClustering(data []byte, n int) (*Clustering, error) {
-	var in clusteringJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	c := &Clustering{Assign: make([]int, n)}
-	seen := make([]bool, n)
-	for ci, rec := range in.Clusters {
-		if len(rec.Members) == 0 {
-			return nil, fmt.Errorf("cluster: cluster %d is empty", ci)
-		}
-		rootOK := false
-		for _, u := range rec.Members {
-			if u < 0 || int(u) >= n {
-				return nil, fmt.Errorf("cluster: node %d out of range [0,%d)", u, n)
-			}
-			if seen[u] {
-				return nil, fmt.Errorf("cluster: node %d appears twice", u)
-			}
-			seen[u] = true
-			c.Assign[u] = ci
-			if u == rec.Root {
-				rootOK = true
-			}
-		}
-		if !rootOK {
-			return nil, fmt.Errorf("cluster: cluster %d root %d is not a member", ci, rec.Root)
-		}
-		c.Members = append(c.Members, append([]topology.NodeID(nil), rec.Members...))
-		c.Roots = append(c.Roots, rec.Root)
-	}
-	for u, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("cluster: node %d missing from every cluster", u)
-		}
-	}
-	return c, nil
 }

@@ -90,25 +90,6 @@ func AblationPhi(sc Scale) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment at the given scale, in figure order.
-func All(sc Scale) ([]*Table, error) {
-	runs := []func(Scale) (*Table, error){
-		Fig08, Fig09, Fig10, Fig11, Fig12, Fig13, Fig14, Fig15,
-		PathQueries, Complexity, AblationUnordered, AblationSwitches, AblationPhi,
-		KMedoidsComparison, ReclusterPolicy, RepresentativeSampling, HotspotSpread,
-		OptimalityGap,
-	}
-	var out []*Table
-	for _, run := range runs {
-		tbl, err := run(sc)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}
-
 // KMedoidsComparison quantifies §9's related-work argument: distributed
 // k-medoids needs network-wide medoid broadcasts every round, so its
 // clustering cost dwarfs ELink's even when its quality is comparable.

@@ -50,9 +50,6 @@ type BottomKOptions struct {
 	// Tol is the relative residual tolerance: pair i is converged when
 	// ||L v - λ v||₂ <= Tol * (|λ| + 1). 0 = 1e-6.
 	Tol float64
-	// Block overrides the iteration block size (0 = k+8, clamped so the
-	// Rayleigh–Ritz subspace stays small relative to n).
-	Block int
 	// Precond is applied to the residual block every iteration (nil =
 	// NewChebyshev with its default knobs, built for the normalized
 	// Laplacian's known [0, 2] spectrum; IdentityPrecond{} disables
@@ -156,10 +153,7 @@ func (c *CSR) EigenBottomK(k int, rng *rand.Rand, opt BottomKOptions) (*BottomKR
 	if tol <= 0 {
 		tol = 1e-6
 	}
-	b := opt.Block
-	if b <= 0 {
-		b = k + 8
-	}
+	b := k + 8
 	if b > (n-1)/3 {
 		b = (n - 1) / 3 // keep the 3b-wide Rayleigh–Ritz basis well under n
 	}

@@ -15,6 +15,8 @@
 //     description in the same package.
 //   - nodecodepanic: internal/persist never panics — decode and I/O
 //     paths return errors, even on hostile bytes.
+//   - deadexport: every exported package-level identifier under
+//     internal/ has a non-test use in the module or a test naming it.
 //
 // Deliberate violations are annotated in place with
 //
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -49,6 +52,7 @@ type Pass struct {
 
 	rule string
 	out  *[]Diagnostic
+	use  *usage // module-wide references; nil unless deadexport runs
 }
 
 // Reportf records a finding at pos.
@@ -128,6 +132,7 @@ func Analyzers() []*Analyzer {
 		MapOrder,
 		MetricHelp,
 		NoDecodePanic,
+		DeadExport,
 	}
 }
 
@@ -159,11 +164,17 @@ func Run(root string, cfg *Config, analyzers []*Analyzer) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var use *usage
+	if slices.Contains(analyzers, DeadExport) {
+		if use, err = buildUsage(fset, root, pkgs); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+	}
 	var diags []Diagnostic
 	var sups []*suppression
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			a.Run(&Pass{Fset: fset, Pkg: pkg, Cfg: cfg, rule: a.Name, out: &diags})
+			a.Run(&Pass{Fset: fset, Pkg: pkg, Cfg: cfg, rule: a.Name, out: &diags, use: use})
 		}
 		s, bad := collectSuppressions(fset, pkg)
 		sups = append(sups, s...)

@@ -37,6 +37,7 @@ func TestFixtures(t *testing.T) {
 		{"maporder", []*Analyzer{MapOrder}},
 		{"metrichelp", []*Analyzer{MetricHelp}},
 		{"nodecodepanic", []*Analyzer{NoDecodePanic}},
+		{"deadexport", []*Analyzer{DeadExport}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -62,7 +62,7 @@ func LoadModule(fset *token.FileSet, root string) ([]*Package, string, error) {
 		std:     importer.ForCompiler(fset, "source", nil),
 		checked: make(map[string]bool),
 	}
-	if err := ld.parseTree(); err != nil {
+	if err := walkPackageDirs(ld.root, ld.parseDir); err != nil {
 		return nil, "", err
 	}
 	paths := make([]string, 0, len(ld.pkgs))
@@ -102,9 +102,11 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module line in %s", gomod)
 }
 
-// parseTree walks the module and parses every package directory.
-func (ld *loader) parseTree() error {
-	return filepath.WalkDir(ld.root, func(path string, d os.DirEntry, err error) error {
+// walkPackageDirs calls fn on root and every directory below it that may
+// hold module packages (testdata, vendor and dot/underscore directories
+// are skipped).
+func walkPackageDirs(root string, fn func(dir string) error) error {
+	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -112,11 +114,11 @@ func (ld *loader) parseTree() error {
 			return nil
 		}
 		name := d.Name()
-		if path != ld.root && (name == "testdata" || name == "vendor" ||
+		if path != root && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		return ld.parseDir(path)
+		return fn(path)
 	})
 }
 

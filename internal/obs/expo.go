@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -112,91 +111,4 @@ func formatFloat(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// jsonSeries is one series in the WriteJSON dump.
-type jsonSeries struct {
-	Name   string            `json:"name"`
-	Type   string            `json:"type"`
-	Labels map[string]string `json:"labels,omitempty"`
-	// Counter / gauge value.
-	Value *float64 `json:"value,omitempty"`
-	// Histogram payload: cumulative counts per bound, then +Inf.
-	Buckets []jsonBucket `json:"buckets,omitempty"`
-	Sum     *float64     `json:"sum,omitempty"`
-	Count   *int64       `json:"count,omitempty"`
-}
-
-type jsonBucket struct {
-	LE    string `json:"le"` // formatted bound; "+Inf" for the last
-	Count int64  `json:"count"`
-}
-
-// WriteJSON dumps every series as a JSON array, sorted like the
-// Prometheus exposition. The bench/experiments harness writes this next
-// to its figures so the empirical complexity checks read the same
-// instrumentation production scrapes do.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	var out []jsonSeries
-	for _, f := range fams {
-		r.mu.Lock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sers := make([]*series, len(keys))
-		gfns := make([]func() float64, len(keys))
-		for i, k := range keys {
-			sers[i] = f.series[k]
-			gfns[i] = sers[i].gfn
-		}
-		kind := f.kind
-		r.mu.Unlock()
-		for si, s := range sers {
-			js := jsonSeries{Name: f.name, Type: kind.String()}
-			if len(s.labels) > 0 {
-				js.Labels = make(map[string]string, len(s.labels))
-				for _, p := range s.labels {
-					js.Labels[p.key] = p.value
-				}
-			}
-			switch kind {
-			case kindCounter:
-				v := float64(s.ctr.Value())
-				js.Value = &v
-			case kindGauge:
-				v := s.gauge.Value()
-				if gfns[si] != nil {
-					v = gfns[si]()
-				}
-				js.Value = &v
-			case kindHistogram:
-				h := s.hist
-				cum := h.Cumulative()
-				for i, bound := range h.bounds {
-					js.Buckets = append(js.Buckets, jsonBucket{LE: formatFloat(bound), Count: cum[i]})
-				}
-				js.Buckets = append(js.Buckets, jsonBucket{LE: "+Inf", Count: cum[len(cum)-1]})
-				sum, count := h.Sum(), h.Count()
-				js.Sum, js.Count = &sum, &count
-			}
-			out = append(out, js)
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -1,8 +1,7 @@
 // Package obs is the repository's unified observability layer: a
 // lightweight, allocation-conscious, concurrency-safe metrics registry
-// (counters, gauges, histograms with fixed bucket layouts) plus a
-// structured event tracer that records per-round simulator activity into
-// a bounded ring buffer (trace.go).
+// (counters, gauges, histograms with fixed bucket layouts) plus
+// hierarchical span tracing (span.go).
 //
 // The paper's headline claims are quantitative — O(√N log N) rounds and
 // O(N) messages for ELink, amortized maintenance cost under the slack
@@ -10,8 +9,7 @@
 // per phase and per algorithm, through the same instrumentation in the
 // simulator, the streaming engine and the serving daemon. The registry
 // exports itself in Prometheus text format (WritePrometheus) for
-// scraping and as JSON (WriteJSON) for the bench/experiments harness, so
-// figure regeneration and production monitoring read the same numbers.
+// scraping.
 //
 // Instrumentation is opt-in everywhere: call sites take a *Registry
 // and/or *SpanTracer that may be nil, and every metric method is safe on a
@@ -146,14 +144,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
 }
 
 // Cumulative returns the cumulative per-bucket counts, one per bound

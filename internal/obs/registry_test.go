@@ -191,21 +191,6 @@ query_latency_seconds_count{type="range"} 3
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "k", "v").Add(3)
-	r.Histogram("h", []float64{1}).Observe(2)
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{`"a_total"`, `"value": 3`, `"le": "+Inf"`, `"count": 1`} {
-		if !strings.Contains(b.String(), frag) {
-			t.Errorf("JSON dump missing %s:\n%s", frag, b.String())
-		}
-	}
-}
-
 func TestBucketLayoutsAscending(t *testing.T) {
 	for name, bs := range map[string][]float64{
 		"latency": LatencyBuckets(), "message": MessageBuckets(), "round": RoundBuckets(),

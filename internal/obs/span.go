@@ -20,9 +20,9 @@ import (
 //
 // Attribution model: every span's self-time is its duration minus the
 // summed durations of its direct children (clamped at zero for parents
-// whose children ran concurrently, e.g. fork-join worker spans). Summed
-// over a strictly sequential trace, self-times telescope to exactly the
-// root's wall time, which is what makes the per-phase tables additive.
+// whose children ran concurrently). Summed over a strictly sequential
+// trace, self-times telescope to exactly the root's wall time, which is
+// what makes the per-phase tables additive.
 // Self-times also feed per-phase reservoirs (PhaseStats: p50/p95/max)
 // and, when Instrument attached a registry, span_phase_seconds
 // histograms, so scrapes and trace dumps read the same numbers.
@@ -136,7 +136,6 @@ type SpanTracer struct {
 	wrapped bool
 	topK    []*SpanTrace // sorted by WallNs descending, len <= k
 	k       int
-	seq     int64
 	total   int64
 	phases  map[string]*phaseAgg
 	reg     *Registry
@@ -212,8 +211,7 @@ func (t *SpanTracer) Instrument(reg *Registry) {
 // descendants from Child; Finish stamps the end time, and finishing the
 // root freezes the tree into a SpanTrace. All methods are safe on a nil
 // receiver, and a trace's spans may start/finish from multiple
-// goroutines (fork-join worker attribution), though each individual
-// span must be finished exactly once.
+// goroutines, though each individual span must be finished exactly once.
 type Span struct {
 	tb     *traceBuilder
 	id     int
@@ -235,7 +233,6 @@ type traceBuilder struct {
 	nextID int
 	durs   []int64      // per-ID duration, filled at finish
 	spans  []SpanRecord // finish order
-	keepIf time.Duration
 	// pool/npool hand out child Span slots from the rootAlloc block;
 	// traceSlot is its pre-reserved SpanTrace. Both save heap allocations
 	// on the small traces that dominate the query path.
@@ -312,19 +309,6 @@ func (s *Span) Label(key, value string) {
 	s.tb.mu.Unlock()
 }
 
-// KeepIf drops the finished trace from the ring and top-K store unless
-// its wall time reaches min (phase attribution is recorded either way).
-// Use it for high-frequency roots — fork-join batches fire thousands of
-// times a second and only the slow ones are worth a trace slot.
-func (s *Span) KeepIf(min time.Duration) {
-	if s == nil {
-		return
-	}
-	s.tb.mu.Lock()
-	s.tb.keepIf = min
-	s.tb.mu.Unlock()
-}
-
 // Finish stamps the span's end. Finishing the root freezes the tree
 // into a SpanTrace and hands it to the tracer; spans finished after
 // their root are silently dropped (a call-site bug, not worth a panic
@@ -392,14 +376,13 @@ func (s *Span) Finish() {
 		WallNs: dur,
 		Spans:  tb.spans,
 	}
-	keep := tb.keepIf <= 0 || dur >= tb.keepIf.Nanoseconds()
 	tb.mu.Unlock()
-	tb.t.record(trace, keep)
+	tb.t.record(trace)
 }
 
-// record files one finished trace: phase attribution always, the ring
-// and top-K stores only when keep is set.
-func (t *SpanTracer) record(trace *SpanTrace, keep bool) {
+// record files one finished trace into the phase attribution and the
+// ring and top-K stores.
+func (t *SpanTracer) record(trace *SpanTrace) {
 	var observe []*Histogram
 	var selfs []int64
 	t.mu.Lock()
@@ -435,25 +418,22 @@ func (t *SpanTracer) record(trace *SpanTrace, keep bool) {
 			selfs = append(selfs, r.SelfNs)
 		}
 	}
+	trace.Seq = t.total
 	t.total++
-	if keep {
-		trace.Seq = t.seq
-		t.seq++
-		t.ring[t.next] = trace
-		t.next++
-		if t.next == len(t.ring) {
-			t.next = 0
-			t.wrapped = true
-		}
-		// Top-K: insert by wall time, descending; ties keep the older.
-		if len(t.topK) < t.k || trace.WallNs > t.topK[len(t.topK)-1].WallNs {
-			i := sort.Search(len(t.topK), func(i int) bool { return t.topK[i].WallNs < trace.WallNs })
-			t.topK = append(t.topK, nil)
-			copy(t.topK[i+1:], t.topK[i:])
-			t.topK[i] = trace
-			if len(t.topK) > t.k {
-				t.topK = t.topK[:t.k]
-			}
+	t.ring[t.next] = trace
+	t.next++
+	if t.next == len(t.ring) {
+		t.next = 0
+		t.wrapped = true
+	}
+	// Top-K: insert by wall time, descending; ties keep the older.
+	if len(t.topK) < t.k || trace.WallNs > t.topK[len(t.topK)-1].WallNs {
+		i := sort.Search(len(t.topK), func(i int) bool { return t.topK[i].WallNs < trace.WallNs })
+		t.topK = append(t.topK, nil)
+		copy(t.topK[i+1:], t.topK[i:])
+		t.topK[i] = trace
+		if len(t.topK) > t.k {
+			t.topK = t.topK[:t.k]
 		}
 	}
 	t.mu.Unlock()
@@ -464,8 +444,8 @@ func (t *SpanTracer) record(trace *SpanTrace, keep bool) {
 	}
 }
 
-// Total returns how many traces were ever finished (including dropped
-// and evicted ones).
+// Total returns how many traces were ever finished (including evicted
+// ones).
 func (t *SpanTracer) Total() int64 {
 	if t == nil {
 		return 0

@@ -44,7 +44,6 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	c := s.Child("child")
 	c.Label("k", "v")
-	c.KeepIf(time.Second)
 	c.Finish()
 	s.Finish()
 	tr.SetClock(nil)
@@ -201,34 +200,6 @@ func TestSpanTopKRetention(t *testing.T) {
 		if slow[i].WallNs != want {
 			t.Fatalf("Slowest[%d].WallNs = %d, want %d", i, slow[i].WallNs, want)
 		}
-	}
-}
-
-func TestSpanKeepIf(t *testing.T) {
-	tr := NewSpanTracer(8, 4)
-	clk := newFakeClock(0)
-	tr.SetClock(clk.Now)
-
-	fast := tr.Start("batch")
-	fast.KeepIf(5 * time.Millisecond)
-	clk.Advance(1 * time.Millisecond)
-	fast.Finish()
-
-	slowSpan := tr.Start("batch")
-	slowSpan.KeepIf(5 * time.Millisecond)
-	clk.Advance(20 * time.Millisecond)
-	slowSpan.Finish()
-
-	if got := tr.Total(); got != 2 {
-		t.Fatalf("Total = %d, want 2 (dropped traces still count)", got)
-	}
-	if got := tr.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1 (fast trace dropped)", got)
-	}
-	// Phase attribution sees both.
-	ps := tr.PhaseStats()
-	if len(ps) != 1 || ps[0].Phase != "batch" || ps[0].Count != 2 {
-		t.Fatalf("PhaseStats = %+v, want one 'batch' row with count 2", ps)
 	}
 }
 
@@ -494,20 +465,12 @@ func TestGaugeFuncJSONExport(t *testing.T) {
 	reg := NewRegistry()
 	n := 41.0
 	reg.GaugeFunc("live_value", func() float64 { n++; return n })
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"value": 42`) {
-		t.Fatalf("GaugeFunc value missing from JSON:\n%s", buf.String())
+	if got := scrapeValue(t, reg, "live_value"); got != 42 {
+		t.Fatalf("live_value = %v, want 42", got)
 	}
 	// First registration wins; a second function must not replace it.
 	reg.GaugeFunc("live_value", func() float64 { return -1 })
-	buf.Reset()
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"value": 43`) {
-		t.Fatalf("GaugeFunc was replaced:\n%s", buf.String())
+	if got := scrapeValue(t, reg, "live_value"); got != 43 {
+		t.Fatalf("live_value = %v, want 43 (GaugeFunc was replaced)", got)
 	}
 }

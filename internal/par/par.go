@@ -1,6 +1,6 @@
 // Package par is the repository's shared deterministic parallel
-// execution layer: a bounded fork-join API (For / Chunks / Err / Map)
-// whose results are collected in index order.
+// execution layer: a bounded fork-join API (For / Chunks / Err) whose
+// results are collected in index order.
 //
 // Determinism contract: every primitive here writes results into
 // caller-owned, index-addressed slots, so as long as the task bodies are
@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // workerOverride holds the SetWorkers value (0 = unset, resolve from
@@ -42,9 +41,6 @@ func SetWorkers(n int) {
 		n = 0
 	}
 	workerOverride.Store(int32(n))
-	if m := metrics(); m != nil {
-		m.workers.Set(float64(Workers()))
-	}
 }
 
 // Workers returns the worker count parallel primitives will use:
@@ -88,15 +84,7 @@ func Chunks(n, grain int, body func(lo, hi int)) {
 	if workers > nchunks {
 		workers = nchunks
 	}
-	// Span attribution (InstrumentSpans): the batch is one root span,
-	// each worker one child, so a slow batch shows which workers carried
-	// it. Spans observe only — they never affect chunk order or results.
-	root := spanTracer.Load().Start("par-batch")
-	root.KeepIf(spanKeepMin)
-
 	if workers <= 1 {
-		start := time.Now()
-		ws := root.Child(workerSpanName(0))
 		for lo := 0; lo < n; lo += grain {
 			hi := lo + grain
 			if hi > n {
@@ -104,18 +92,12 @@ func Chunks(n, grain int, body func(lo, hi int)) {
 			}
 			body(lo, hi)
 		}
-		ws.Finish()
-		observeBatch(nchunks, start)
-		root.Finish()
 		return
 	}
 
-	start := time.Now()
 	var next atomic.Int64
 	var pan atomic.Pointer[panicValue]
-	run := func(w int) {
-		ws := root.Child(workerSpanName(w))
-		defer ws.Finish()
+	run := func() {
 		defer func() {
 			if r := recover(); r != nil {
 				pan.CompareAndSwap(nil, &panicValue{val: r, stack: stack()})
@@ -137,15 +119,13 @@ func Chunks(n, grain int, body func(lo, hi int)) {
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			run(w)
-		}(w)
+			run()
+		}()
 	}
-	run(0)
+	run()
 	wg.Wait()
-	observeBatch(nchunks, start)
-	root.Finish()
 	if p := pan.Load(); p != nil {
 		panic(fmt.Sprintf("par: task panic: %v\n%s", p.val, p.stack))
 	}
@@ -201,32 +181,6 @@ func Err(n int, body func(i int) error) error {
 		}
 	})
 	return firstErr
-}
-
-// Map computes f(i) for every i in [0, n) in parallel and returns the
-// results in index order.
-func Map[T any](n int, f func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = f(i) })
-	return out
-}
-
-// MapErr is Map with an error per element; it returns the lowest-index
-// error and, on success, the results in index order.
-func MapErr[T any](n int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := Err(n, func(i int) error {
-		v, e := f(i)
-		if e != nil {
-			return e
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // autoGrain picks a chunk size that gives each worker a handful of

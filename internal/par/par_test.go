@@ -118,38 +118,6 @@ func TestErrCancellation(t *testing.T) {
 	}
 }
 
-func TestMapOrdered(t *testing.T) {
-	withWorkers(t, 4, func() {
-		got := Map(100, func(i int) int { return 2 * i })
-		for i, v := range got {
-			if v != 2*i {
-				t.Fatalf("Map[%d]=%d, want %d", i, v, 2*i)
-			}
-		}
-	})
-}
-
-func TestMapErr(t *testing.T) {
-	withWorkers(t, 4, func() {
-		got, err := MapErr(50, func(i int) (int, error) { return i + 1, nil })
-		if err != nil {
-			t.Fatalf("unexpected error: %v", err)
-		}
-		if got[49] != 50 {
-			t.Fatalf("MapErr[49]=%d, want 50", got[49])
-		}
-		_, err = MapErr(50, func(i int) (int, error) {
-			if i >= 10 {
-				return 0, fmt.Errorf("bad %d", i)
-			}
-			return i, nil
-		})
-		if err == nil || err.Error() != "bad 10" {
-			t.Fatalf("got %v, want bad 10", err)
-		}
-	})
-}
-
 func TestForPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		withWorkers(t, workers, func() {

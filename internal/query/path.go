@@ -10,18 +10,6 @@ import (
 	"elink/internal/topology"
 )
 
-// Safety classifies a cluster (or subtree) against a danger feature.
-type Safety int
-
-const (
-	// Unsafe: every node violates the safety margin.
-	Unsafe Safety = iota
-	// Safe: every node satisfies the margin.
-	Safe
-	// Mixed: the cluster straddles the margin and must be drilled.
-	Mixed
-)
-
 // PathResult is the answer to a path query plus its cost.
 type PathResult struct {
 	// Path is a safe node path from source to destination inclusive, nil

@@ -38,13 +38,13 @@ test:
 race:
 	$(GO) test -race ./internal/stream ./internal/topology ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
 
-## fuzz-smoke: a few seconds of each fuzz target — index.FromState, the
-## snapshot decoder and the WAL record decoder. Minimization is off: on a
-## large seed it would take the whole run. A crasher is written under
-## the package's testdata/fuzz; fix the bug and commit the file as a
-## regression seed
+## fuzz-smoke: a few seconds of each fuzz target — the snapshot decoder
+## (whose decodable inputs are also restored into an engine, rebuilding
+## the maintainer and index) and the WAL record decoder. Minimization is
+## off: on a large seed it would take the whole run. A crasher is
+## written under the package's testdata/fuzz; fix the bug and commit the
+## file as a regression seed
 fuzz-smoke:
-	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzIndexFromState$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 5s -fuzzminimizetime 0
 

@@ -13,10 +13,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"elink/internal/cluster"
 	"elink/internal/metric"
@@ -92,10 +92,11 @@ type Index struct {
 	maxDepth int
 }
 
-// Build constructs the index over an existing clustering. The clusters
-// must partition the nodes, and every cluster must have a recorded root
-// that is a member (true for all clusterings produced in this
-// repository).
+// Build constructs the index over an existing clustering. Only the
+// clustering's Members and Roots are read. The clusters must be
+// non-empty, connected and partition the nodes, and every cluster's root
+// must be a member, or -1 to root it at its first member. Malformed
+// input (a snapshot's clustering included) is an error, never a panic.
 func Build(g *topology.Graph, c *cluster.Clustering, feats []metric.Feature, m metric.Metric) (*Index, error) {
 	n := g.N()
 	if len(feats) != n {
@@ -120,7 +121,13 @@ func Build(g *topology.Graph, c *cluster.Clustering, feats []metric.Feature, m m
 		idx.parent[u] = -1
 	}
 	for ci, members := range c.Members {
+		if len(members) == 0 {
+			return nil, fmt.Errorf("index: cluster %d has no members", ci)
+		}
 		for _, u := range members {
+			if int(u) < 0 || int(u) >= n {
+				return nil, fmt.Errorf("index: cluster %d member %d outside [0,%d)", ci, u, n)
+			}
 			if prev := idx.ClusterOf[u]; prev >= 0 {
 				return nil, fmt.Errorf("index: node %d is in clusters %d and %d", u, prev, ci)
 			}
@@ -138,10 +145,10 @@ func Build(g *topology.Graph, c *cluster.Clustering, feats []metric.Feature, m m
 	bfs := make([]topology.NodeID, 0, n)
 	for ci, members := range c.Members {
 		root := c.Roots[ci]
-		if root < 0 {
+		if root == -1 {
 			root = members[0]
 		}
-		if int(root) >= n || idx.ClusterOf[root] != ci {
+		if root < 0 || int(root) >= n || idx.ClusterOf[root] != ci {
 			return nil, fmt.Errorf("index: cluster %d: root %d is not a member", ci, root)
 		}
 		idx.Clusters = append(idx.Clusters, &ClusterIndex{Root: root, Members: append([]topology.NodeID(nil), members...)})
@@ -190,6 +197,18 @@ func Build(g *topology.Graph, c *cluster.Clustering, feats []metric.Feature, m m
 	return idx, nil
 }
 
+// Clustering returns the clustering the index was built over, clusters
+// in Build's order with their resolved roots: Build over it and the same
+// features reproduces the index exactly. The result is a fresh copy.
+func (idx *Index) Clustering() *cluster.Clustering {
+	c := &cluster.Clustering{Assign: append([]int(nil), idx.ClusterOf...)}
+	for _, cl := range idx.Clusters {
+		c.Members = append(c.Members, append([]topology.NodeID(nil), cl.Members...))
+		c.Roots = append(c.Roots, cl.Root)
+	}
+	return c
+}
+
 // layout derives the aggregation order and the maximum depth from the
 // cluster trees' child lists: each cluster breadth-first from its root,
 // reversed so children precede parents.
@@ -234,33 +253,24 @@ func (idx *Index) buildBackbone() {
 		a, b int // cluster ordinals
 		hops int
 	}
-	seen := make(map[[2]int]bool)
+	// Each adjacent cluster pair a < b is listed once, from a's members;
+	// listedBy[b] == a+1 marks b as already listed for a.
 	var edges []cedge
-	for u := 0; u < idx.Graph.N(); u++ {
-		for _, v := range idx.Graph.Neighbors(topology.NodeID(u)) {
-			a, b := idx.ClusterOf[u], idx.ClusterOf[int(v)]
-			if a == b {
-				continue
+	listedBy := make([]int, len(idx.Clusters))
+	for a, cl := range idx.Clusters {
+		for _, u := range cl.Members {
+			for _, v := range idx.Graph.Neighbors(u) {
+				b := idx.ClusterOf[v]
+				if b <= a || listedBy[b] == a+1 {
+					continue
+				}
+				listedBy[b] = a + 1
+				edges = append(edges, cedge{a: a, b: b, hops: idx.Graph.HopDistance(cl.Root, idx.Clusters[b].Root)})
 			}
-			if a > b {
-				a, b = b, a
-			}
-			if seen[[2]int{a, b}] {
-				continue
-			}
-			seen[[2]int{a, b}] = true
-			ra, rb := idx.Clusters[a].Root, idx.Clusters[b].Root
-			edges = append(edges, cedge{a: a, b: b, hops: idx.Graph.HopDistance(ra, rb)})
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].hops != edges[j].hops {
-			return edges[i].hops < edges[j].hops
-		}
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
-		}
-		return edges[i].b < edges[j].b
+	slices.SortFunc(edges, func(x, y cedge) int {
+		return cmp.Or(cmp.Compare(x.hops, y.hops), cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
 	})
 	uf := newUnionFind(len(idx.Clusters))
 	for _, e := range edges {
@@ -303,8 +313,8 @@ func (uf unionFind) union(a, b int) bool {
 }
 
 // rootBackbone roots the backbone forest once per component, at the
-// component's lowest cluster ordinal, into idx.Rooted. The backbone must
-// be a forest over cluster roots (Build makes it one; FromState checks).
+// component's lowest cluster ordinal, into idx.Rooted. The backbone is
+// a forest over cluster roots because Build makes it one by Kruskal.
 func (idx *Index) rootBackbone() {
 	k := len(idx.Clusters)
 	off := make([]int, k+1)

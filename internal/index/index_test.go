@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"elink/internal/cluster"
@@ -97,10 +98,49 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build(g, c, feats[:3], metric.Scalar{}); err == nil {
 		t.Error("accepted short feature slice")
 	}
-	// Disconnected cluster must be rejected.
-	bad := cluster.FromRoots([]topology.NodeID{0, 3, 0, 3, 3, 3})
-	if _, err := Build(g, bad, feats, metric.Scalar{}); err == nil {
-		t.Error("accepted a disconnected cluster")
+	ids := func(v ...topology.NodeID) []topology.NodeID { return v }
+	for name, bad := range map[string]*cluster.Clustering{
+		"disconnected cluster": cluster.FromRoots([]topology.NodeID{0, 3, 0, 3, 3, 3}),
+		"member out of range":  {Members: [][]topology.NodeID{ids(0, 1, 2), ids(3, 4, 5, 6)}, Roots: ids(0, 3)},
+		"negative member":      {Members: [][]topology.NodeID{ids(-1, 0, 1, 2), ids(3, 4, 5)}, Roots: ids(0, 3)},
+		"empty cluster":        {Members: [][]topology.NodeID{ids(0, 1, 2), nil, ids(3, 4, 5)}, Roots: ids(0, -1, 3)},
+		"negative root":        {Members: [][]topology.NodeID{ids(0, 1, 2), ids(3, 4, 5)}, Roots: ids(0, -2)},
+		"root not a member":    {Members: [][]topology.NodeID{ids(0, 1, 2), ids(3, 4, 5)}, Roots: ids(0, 2)},
+		"node in two clusters": {Members: [][]topology.NodeID{ids(0, 1, 2), ids(2, 3, 4, 5)}, Roots: ids(0, 3)},
+		"node in no cluster":   {Members: [][]topology.NodeID{ids(0, 1, 2), ids(3, 4)}, Roots: ids(0, 3)},
+	} {
+		if _, err := Build(g, bad, feats, metric.Scalar{}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestClusteringRebuildsTheIndex checks that Build over an index's own
+// Clustering and the same features reproduces it exactly — the contract
+// a snapshot restore rests on — also when the input roots were -1.
+func TestClusteringRebuildsTheIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := topology.RandomGeometricForDegree(80, 4, rng)
+	labels := make([]int, g.N())
+	feats := make([]metric.Feature, g.N())
+	for u := range labels {
+		labels[u] = rng.Intn(6)
+		feats[u] = metric.Feature{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	c := cluster.FromAssignment(labels).SplitDisconnected(g)
+	for ci := 0; ci < len(c.Roots); ci += 2 {
+		c.Roots[ci] = -1
+	}
+	idx, err := Build(g, c, feats, metric.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Build(g, idx.Clustering(), feats, metric.Euclidean{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, idx) {
+		t.Fatal("index rebuilt over its own clustering differs")
 	}
 }
 
@@ -303,29 +343,6 @@ func TestRefreshKeepsQueriesExact(t *testing.T) {
 	for u := range feats {
 		if !idx.Features[u].Equal(feats[u]) {
 			t.Fatalf("feature drift at node %d", u)
-		}
-	}
-}
-
-// TestFromStateRejectsBackboneCycle checks restore accepts Build's
-// backbone forest but rejects an edge closing a cycle (self-loops
-// included), since queries walk the backbone without a visited set.
-func TestFromStateRejectsBackboneCycle(t *testing.T) {
-	g := topology.NewGrid(1, 5)
-	c := cluster.FromRoots([]topology.NodeID{0, 1, 2, 3, 4}) // singletons
-	feats := []metric.Feature{{0}, {10}, {20}, {30}, {40}}
-	idx, err := Build(g, c, feats, metric.Scalar{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromState(g, metric.Scalar{}, idx.State()); err != nil {
-		t.Fatalf("Build's backbone rejected: %v", err)
-	}
-	for _, extra := range []BackboneEdge{{A: 0, B: 2, Hops: 2}, {A: 3, B: 3}, idx.Backbone[0]} {
-		st := idx.State()
-		st.Backbone = append(st.Backbone, extra)
-		if _, err := FromState(g, metric.Scalar{}, st); err == nil {
-			t.Errorf("backbone with extra edge %+v accepted", extra)
 		}
 	}
 }

@@ -221,63 +221,3 @@ func TestCloneCopyOnWrite(t *testing.T) {
 		t.Error("clone copied the tree topology instead of sharing it")
 	}
 }
-
-// MalformedTrees are corruptions of lineSetup's index state whose child
-// lists are not the cluster tree. Entries are sorted by id: cluster 0
-// holds 0 (root), 1, 2. FuzzIndexFromState seeds its corpus with them.
-var MalformedTrees = map[string]func(st *State){
-	"leaf lists the root": func(st *State) {
-		st.Clusters[0].Entries[2].Children = []topology.NodeID{0}
-	},
-	"leaf lists its parent": func(st *State) {
-		st.Clusters[0].Entries[2].Children = []topology.NodeID{1}
-	},
-	"child outside the cluster": func(st *State) {
-		st.Clusters[0].Entries[2].Children = []topology.NodeID{3}
-	},
-	"child names another parent": func(st *State) {
-		st.Clusters[0].Entries[0].Children = []topology.NodeID{1, 2}
-	},
-	"child listed twice": func(st *State) {
-		st.Clusters[0].Entries[1].Children = []topology.NodeID{2, 2}
-	},
-	"child depth skips a level": func(st *State) {
-		st.Clusters[0].Entries[2].Depth = 3
-	},
-	"entry unreachable": func(st *State) {
-		st.Clusters[0].Entries[1].Children = nil
-	},
-	"root has a parent": func(st *State) {
-		st.Clusters[0].Entries[0].Parent = 1
-	},
-	"member listed twice": func(st *State) {
-		st.Clusters[0].Members = []topology.NodeID{0, 1, 1}
-	},
-}
-
-// TestFromStateRejectsMalformedTrees crafts child lists that are not the
-// cluster tree. Each must be rejected: queries recurse down child lists
-// without a visited set, and Refresh derives its order from them.
-func TestFromStateRejectsMalformedTrees(t *testing.T) {
-	g, c, feats := lineSetup() // clusters {0,1,2} and {3,4,5}, chains from 0 and 3
-	idx, err := Build(g, c, feats, metric.Scalar{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := FromState(g, metric.Scalar{}, idx.State())
-	if err != nil {
-		t.Fatalf("Build's state rejected: %v", err)
-	}
-	if back.MaxDepth() != idx.MaxDepth() || len(back.order) != len(idx.order) {
-		t.Errorf("restored depth %d / order %d, want %d / %d", back.MaxDepth(), len(back.order), idx.MaxDepth(), len(idx.order))
-	}
-	sameRadii(t, "restored", back.Radius, idx.Radius)
-
-	for name, corrupt := range MalformedTrees {
-		st := idx.State()
-		corrupt(&st)
-		if _, err := FromState(g, metric.Scalar{}, st); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}

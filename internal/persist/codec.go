@@ -244,7 +244,9 @@ func (d *dec) stats() cluster.Stats {
 	return s
 }
 
-// writeSection frames one payload: tag, length, payload, CRC.
+// writeSection frames one payload: tag, length, payload, CRC. The CRC
+// covers the header too, so a damaged tag or length cannot turn a known
+// section into a skipped unknown one.
 func writeSection(w io.Writer, tag uint8, payload []byte) (int64, error) {
 	hdr := make([]byte, 0, 5)
 	hdr = append(hdr, tag)
@@ -256,7 +258,7 @@ func writeSection(w io.Writer, tag uint8, payload []byte) (int64, error) {
 		return 0, err
 	}
 	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(tail[:], crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, payload))
 	if _, err := w.Write(tail[:]); err != nil {
 		return 0, err
 	}
@@ -290,7 +292,7 @@ func readSection(r io.Reader) (uint8, []byte, error) {
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return 0, nil, corruptf("section %d missing CRC", tag)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tail[:]); got != want {
+	if got, want := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload), binary.LittleEndian.Uint32(tail[:]); got != want {
 		return 0, nil, corruptf("section %d CRC mismatch (got %08x, want %08x)", tag, got, want)
 	}
 	return tag, payload, nil

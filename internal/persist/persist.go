@@ -9,13 +9,13 @@
 //
 //	+----------------------+
 //	| magic  "ELNKSNAP"    |  8 bytes
-//	| version uint32       |  little-endian (currently 1)
+//	| version uint32       |  little-endian (currently 2)
 //	+----------------------+
 //	| section              |  repeated
 //	|   tag     uint8      |
 //	|   length  uint32     |  payload bytes
 //	|   payload [length]   |
-//	|   crc32   uint32     |  IEEE CRC over the payload
+//	|   crc32   uint32     |  IEEE CRC over tag, length and payload
 //	+----------------------+
 //	| end tag 0xFF, len 0  |
 //	+----------------------+
@@ -49,7 +49,7 @@ const (
 	snapMagic = "ELNKSNAP"
 	// SnapshotVersion is the current snapshot format version. Decoders
 	// reject anything newer.
-	SnapshotVersion = 1
+	SnapshotVersion = 2
 
 	// walMagic opens every WAL segment.
 	walMagic = "ELNKWAL1"
@@ -63,7 +63,7 @@ const (
 	secModels  = 2 // per-node AR/RLS state
 	secFeats   = 3 // engine feature vectors + bootstrap coverage
 	secMaint   = 4 // slack-Δ maintainer state
-	secIndex   = 5 // M-tree + backbone state
+	secIndex   = 5 // the index's clustering: roots and members per cluster
 	secTelem   = 6 // accumulated stats/counters
 	secEnd     = 0xFF
 	maxSection = 1 << 30 // defensive cap on one section's payload

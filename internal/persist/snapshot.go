@@ -7,7 +7,6 @@ import (
 
 	"elink/internal/ar"
 	"elink/internal/cluster"
-	"elink/internal/index"
 	"elink/internal/metric"
 	"elink/internal/obs"
 	"elink/internal/topology"
@@ -55,8 +54,12 @@ type EngineState struct {
 	Feats   []metric.Feature
 	FeatSet []bool
 
-	Maint *update.State // nil before bootstrap
-	Index *index.State  // nil before bootstrap
+	// Maint is the maintainer's state and IndexClustering the clustering
+	// the index was last built over, in its cluster order; both are nil
+	// before bootstrap. Their features are Feats. IndexClustering carries
+	// Members and Roots only, which is all index.Build reads.
+	Maint           *update.State
+	IndexClustering *cluster.Clustering
 
 	Readings    int64
 	Updates     int64
@@ -123,8 +126,8 @@ func WriteSnapshot(w io.Writer, st *EngineState, parent *obs.Span) (int64, error
 			return total, err
 		}
 	}
-	if st.Index != nil {
-		if err := write("index", secIndex, func() []byte { return encodeIndex(st.Index) }); err != nil {
+	if st.IndexClustering != nil {
+		if err := write("index", secIndex, func() []byte { return encodeIndex(st.IndexClustering) }); err != nil {
 			return total, err
 		}
 	}
@@ -178,7 +181,7 @@ func ReadSnapshot(r io.Reader) (*EngineState, error) {
 		case secMaint:
 			st.Maint = decodeMaint(&d)
 		case secIndex:
-			st.Index = decodeIndex(&d)
+			st.IndexClustering = decodeIndex(&d)
 		case secTelem:
 			decodeTelem(&d, st)
 		default:
@@ -193,7 +196,7 @@ func ReadSnapshot(r io.Reader) (*EngineState, error) {
 	if !seen[secMeta] || !seen[secFeats] {
 		return nil, corruptf("missing required sections (meta %v, feats %v)", seen[secMeta], seen[secFeats])
 	}
-	if st.Ready && (st.Maint == nil || st.Index == nil) {
+	if st.Ready && (st.Maint == nil || st.IndexClustering == nil) {
 		return nil, corruptf("ready engine without maintainer/index sections")
 	}
 	return st, nil
@@ -297,7 +300,6 @@ func decodeFeats(d *dec, st *EngineState) {
 
 func encodeMaint(m *update.State) []byte {
 	var e enc
-	e.features(m.Feats)
 	e.u32(uint32(len(m.Clusters)))
 	for _, cs := range m.Clusters {
 		e.i64(int64(cs.ID))
@@ -319,7 +321,7 @@ func encodeMaint(m *update.State) []byte {
 }
 
 func decodeMaint(d *dec) *update.State {
-	m := &update.State{Feats: d.features()}
+	m := &update.State{}
 	n := d.count(8 + 8 + 4)
 	if d.err != nil {
 		return nil
@@ -348,83 +350,33 @@ func decodeMaint(d *dec) *update.State {
 	return m
 }
 
-func encodeIndex(ix *index.State) []byte {
+// encodeIndex stores the clustering the index was last built over:
+// each cluster's root and members, in the index's order. Restore hands
+// it back to index.Build, which re-derives the trees, radii and backbone.
+func encodeIndex(c *cluster.Clustering) []byte {
 	var e enc
-	e.features(ix.Features)
-	co := make([]int64, len(ix.ClusterOf))
-	for i, v := range ix.ClusterOf {
-		co[i] = int64(v)
+	e.u32(uint32(len(c.Members)))
+	for ci, members := range c.Members {
+		e.i64(int64(c.Roots[ci]))
+		e.nodes(members)
 	}
-	e.ints(co)
-	e.u32(uint32(len(ix.Clusters)))
-	for _, cl := range ix.Clusters {
-		e.i64(int64(cl.Root))
-		e.nodes(cl.Members)
-		e.u32(uint32(len(cl.Entries)))
-		for _, en := range cl.Entries {
-			e.i64(int64(en.ID))
-			e.i64(int64(en.Parent))
-			e.nodes(en.Children)
-			e.f64(en.Radius)
-			e.i64(int64(en.Depth))
-		}
-	}
-	e.u32(uint32(len(ix.Backbone)))
-	for _, be := range ix.Backbone {
-		e.i64(int64(be.A))
-		e.i64(int64(be.B))
-		e.i64(int64(be.Hops))
-	}
-	e.stats(ix.BuildStats)
 	return e.b
 }
 
-func decodeIndex(d *dec) *index.State {
-	ix := &index.State{Features: d.features()}
-	for _, v := range d.ints() {
-		ix.ClusterOf = append(ix.ClusterOf, int(v))
-	}
-	nc := d.count(8 + 4 + 4)
+func decodeIndex(d *dec) *cluster.Clustering {
+	n := d.count(8 + 4) // per cluster: root + members header
 	if d.err != nil {
 		return nil
 	}
-	ix.Clusters = make([]index.ClusterIndexState, nc)
-	for i := range ix.Clusters {
-		cl := &ix.Clusters[i]
-		cl.Root = topoNode(d.i64())
-		cl.Members = d.nodes()
-		ne := d.count(8 + 8 + 4 + 8 + 8)
-		if d.err != nil {
-			return nil
-		}
-		cl.Entries = make([]index.EntryState, ne)
-		for j := range cl.Entries {
-			en := &cl.Entries[j]
-			en.ID = topoNode(d.i64())
-			en.Parent = topoNode(d.i64())
-			en.Children = d.nodes()
-			en.Radius = d.f64()
-			en.Depth = int(d.i64())
-			if d.err != nil {
-				return nil
-			}
-		}
+	c := &cluster.Clustering{Members: make([][]topology.NodeID, n), Roots: make([]topology.NodeID, n)}
+	for ci := range c.Members {
+		c.Roots[ci] = topoNode(d.i64())
+		c.Members[ci] = d.nodes()
 	}
-	nb := d.count(24)
 	if d.err != nil {
 		return nil
 	}
-	ix.Backbone = make([]index.BackboneEdge, nb)
-	for i := range ix.Backbone {
-		ix.Backbone[i].A = topoNode(d.i64())
-		ix.Backbone[i].B = topoNode(d.i64())
-		ix.Backbone[i].Hops = int(d.i64())
-	}
-	ix.BuildStats = d.stats()
-	if d.err != nil {
-		return nil
-	}
-	return ix
+	return c
 }
 
 func encodeTelem(st *EngineState) []byte {

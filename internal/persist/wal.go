@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -509,7 +508,3 @@ func decodeRecord(b []byte) (*BatchRecord, []byte, error) {
 	}
 	return rec, b[4+n+4:], nil
 }
-
-// io.EOF is deliberately unused here; readers work over in-memory
-// segment bytes so torn-tail detection is purely length-driven.
-var _ = io.EOF

@@ -48,8 +48,9 @@ func randomFeature(rng *rand.Rand, dim int) metric.Feature {
 // TestQueriesMatchReference checks the flat-array Range and Path against
 // the map-based references over random geometric networks — connected
 // and fragmented — with random clusterings and roots, on indexes from
-// Build and from a State round trip. Whole results must be deeply equal:
-// matches, path, every per-kind charge and the pruning counters.
+// Build and from a rebuild over the index's own Clustering. Whole
+// results must be deeply equal: matches, path, every per-kind charge and
+// the pruning counters.
 func TestQueriesMatchReference(t *testing.T) {
 	multiComponent := 0
 	for trial := int64(0); trial < 60; trial++ {
@@ -81,7 +82,7 @@ func TestQueriesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := index.FromState(g, m, built.State())
+		restored, err := index.Build(g, built.Clustering(), feats, m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

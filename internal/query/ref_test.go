@@ -12,29 +12,34 @@ import (
 // The map-based Range and Path that the flat-array queries replaced,
 // kept as references: per-cluster entry maps, a backbone adjacency map
 // walked recursively from the initiator's root, an answered-root set,
-// and a sorted match list. They read the index only through its
-// exported State, so they share none of the flat layout under test.
+// and a sorted match list. They copy each node's children and depth out
+// of the index once, so they share none of the flat layout under test.
+
+// refEntry is one node's M-tree slot: its children and its depth.
+type refEntry struct {
+	Children []topology.NodeID
+	Depth    int
+}
 
 // refIndex is the map-based view of an index.
 type refIndex struct {
 	idx         *index.Index
-	entries     map[topology.NodeID]*index.EntryState
+	entries     map[topology.NodeID]*refEntry
 	backboneAdj map[topology.NodeID][]index.BackboneEdge
 }
 
 func newRefIndex(idx *index.Index) *refIndex {
-	st := idx.State()
 	ri := &refIndex{
 		idx:         idx,
-		entries:     make(map[topology.NodeID]*index.EntryState),
+		entries:     make(map[topology.NodeID]*refEntry),
 		backboneAdj: make(map[topology.NodeID][]index.BackboneEdge),
 	}
-	for _, cs := range st.Clusters {
-		for i := range cs.Entries {
-			ri.entries[cs.Entries[i].ID] = &cs.Entries[i]
+	for _, cl := range idx.Clusters {
+		for _, u := range cl.Members {
+			ri.entries[u] = &refEntry{Children: append([]topology.NodeID(nil), idx.Children(u)...), Depth: idx.Depth(u)}
 		}
 	}
-	for _, e := range st.Backbone {
+	for _, e := range idx.Backbone {
 		ri.backboneAdj[e.A] = append(ri.backboneAdj[e.A], e)
 		ri.backboneAdj[e.B] = append(ri.backboneAdj[e.B], e)
 	}

@@ -186,6 +186,27 @@ func (e *Engine) Ingest(batch []Reading) (*IngestResult, error) {
 // publish) become child spans whose self-times sum to the epoch wall
 // time.
 func (e *Engine) IngestSpanned(batch []Reading, parent *obs.Span) (*IngestResult, error) {
+	return e.ingestEpoch(parent, func(sp *obs.Span) (*IngestResult, error) {
+		return e.ingestLocked(batch, sp)
+	}, func() *persist.BatchRecord {
+		rec := &persist.BatchRecord{Kind: persist.RecordReadings, Nodes: make([]int64, len(batch)), Values: make([]float64, len(batch))}
+		for i, r := range batch {
+			rec.Nodes[i], rec.Values[i] = int64(r.Node), r.Value
+		}
+		return rec
+	})
+}
+
+// ingestEpoch runs one batch as an epoch under the engine lock, traced
+// as an "epoch" span: apply applies the batch, and record builds its
+// journal record, called only when a WAL is attached. The record
+// carries the sequence number the batch commits as; e.seq advances only
+// after the append succeeds, so a failed append never leaves a gap for
+// the next record to journal across. On failure the engine latches
+// ErrWALDiverged — the batch is applied in memory but not durable, and
+// every further ingest is rejected until the process restarts
+// (typically after a snapshot, which captures the applied state).
+func (e *Engine) ingestEpoch(parent *obs.Span, apply func(sp *obs.Span) (*IngestResult, error), record func() *persist.BatchRecord) (*IngestResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.walErr != nil {
@@ -193,24 +214,20 @@ func (e *Engine) IngestSpanned(batch []Reading, parent *obs.Span) (*IngestResult
 	}
 	sp := e.startSpan("epoch", parent)
 	defer sp.Finish()
-	res, err := e.ingestLocked(batch, sp)
+	res, err := apply(sp)
 	if err != nil {
 		sp.Label("error", err.Error())
 		return nil, err
 	}
 	if e.wal != nil {
-		nodes := make([]int64, len(batch))
-		values := make([]float64, len(batch))
-		for i, r := range batch {
-			nodes[i], values[i] = int64(r.Node), r.Value
-		}
+		rec := record()
+		rec.Seq = e.seq + 1
 		js := sp.Child("journal")
-		err := e.journalLocked(&persist.BatchRecord{
-			Kind: persist.RecordReadings, Nodes: nodes, Values: values,
-		}, js)
+		err := e.wal.Append(rec, js)
 		js.Finish()
 		if err != nil {
-			return res, err
+			e.walErr = fmt.Errorf("%w: batch %d: %v", ErrWALDiverged, rec.Seq, err)
+			return res, e.walErr
 		}
 	}
 	e.seq++
@@ -301,36 +318,15 @@ func (e *Engine) IngestFeatures(batch []FeatureUpdate) (*IngestResult, error) {
 // IngestFeaturesSpanned is IngestFeatures with the epoch traced (see
 // IngestSpanned).
 func (e *Engine) IngestFeaturesSpanned(batch []FeatureUpdate, parent *obs.Span) (*IngestResult, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.walErr != nil {
-		return nil, e.walErr
-	}
-	sp := e.startSpan("epoch", parent)
-	defer sp.Finish()
-	res, err := e.ingestFeaturesLocked(batch, sp)
-	if err != nil {
-		sp.Label("error", err.Error())
-		return nil, err
-	}
-	if e.wal != nil {
-		nodes := make([]int64, len(batch))
-		features := make([][]float64, len(batch))
+	return e.ingestEpoch(parent, func(sp *obs.Span) (*IngestResult, error) {
+		return e.ingestFeaturesLocked(batch, sp)
+	}, func() *persist.BatchRecord {
+		rec := &persist.BatchRecord{Kind: persist.RecordFeatures, Nodes: make([]int64, len(batch)), Features: make([][]float64, len(batch))}
 		for i, up := range batch {
-			nodes[i], features[i] = int64(up.Node), up.Feature
+			rec.Nodes[i], rec.Features[i] = int64(up.Node), up.Feature
 		}
-		js := sp.Child("journal")
-		err := e.journalLocked(&persist.BatchRecord{
-			Kind: persist.RecordFeatures, Nodes: nodes, Features: features,
-		}, js)
-		js.Finish()
-		if err != nil {
-			return res, err
-		}
-	}
-	e.seq++
-	e.labelEpoch(sp)
-	return res, nil
+		return rec
+	})
 }
 
 // ingestFeaturesLocked validates the whole batch up front, then applies

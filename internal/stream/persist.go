@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"elink/internal/ar"
 	"elink/internal/index"
 	"elink/internal/metric"
-	"elink/internal/obs"
 	"elink/internal/persist"
 	"elink/internal/topology"
 	"elink/internal/update"
@@ -47,24 +47,6 @@ func (e *Engine) AttachWAL(w *persist.WAL) {
 	e.mu.Lock()
 	e.wal = w
 	e.mu.Unlock()
-}
-
-// journalLocked appends one record for the batch the engine just
-// applied; the record carries the sequence number the batch will commit
-// as (the caller advances e.seq only after the append succeeds, so a
-// failed append never leaves a gap for the next record to journal
-// across). On failure the engine latches ErrWALDiverged — the batch is
-// applied in memory but not durable, and every further ingest is
-// rejected until the process restarts (typically after a snapshot, which
-// captures the applied state). The append (and its fsync, when the
-// policy triggers one) is traced under sp.
-func (e *Engine) journalLocked(rec *persist.BatchRecord, sp *obs.Span) error {
-	rec.Seq = e.seq + 1
-	if err := e.wal.Append(rec, sp); err != nil {
-		e.walErr = fmt.Errorf("%w: batch %d: %v", ErrWALDiverged, rec.Seq, err)
-		return e.walErr
-	}
-	return nil
 }
 
 // Diverged returns the latched journal-failure error, or nil while the
@@ -131,8 +113,7 @@ func (e *Engine) stateLocked() *persist.EngineState {
 	if e.ready {
 		ms := e.maint.State()
 		st.Maint = &ms
-		is := e.idx.State()
-		st.Index = &is
+		st.IndexClustering = e.idx.Clustering()
 	}
 	return st
 }
@@ -208,17 +189,23 @@ func (e *Engine) Restore(r io.Reader) error {
 			models[u] = m
 		}
 	}
+	// The maintainer and the index are restored over the engine's
+	// features, which they held bitwise equal when the snapshot was
+	// taken; the index is rebuilt over the clustering it was built over.
 	var maint *update.Maintainer
 	var idx *index.Index
 	if st.Ready {
+		if err := checkFeatures(st.Feats, st.Maint.RootFeatAt); err != nil {
+			return err
+		}
 		maint, err = update.FromState(e.g, update.Config{
 			Delta: e.cfg.Delta, Slack: e.cfg.Slack, Metric: e.cfg.Metric,
 			Obs: e.cfg.Obs,
-		}, *st.Maint)
+		}, *st.Maint, st.Feats)
 		if err != nil {
 			return fmt.Errorf("stream: restore maintainer: %w", err)
 		}
-		idx, err = index.FromState(e.g, e.cfg.Metric, *st.Index)
+		idx, err = index.Build(e.g, st.IndexClustering, st.Feats, e.cfg.Metric)
 		if err != nil {
 			return fmt.Errorf("stream: restore index: %w", err)
 		}
@@ -264,6 +251,29 @@ func (e *Engine) Restore(r io.Reader) error {
 		e.snap.Store(nil)
 	}
 	e.eobs.restore(time.Since(start)) //elink:allow walltime — restore latency telemetry; recovered state comes from the snapshot bytes
+	return nil
+}
+
+// checkFeatures rejects restored features no query or update could run
+// on safely: a non-finite value, or a dimension other than the first
+// feature's.
+func checkFeatures(sets ...[]metric.Feature) error {
+	dim := -1
+	for _, feats := range sets {
+		for u, f := range feats {
+			if dim < 0 {
+				dim = len(f)
+			}
+			if len(f) != dim {
+				return fmt.Errorf("stream: snapshot feature %d has dimension %d, want %d", u, len(f), dim)
+			}
+			for _, x := range f {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return fmt.Errorf("stream: snapshot feature %d is not finite: %v", u, f)
+				}
+			}
+		}
+	}
 	return nil
 }
 

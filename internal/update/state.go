@@ -18,13 +18,14 @@ type ClusterState struct {
 	Members []topology.NodeID
 }
 
-// State is the complete serializable state of a Maintainer. Everything
-// the slack-Δ protocol consults — features, membership, cluster trees,
-// lagged root-feature advertisements, telemetry — is captured, so a
-// maintainer rebuilt with FromState screens, detaches and re-homes
-// exactly like the original would have. All slices are deep copies.
+// State is the serializable state of a Maintainer. Everything the
+// slack-Δ protocol consults apart from the current features —
+// membership, cluster trees, lagged root-feature advertisements,
+// telemetry — is captured; the features are the engine's own and are
+// handed back to FromState, so a restored maintainer screens, detaches
+// and re-homes exactly like the original would have. All slices are
+// deep copies.
 type State struct {
-	Feats      []metric.Feature
 	Clusters   []ClusterState // sorted by ID
 	NextID     int
 	Parent     []topology.NodeID
@@ -39,16 +40,12 @@ type State struct {
 // State exports the maintainer's complete state.
 func (m *Maintainer) State() State {
 	st := State{
-		Feats:           make([]metric.Feature, len(m.feats)),
 		NextID:          m.nextID,
 		Parent:          append([]topology.NodeID(nil), m.parent...),
 		Depth:           append([]int(nil), m.depth...),
 		RootFeatAt:      make([]metric.Feature, len(m.rootFeatAt)),
 		Counters:        m.counters,
 		InitialClusters: m.initialClusters,
-	}
-	for u, f := range m.feats {
-		st.Feats[u] = f.Clone()
 	}
 	for u, f := range m.rootFeatAt {
 		st.RootFeatAt[u] = f.Clone()
@@ -72,16 +69,16 @@ func (m *Maintainer) State() State {
 	return st
 }
 
-// FromState rebuilds a live maintainer over g from exported state. The
-// state is validated structurally (every node in exactly one cluster,
-// ids and roots consistent, slice lengths matching the graph) so a
-// corrupted snapshot is rejected with an error instead of corrupting the
-// maintenance protocol.
-func FromState(g *topology.Graph, cfg Config, st State) (*Maintainer, error) {
+// FromState rebuilds a live maintainer over g from exported state and
+// the nodes' current features. The state is validated structurally
+// (every node in exactly one cluster, ids and roots consistent, slice
+// lengths matching the graph) so a corrupted snapshot is rejected with
+// an error instead of corrupting the maintenance protocol.
+func FromState(g *topology.Graph, cfg Config, st State, feats []metric.Feature) (*Maintainer, error) {
 	n := g.N()
-	if len(st.Feats) != n || len(st.Parent) != n || len(st.Depth) != n || len(st.RootFeatAt) != n {
+	if len(feats) != n || len(st.Parent) != n || len(st.Depth) != n || len(st.RootFeatAt) != n {
 		return nil, fmt.Errorf("update: state sized for %d/%d/%d/%d nodes, graph has %d",
-			len(st.Feats), len(st.Parent), len(st.Depth), len(st.RootFeatAt), n)
+			len(feats), len(st.Parent), len(st.Depth), len(st.RootFeatAt), n)
 	}
 	if cfg.Slack < 0 || 2*cfg.Slack > cfg.Delta {
 		return nil, fmt.Errorf("update: slack %v must satisfy 0 <= 2Δ <= δ=%v", cfg.Slack, cfg.Delta)
@@ -105,8 +102,8 @@ func FromState(g *topology.Graph, cfg Config, st State) (*Maintainer, error) {
 	for k, v := range st.Stats.Breakdown {
 		m.stats.Breakdown[k] = v
 	}
-	for u := range st.Feats {
-		m.feats[u] = st.Feats[u].Clone()
+	for u := range feats {
+		m.feats[u] = feats[u].Clone()
 		m.rootFeatAt[u] = st.RootFeatAt[u].Clone()
 	}
 	assigned := make([]bool, n)

@@ -32,11 +32,12 @@ fmt:
 test:
 	$(GO) test ./...
 
-## race: the concurrent subsystems (streaming engine, pooled routing and
-## query scratch, metrics registry/span tracer, parallel execution layer
-## and the kernels/figures running on it) under the race detector
+## race: the concurrent subsystems (streaming engine, free-listed routing
+## walkers and query scratch, the simulator's allocation-free routing,
+## metrics registry/span tracer, parallel execution layer and the
+## kernels/figures running on it) under the race detector
 race:
-	$(GO) test -race ./internal/stream ./internal/topology ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
+	$(GO) test -race ./internal/stream ./internal/topology ./internal/sim ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
 
 ## fuzz-smoke: a few seconds of each fuzz target — the snapshot decoder
 ## (whose decodable inputs are also restored into an engine, rebuilding
@@ -48,12 +49,13 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 5s -fuzzminimizetime 0
 
-## bench: one pass of every micro-benchmark — the facade's, routing
-## (internal/sim), range queries (internal/query), the spectral kernels
-## (internal/linalg), the span cost per trace (internal/obs) and a Tao
-## replay with and without span tracing (internal/stream) — so none can rot
+## bench: one pass of every micro-benchmark — the facade's, the quadtree
+## build (internal/topology), routing (internal/sim), range queries
+## (internal/query), the spectral kernels (internal/linalg), the span
+## cost per trace (internal/obs) and a Tao replay with and without span
+## tracing (internal/stream) — so none can rot
 bench:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/sim ./internal/query ./internal/linalg ./internal/obs ./internal/stream
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/topology ./internal/sim ./internal/query ./internal/linalg ./internal/obs ./internal/stream
 
 ## bench-smoke: vet the benchmark in bench/ and run its smoke tests,
 ## which drive every workload briefly (elink-serve is built into a temp

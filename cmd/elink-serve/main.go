@@ -536,8 +536,7 @@ func (s *server) ingest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	switch {
@@ -560,8 +559,7 @@ func (s *server) rangeQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req rangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := s.engine.RangeQuerySpanned(req.Feature, req.Radius, req.Initiator, reqSpan(w))
@@ -580,8 +578,7 @@ func (s *server) pathQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req pathRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := s.engine.PathQuerySpanned(req.Danger, req.Gamma, req.Src, req.Dst, reqSpan(w))
@@ -675,6 +672,28 @@ func (s *server) spansDump(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q: want json or chrome", format))
 	}
+}
+
+// maxBodyBytes bounds every request body the daemon decodes. It is
+// about 50 times the serve-mixed workload's ingest body (≈ 80 KB for
+// 2,000 readings).
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes r's JSON body into v. On failure it answers 413 for
+// a body over maxBodyBytes, 400 for any other decode error, and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+	return false
 }
 
 // queryStatus maps engine query errors to HTTP statuses: a warming-up

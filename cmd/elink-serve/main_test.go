@@ -573,3 +573,45 @@ func TestServeErrorBodies(t *testing.T) {
 		t.Error("metrics missing the 503 snapshot request count")
 	}
 }
+
+// TestServeBodyLimit sends each decoding endpoint a body one byte over
+// maxBodyBytes; each answers 413 with a JSON error body.
+func TestServeBodyLimit(t *testing.T) {
+	for _, path := range []string{"/v1/ingest", "/v1/query/range", "/v1/query/path"} {
+		t.Run(path, func(t *testing.T) {
+			_, mux := newTestServer(t)
+			prefix, suffix := `{"pad":"`, `"}`
+			body := prefix + strings.Repeat("x", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+			w := do(t, mux, "POST", path, body)
+			if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), `"error"`) {
+				t.Errorf("%d-byte body = %d %.200s, want JSON 413", len(body), w.Code, w.Body.String())
+			}
+		})
+	}
+}
+
+// TestServeIngestRejectsUnusableFeatures sends feature batches the engine
+// cannot apply: each is a 400, and the published epoch does not move.
+func TestServeIngestRejectsUnusableFeatures(t *testing.T) {
+	_, mux := newTestServer(t)
+	if w := do(t, mux, "POST", "/v1/ingest", `{"features":[{"node":0,"feature":[0]},{"node":1,"feature":[0,1]}]}`); w.Code != http.StatusBadRequest {
+		t.Errorf("mixed dimensions before bootstrap = %d %s, want 400", w.Code, w.Body.String())
+	}
+	bootstrapTestServer(t, mux)
+	for _, bad := range []string{
+		`{"features":[{"node":1,"feature":[0.1,0.2]}]}`, // the engine's features are 1-dim
+		`{"features":[{"node":1,"feature":[1e999]}]}`,   // not a finite float64
+		`{"readings":[{"node":1,"value":1e999}]}`,
+	} {
+		if w := do(t, mux, "POST", "/v1/ingest", bad); w.Code != http.StatusBadRequest {
+			t.Errorf("ingest %s = %d %s, want 400", bad, w.Code, w.Body.String())
+		}
+	}
+	w := do(t, mux, "GET", "/v1/snapshot", "")
+	var snap struct {
+		Epoch int64 `json:"epoch"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil || snap.Epoch != 1 {
+		t.Errorf("snapshot after rejected batches = %s, want epoch 1", w.Body.String())
+	}
+}

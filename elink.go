@@ -298,7 +298,8 @@ const (
 var ErrNotReady = stream.ErrNotReady
 
 // ErrInvalidBatch tags engine ingest errors caused by the batch payload
-// itself (unknown node, empty feature, wrong ingest mode); match with
+// itself (unknown node, non-finite value, empty feature or one of the
+// wrong dimension, wrong ingest mode); match with
 // errors.Is to separate caller mistakes from engine failures.
 var ErrInvalidBatch = stream.ErrInvalidBatch
 

@@ -168,13 +168,43 @@ func (c *Config) validate(g *topology.Graph) error {
 // every cluster's induced subgraph is connected (see
 // Clustering.SplitDisconnected).
 func Run(g *topology.Graph, cfg Config) (*cluster.Result, error) {
-	if err := cfg.validate(g); err != nil {
+	cfg, net, rootOf, err := simulate(g, cfg)
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(g.N())
-	qt := topology.BuildQuadtree(g)
-	sh := newShared(g, qt, cfg)
+	// Read the costs first so the network, and every node it holds, can
+	// be collected while the clustering is built.
+	stats := cluster.Stats{
+		Messages:  net.TotalMessages(),
+		Breakdown: net.MessageBreakdown(),
+		Time:      net.Now(),
+	}
+	res := &cluster.Result{Clustering: cluster.FromRoots(rootOf).SplitDisconnected(g), Stats: stats}
+	observeRun(cfg, res, stats.Time)
+	return res, nil
+}
 
+// TxPerNode runs the same clustering as Run but returns the per-node
+// transmission counts instead of the clustering — the input to energy and
+// network-lifetime analyses (every hop is charged to its sender).
+func TxPerNode(g *topology.Graph, cfg Config) ([]int64, error) {
+	_, net, _, err := simulate(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return net.TxPerNode(), nil
+}
+
+// simulate validates cfg, fills in its defaults and runs one ELink node
+// per sensor on a fresh network until no event is left. It returns the
+// defaulted config, the drained network and every node's cluster root,
+// or an error if a node finished unclustered.
+func simulate(g *topology.Graph, cfg Config) (Config, *sim.Network, []topology.NodeID, error) {
+	if err := cfg.validate(g); err != nil {
+		return cfg, nil, nil, err
+	}
+	cfg = cfg.withDefaults(g.N())
+	sh := newShared(g, topology.BuildQuadtree(g), cfg)
 	net := sim.NewNetwork(g, cfg.Delay, cfg.Seed)
 	net.Instrument(cfg.Obs, "elink")
 	if cfg.Loss > 0 {
@@ -185,18 +215,15 @@ func Run(g *topology.Graph, cfg Config) (*cluster.Result, error) {
 		nodes[u] = newNode(topology.NodeID(u), sh)
 		net.SetProtocol(topology.NodeID(u), nodes[u])
 	}
-	end := net.Run()
-
-	res, err := assemble(g, nodes, cluster.Stats{
-		Messages:  net.TotalMessages(),
-		Breakdown: net.MessageBreakdown(),
-		Time:      end,
-	})
-	if err != nil {
-		return nil, err
+	net.Run()
+	rootOf := make([]topology.NodeID, len(nodes))
+	for u, nd := range nodes {
+		if !nd.clustered {
+			return cfg, nil, nil, fmt.Errorf("elink: node %d finished unclustered (lost synchronization messages under fault injection, or a protocol bug)", u)
+		}
+		rootOf[u] = nd.root
 	}
-	observeRun(cfg, res, end)
-	return res, nil
+	return cfg, net, rootOf, nil
 }
 
 // observeRun publishes a completed run's summary into cfg.Obs. With the
@@ -214,18 +241,6 @@ func observeRun(cfg Config, res *cluster.Result, end float64) {
 		cfg.Obs.Histogram("elink_run_messages", obs.MessageBuckets(), "mode", mode).Observe(float64(res.Stats.Messages))
 		cfg.Obs.Gauge("elink_clusters", "mode", mode).Set(float64(res.Clustering.NumClusters()))
 	}
-}
-
-func assemble(g *topology.Graph, nodes []*node, stats cluster.Stats) (*cluster.Result, error) {
-	rootOf := make([]topology.NodeID, g.N())
-	for u, nd := range nodes {
-		if !nd.clustered {
-			return nil, fmt.Errorf("elink: node %d finished unclustered (lost synchronization messages under fault injection, or a protocol bug)", u)
-		}
-		rootOf[u] = nd.root
-	}
-	c := cluster.FromRoots(rootOf).SplitDisconnected(g)
-	return &cluster.Result{Clustering: c, Stats: stats}, nil
 }
 
 // shared holds the immutable inputs every node reads.
@@ -248,8 +263,7 @@ type shared struct {
 
 func newShared(g *topology.Graph, qt *topology.Quadtree, cfg Config) *shared {
 	sh := &shared{g: g, qt: qt, cfg: cfg}
-	starts, _ := qt.ImplicitSchedule(g.N(), cfg.Gamma)
-	sh.starts = starts
+	sh.starts = implicitSchedule(g.N(), qt.Depth, cfg.Gamma)
 	sh.maxDepth = make([]int, len(qt.Cells))
 	// Cells are created parent-before-children, so a reverse sweep
 	// propagates subtree depths upward.
@@ -283,6 +297,22 @@ func newShared(g *topology.Graph, qt *topology.Quadtree, cfg Config) *shared {
 		}
 	}
 	return sh
+}
+
+// implicitSchedule computes the timer offsets of the implicit signalling
+// technique (paper §4): kappa = (1+gamma)·sqrt(N/2), the expansion budget
+// t_l = kappa·(1 + 1/2 + … + 1/2^l), and the start time of level l,
+// start_l = Σ_{j<l} t_j. It returns the start times of levels 0..depth.
+func implicitSchedule(n, depth int, gamma float64) []float64 {
+	kappa := (1 + gamma) * math.Sqrt(float64(n)/2)
+	starts := make([]float64, depth+1)
+	sum, acc := 0.0, 0.0
+	for l := range starts {
+		sum += 1 / math.Pow(2, float64(l))
+		starts[l] = acc
+		acc += kappa * sum
+	}
+	return starts
 }
 
 func (sh *shared) feature(u topology.NodeID) metric.Feature { return sh.cfg.Features[u] }
@@ -664,34 +694,4 @@ func (n *node) startNextLevel(ctx sim.Context, cellID, level int) {
 		}
 		ctx.Route(child.Leader, KindStart, payload)
 	}
-}
-
-// TxPerNode runs the same clustering as Run but returns the per-node
-// transmission counts instead of the clustering — the input to energy and
-// network-lifetime analyses (every hop is charged to its sender).
-func TxPerNode(g *topology.Graph, cfg Config) ([]int64, error) {
-	if err := cfg.validate(g); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults(g.N())
-	qt := topology.BuildQuadtree(g)
-	sh := newShared(g, qt, cfg)
-
-	net := sim.NewNetwork(g, cfg.Delay, cfg.Seed)
-	net.Instrument(cfg.Obs, "elink")
-	if cfg.Loss > 0 {
-		net.SetLoss(cfg.Loss)
-	}
-	nodes := make([]*node, g.N())
-	for u := range nodes {
-		nodes[u] = newNode(topology.NodeID(u), sh)
-		net.SetProtocol(topology.NodeID(u), nodes[u])
-	}
-	net.Run()
-	for u, nd := range nodes {
-		if !nd.clustered {
-			return nil, fmt.Errorf("elink: node %d finished unclustered", u)
-		}
-	}
-	return net.TxPerNode(), nil
 }

@@ -25,7 +25,8 @@ import (
 var ErrNotReady = errors.New("stream: engine has no clustering yet (models still warming up)")
 
 // ErrInvalidBatch tags ingest errors caused by the batch payload itself —
-// a node id outside the graph, an empty feature vector, or the wrong
+// a node id outside the graph, a non-finite value, an empty feature
+// vector or one whose dimension differs from the engine's, or the wrong
 // ingest call for the engine's configuration. Callers (e.g. the HTTP
 // daemon) match it with errors.Is to map payload mistakes to 4xx
 // statuses while treating every other ingest error as engine-internal.
@@ -264,6 +265,10 @@ func (e *Engine) ingestLocked(batch []Reading, sp *obs.Span) (*IngestResult, err
 			verr = fmt.Errorf("%w: reading for node %d outside [0,%d)", ErrInvalidBatch, r.Node, e.g.N())
 			break
 		}
+		if !finite(r.Value) {
+			verr = fmt.Errorf("%w: reading for node %d is not finite: %v", ErrInvalidBatch, r.Node, r.Value)
+			break
+		}
 	}
 	vs.Finish()
 	if verr != nil {
@@ -334,6 +339,7 @@ func (e *Engine) IngestFeaturesSpanned(batch []FeatureUpdate, parent *obs.Span) 
 func (e *Engine) ingestFeaturesLocked(batch []FeatureUpdate, sp *obs.Span) (*IngestResult, error) {
 	vs := sp.Child("validate")
 	var verr error
+	dim := e.featureDim()
 	for _, up := range batch {
 		if int(up.Node) < 0 || int(up.Node) >= e.g.N() {
 			verr = fmt.Errorf("%w: feature update for node %d outside [0,%d)", ErrInvalidBatch, up.Node, e.g.N())
@@ -341,6 +347,17 @@ func (e *Engine) ingestFeaturesLocked(batch []FeatureUpdate, sp *obs.Span) (*Ing
 		}
 		if len(up.Feature) == 0 {
 			verr = fmt.Errorf("%w: empty feature for node %d", ErrInvalidBatch, up.Node)
+			break
+		}
+		if dim == 0 {
+			dim = len(up.Feature) // no feature set yet: the batch's first entry decides
+		}
+		if len(up.Feature) != dim {
+			verr = fmt.Errorf("%w: feature for node %d has dimension %d, want %d", ErrInvalidBatch, up.Node, len(up.Feature), dim)
+			break
+		}
+		if !finite(up.Feature...) {
+			verr = fmt.Errorf("%w: feature for node %d is not finite: %v", ErrInvalidBatch, up.Node, up.Feature)
 			break
 		}
 	}
@@ -374,6 +391,17 @@ func (e *Engine) ingestFeaturesLocked(batch []FeatureUpdate, sp *obs.Span) (*Ing
 	nodes := e.takeTouched()
 	rs.Finish()
 	return res, e.applyEpoch(nodes, res, sp)
+}
+
+// featureDim returns the dimension of the features already set, or 0
+// when no node has one yet.
+func (e *Engine) featureDim() int {
+	for _, f := range e.feats {
+		if len(f) > 0 {
+			return len(f)
+		}
+	}
+	return 0
 }
 
 // takeTouched returns the marked nodes in id order and clears their

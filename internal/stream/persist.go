@@ -267,14 +267,22 @@ func checkFeatures(sets ...[]metric.Feature) error {
 			if len(f) != dim {
 				return fmt.Errorf("stream: snapshot feature %d has dimension %d, want %d", u, len(f), dim)
 			}
-			for _, x := range f {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					return fmt.Errorf("stream: snapshot feature %d is not finite: %v", u, f)
-				}
+			if !finite(f...) {
+				return fmt.Errorf("stream: snapshot feature %d is not finite: %v", u, f)
 			}
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // ReplayWAL applies every journaled batch with a sequence number past

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -435,6 +436,99 @@ func TestIngestRejectedBatchLeavesStateUntouched(t *testing.T) {
 	}
 	if e.Seq() != seqBefore {
 		t.Errorf("rejected feature batch advanced seq")
+	}
+}
+
+// TestIngestRejectsUnusableValues checks that a batch carrying a value
+// the engine cannot use is refused whole with ErrInvalidBatch: a
+// non-finite reading, a non-finite feature, or a feature whose dimension
+// differs from the engine's. Each case leaves the published epoch and the
+// features as they were, and the engine still writes a snapshot that
+// Restore accepts and reproduces.
+func TestIngestRejectsUnusableValues(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	g := topology.NewGrid(1, 4)
+	featCfg := Config{Delta: 2, Slack: 0.1, Metric: metric.Euclidean{}, Seed: 3}
+	for _, tc := range []struct {
+		name     string
+		readings []Reading
+		features []FeatureUpdate
+	}{
+		{name: "feature of another dimension", features: []FeatureUpdate{{0, metric.Feature{0.2}}, {1, metric.Feature{0.1, 0.2}}}},
+		{name: "NaN feature", features: []FeatureUpdate{{0, metric.Feature{0.2}}, {1, metric.Feature{nan}}}},
+		{name: "infinite feature", features: []FeatureUpdate{{2, metric.Feature{-inf}}}},
+		{name: "NaN reading", readings: []Reading{{0, 1}, {1, nan}}},
+		{name: "infinite reading", readings: []Reading{{3, inf}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := featCfg
+			var e *Engine
+			if tc.readings == nil {
+				e = featEngine(t, g, []metric.Feature{{0}, {0.1}, {9}, {9.1}}, cfg)
+			} else {
+				cfg = persistTestConfig()
+				var err error
+				if e, err = New(g, cfg); err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(5))
+				for b := 1; !e.Ready(); b++ {
+					if _, err := e.Ingest(driftBatch(g, b, rng)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			epoch := e.Snapshot().Epoch
+			feats := make([]metric.Feature, len(e.feats))
+			for u, f := range e.feats {
+				feats[u] = f.Clone()
+			}
+
+			var err error
+			if tc.readings != nil {
+				_, err = e.Ingest(tc.readings)
+			} else {
+				_, err = e.IngestFeatures(tc.features)
+			}
+			if !errors.Is(err, ErrInvalidBatch) {
+				t.Fatalf("ingest error = %v, want ErrInvalidBatch", err)
+			}
+			if got := e.Snapshot().Epoch; got != epoch {
+				t.Errorf("rejected batch moved the epoch %d -> %d", epoch, got)
+			}
+			if !reflect.DeepEqual(e.feats, feats) {
+				t.Errorf("rejected batch changed the features: %v -> %v", feats, e.feats)
+			}
+
+			var buf bytes.Buffer
+			if _, err := e.SaveSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			r, err := New(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Restore(&buf); err != nil {
+				t.Fatalf("restore after a rejected batch: %v", err)
+			}
+			if fpE, fpR := engineFingerprint(t, e), engineFingerprint(t, r); !reflect.DeepEqual(fpE, fpR) {
+				t.Fatalf("restored state differs:\n  engine=%v\n  restored=%v", fpE, fpR)
+			}
+		})
+	}
+
+	// Before any feature is set, the batch's first entry sets the
+	// dimension the rest of the batch must match.
+	e, err := New(g, featCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := []FeatureUpdate{{0, metric.Feature{1}}, {1, metric.Feature{1, 2}}}
+	if _, err := e.IngestFeatures(mixed); !errors.Is(err, ErrInvalidBatch) {
+		t.Fatalf("mixed-dimension first batch error = %v, want ErrInvalidBatch", err)
+	}
+	if e.featCovered != 0 {
+		t.Errorf("rejected first batch covered %d nodes", e.featCovered)
 	}
 }
 

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,224 +191,6 @@ func TestShortestPathLengthProperty(t *testing.T) {
 		return len(p) == g.HopDistance(u, v)+1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuadtreeGrid(t *testing.T) {
-	g := NewGrid(4, 4)
-	qt := BuildQuadtree(g)
-	if qt.Cells[0].Level != 0 || len(qt.Cells[0].Nodes) != 16 {
-		t.Fatal("root cell malformed")
-	}
-	if qt.Depth < 2 {
-		t.Errorf("depth = %d, want >= 2 for 16 nodes", qt.Depth)
-	}
-	// Every node must appear in exactly one cell per level along its path,
-	// and sentinel levels must cover all nodes.
-	levels := qt.SentinelLevel()
-	if len(levels) != 16 {
-		t.Fatalf("SentinelLevel length = %d", len(levels))
-	}
-	for u, l := range levels {
-		if l < 0 {
-			t.Errorf("node %d never leads a cell", u)
-		}
-	}
-}
-
-func TestQuadtreeSentinelsDisjointCover(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := RandomGeometricForDegree(60, 4, rng)
-	qt := BuildQuadtree(g)
-	// S_0 is a single node (the root leader).
-	if s0 := qt.Sentinels(0); len(s0) != 1 {
-		t.Fatalf("S_0 = %v, want exactly one sentinel", s0)
-	}
-	// Union over levels of "first time a node leads" covers all nodes.
-	levels := qt.SentinelLevel()
-	for u, l := range levels {
-		if l < 0 {
-			t.Errorf("node %d has no sentinel level", u)
-		}
-	}
-	_ = g
-}
-
-func TestQuadtreeCellStructure(t *testing.T) {
-	g := NewGrid(4, 4)
-	qt := BuildQuadtree(g)
-	for _, c := range qt.Cells {
-		if c.Parent >= 0 {
-			p := qt.Cells[c.Parent]
-			if p.Level != c.Level-1 {
-				t.Errorf("cell %d level %d has parent at level %d", c.ID, c.Level, p.Level)
-			}
-			// Child node sets are subsets of the parent's.
-			in := map[NodeID]bool{}
-			for _, u := range p.Nodes {
-				in[u] = true
-			}
-			for _, u := range c.Nodes {
-				if !in[u] {
-					t.Errorf("cell %d contains node %d not in its parent", c.ID, u)
-				}
-			}
-		}
-		// Children partition the occupied nodes of the cell.
-		if len(c.Children) > 0 {
-			total := 0
-			for _, ch := range c.Children {
-				total += len(qt.Cells[ch].Nodes)
-			}
-			if total != len(c.Nodes) {
-				t.Errorf("cell %d children hold %d nodes, cell holds %d", c.ID, total, len(c.Nodes))
-			}
-		}
-		// Leader is a member of the cell.
-		found := false
-		for _, u := range c.Nodes {
-			if u == c.Leader {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("cell %d leader %d not among its nodes", c.ID, c.Leader)
-		}
-	}
-}
-
-func TestCellOf(t *testing.T) {
-	g := NewGrid(4, 4)
-	qt := BuildQuadtree(g)
-	for u := 0; u < g.N(); u++ {
-		for l := 0; l <= qt.Depth; l++ {
-			cid := qt.CellOf(NodeID(u), l)
-			if cid < 0 {
-				continue // node's path may stop before the max depth
-			}
-			c := qt.Cells[cid]
-			if c.Level != l {
-				t.Errorf("CellOf(%d, %d) returned cell at level %d", u, l, c.Level)
-			}
-			member := false
-			for _, v := range c.Nodes {
-				if v == NodeID(u) {
-					member = true
-				}
-			}
-			if !member {
-				t.Errorf("CellOf(%d, %d) returned a cell not containing the node", u, l)
-			}
-		}
-	}
-}
-
-func TestImplicitSchedule(t *testing.T) {
-	g := NewGrid(8, 8)
-	qt := BuildQuadtree(g)
-	starts, budgets := qt.ImplicitSchedule(g.N(), 0.3)
-	kappa := 1.3 * math.Sqrt(64.0/2)
-	if math.Abs(budgets[0]-kappa) > 1e-9 {
-		t.Errorf("t_0 = %v, want kappa = %v", budgets[0], kappa)
-	}
-	if starts[0] != 0 {
-		t.Errorf("start_0 = %v, want 0", starts[0])
-	}
-	for l := 1; l < len(starts); l++ {
-		if budgets[l] <= budgets[l-1] {
-			t.Errorf("budgets must increase: t_%d=%v <= t_%d=%v", l, budgets[l], l-1, budgets[l-1])
-		}
-		if budgets[l] >= 2*kappa {
-			t.Errorf("t_%d = %v must stay below 2*kappa = %v", l, budgets[l], 2*kappa)
-		}
-		want := starts[l-1] + budgets[l-1]
-		if math.Abs(starts[l]-want) > 1e-9 {
-			t.Errorf("start_%d = %v, want %v", l, starts[l], want)
-		}
-	}
-}
-
-func TestQuadtreeSingleNode(t *testing.T) {
-	g := NewGraph([]Point{{0, 0}})
-	qt := BuildQuadtree(g)
-	if qt.Depth != 0 || len(qt.Cells) != 1 {
-		t.Errorf("single-node quadtree: depth=%d cells=%d", qt.Depth, len(qt.Cells))
-	}
-	if qt.Cells[0].Leader != 0 {
-		t.Error("single node must lead the root cell")
-	}
-}
-
-// Property: every quadtree level's occupied cells partition the node set
-// (each node appears in exactly one cell along its root-to-leaf path per
-// level it reaches).
-func TestQuadtreeLevelsPartitionProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := RandomGeometricForDegree(25+rng.Intn(50), 4, rng)
-		qt := BuildQuadtree(g)
-		for level := 0; level <= qt.Depth; level++ {
-			counts := make(map[NodeID]int)
-			for _, cid := range qt.ByLevel[level] {
-				for _, u := range qt.Cells[cid].Nodes {
-					counts[u]++
-				}
-			}
-			for _, c := range counts {
-				if c != 1 {
-					return false
-				}
-			}
-			// Every node either appears at this level or its path bottomed
-			// out earlier (its singleton cell is above this level).
-			for u := 0; u < g.N(); u++ {
-				if counts[NodeID(u)] == 0 {
-					// Must be in a leaf cell above this level.
-					found := false
-					for _, cell := range qt.Cells {
-						if cell.Level < level && len(cell.Children) == 0 {
-							for _, v := range cell.Nodes {
-								if v == NodeID(u) {
-									found = true
-								}
-							}
-						}
-					}
-					if !found {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 12}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: sentinel start times are strictly increasing in level and
-// budgets stay below 2*kappa (the geometric-series bound in Theorem 2).
-func TestImplicitScheduleBoundsProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := RandomGeometricForDegree(20+rng.Intn(100), 4, rng)
-		qt := BuildQuadtree(g)
-		gamma := 0.2 + rng.Float64()*0.2
-		starts, budgets := qt.ImplicitSchedule(g.N(), gamma)
-		kappa := (1 + gamma) * math.Sqrt(float64(g.N())/2)
-		for l := 0; l < len(starts); l++ {
-			if budgets[l] >= 2*kappa {
-				return false
-			}
-			if l > 0 && (starts[l] <= starts[l-1] || budgets[l] <= budgets[l-1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }

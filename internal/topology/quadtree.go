@@ -8,22 +8,24 @@ import (
 // closest to the cell centroid is elected leader (paper footnote 1);
 // sentinel set S_l is the set of level-l cell leaders.
 type QTCell struct {
-	ID       int
 	Level    int
 	Parent   int   // cell id of the enclosing cell, -1 for the root
-	Children []int // cell ids of occupied child cells
-	Center   Point
+	Children []int // cell ids of occupied child cells, in quadrant order
 	Leader   NodeID
-	Nodes    []NodeID // nodes whose position falls in this cell
+	lo, hi   int // the cell's nodes are the quadtree's order[lo:hi]
 }
 
 // Quadtree is the recursive spatial decomposition driving ELink's sentinel
 // scheduling. Cells are subdivided until they hold at most one node, so
 // every node leads some cell and Σ_l |S_l| covers the whole network.
+//
+// Cells are numbered in depth-first preorder, children in quadrant order.
+// Every cell's nodes are one contiguous range of a single permutation of
+// the node ids, and each child's range lies inside its parent's.
 type Quadtree struct {
-	Cells   []QTCell
-	ByLevel [][]int // cell ids per level
-	Depth   int     // deepest level with an occupied cell
+	Cells []QTCell
+	Depth int // deepest level with an occupied cell
+	order []NodeID
 }
 
 // maxQuadtreeDepth bounds subdivision when several nodes share a position.
@@ -38,57 +40,79 @@ func BuildQuadtree(g *Graph) *Quadtree {
 		side = 1
 	}
 	side *= 1.0000001 // keep max-coordinate nodes strictly inside
-	qt := &Quadtree{}
-	all := make([]NodeID, g.N())
-	for i := range all {
-		all[i] = NodeID(i)
+	// Scattered nodes make about 1.7 cells per node (4,309 for the
+	// 2500-node Death Valley network), so one allocation usually holds
+	// every cell.
+	qt := &Quadtree{Cells: make([]QTCell, 0, 2*g.N()+1), order: make([]NodeID, g.N())}
+	for i := range qt.order {
+		qt.order[i] = NodeID(i)
 	}
-	qt.subdivide(g, all, min.X, min.Y, side, 0, -1)
-	for _, c := range qt.Cells {
-		if c.Level > qt.Depth {
-			qt.Depth = c.Level
-		}
+	qt.subdivide(g, 0, len(qt.order), min.X, min.Y, side, 0, -1)
+
+	// One backing array holds every child list. Preorder numbering puts
+	// each parent's children in ascending id, which is quadrant order.
+	start := make([]int, len(qt.Cells)+1)
+	for _, c := range qt.Cells[1:] {
+		start[c.Parent+1]++
 	}
-	qt.ByLevel = make([][]int, qt.Depth+1)
-	for _, c := range qt.Cells {
-		qt.ByLevel[c.Level] = append(qt.ByLevel[c.Level], c.ID)
+	for i := range qt.Cells {
+		start[i+1] += start[i]
+	}
+	kids := make([]int, len(qt.Cells)-1)
+	for i := range qt.Cells {
+		qt.Cells[i].Children = kids[start[i]:start[i]:start[i+1]]
+	}
+	for i := 1; i < len(qt.Cells); i++ {
+		p := &qt.Cells[qt.Cells[i].Parent]
+		p.Children = append(p.Children, i)
 	}
 	return qt
 }
 
-func (qt *Quadtree) subdivide(g *Graph, nodes []NodeID, x0, y0, side float64, level, parent int) int {
+// Nodes returns the nodes whose position falls in the given cell. The
+// slice aliases the quadtree's permutation and must not be modified.
+func (qt *Quadtree) Nodes(cell int) []NodeID {
+	c := &qt.Cells[cell]
+	return qt.order[c.lo:c.hi]
+}
+
+// subdivide records order[lo:hi] as one cell and recurses into its
+// occupied quadrants. Each quadrant's nodes are swapped to the front of
+// the range still unassigned, so the child is the contiguous range just
+// filled; a node no quadrant's half-open bounds admit stays in the parent
+// only, after its children.
+func (qt *Quadtree) subdivide(g *Graph, lo, hi int, x0, y0, side float64, level, parent int) {
 	center := Point{X: x0 + side/2, Y: y0 + side/2}
 	id := len(qt.Cells)
 	qt.Cells = append(qt.Cells, QTCell{
-		ID:     id,
 		Level:  level,
 		Parent: parent,
-		Center: center,
-		Leader: electLeader(g, nodes, center),
-		Nodes:  append([]NodeID(nil), nodes...),
+		Leader: electLeader(g, qt.order[lo:hi], center),
+		lo:     lo,
+		hi:     hi,
 	})
-	if len(nodes) <= 1 || level >= maxQuadtreeDepth {
-		return id
+	qt.Depth = max(qt.Depth, level)
+	if hi-lo <= 1 || level >= maxQuadtreeDepth {
+		return
 	}
 	half := side / 2
 	quads := [4][2]float64{
 		{x0, y0}, {x0 + half, y0}, {x0, y0 + half}, {x0 + half, y0 + half},
 	}
+	next := lo
 	for _, q := range quads {
-		var sub []NodeID
-		for _, u := range nodes {
-			p := g.Pos[u]
+		first := next
+		for i := next; i < hi; i++ {
+			p := g.Pos[qt.order[i]]
 			if p.X >= q[0] && p.X < q[0]+half && p.Y >= q[1] && p.Y < q[1]+half {
-				sub = append(sub, u)
+				qt.order[next], qt.order[i] = qt.order[i], qt.order[next]
+				next++
 			}
 		}
-		if len(sub) == 0 {
-			continue
+		if next > first {
+			qt.subdivide(g, first, next, q[0], q[1], half, level+1, id)
 		}
-		child := qt.subdivide(g, sub, q[0], q[1], half, level+1, id)
-		qt.Cells[id].Children = append(qt.Cells[id].Children, child)
 	}
-	return id
 }
 
 // electLeader picks the node closest to the centroid, breaking ties by id.
@@ -102,100 +126,4 @@ func electLeader(g *Graph, nodes []NodeID, center Point) NodeID {
 		}
 	}
 	return best
-}
-
-// Sentinels returns the sentinel set S_l: the leaders of the occupied
-// cells at the given level, deduplicated (a node leading several sibling
-// cells — impossible — or appearing again because it already led a
-// shallower cell is kept; ELink's clustered-guard makes repeats no-ops).
-func (qt *Quadtree) Sentinels(level int) []NodeID {
-	if level < 0 || level > qt.Depth {
-		return nil
-	}
-	ids := qt.ByLevel[level]
-	out := make([]NodeID, 0, len(ids))
-	seen := make(map[NodeID]bool, len(ids))
-	for _, cid := range ids {
-		l := qt.Cells[cid].Leader
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// SentinelLevel returns, for every node, the shallowest quadtree level at
-// which it leads a cell. Subdivision down to singleton cells guarantees
-// every node leads at least one cell.
-func (qt *Quadtree) SentinelLevel() []int {
-	n := 0
-	for _, c := range qt.Cells {
-		for _, u := range c.Nodes {
-			if int(u) >= n {
-				n = int(u) + 1
-			}
-		}
-	}
-	levels := make([]int, n)
-	for i := range levels {
-		levels[i] = -1
-	}
-	for _, c := range qt.Cells {
-		if c.Leader >= 0 && (levels[c.Leader] < 0 || c.Level < levels[c.Leader]) {
-			levels[c.Leader] = c.Level
-		}
-	}
-	return levels
-}
-
-// CellOf returns the deepest cell at the given level containing node u,
-// or -1 when the node lies outside every level-l cell (cannot happen for
-// levels <= Depth on the cells that exist along u's path).
-func (qt *Quadtree) CellOf(u NodeID, level int) int {
-	cur := 0 // root
-	if qt.Cells[0].Level == level {
-		return 0
-	}
-	for {
-		found := -1
-		for _, ch := range qt.Cells[cur].Children {
-			for _, v := range qt.Cells[ch].Nodes {
-				if v == u {
-					found = ch
-					break
-				}
-			}
-			if found >= 0 {
-				break
-			}
-		}
-		if found < 0 {
-			return -1
-		}
-		if qt.Cells[found].Level == level {
-			return found
-		}
-		cur = found
-	}
-}
-
-// ImplicitSchedule computes the timer offsets of the implicit signalling
-// technique (paper §4): kappa = (1+gamma)·sqrt(N/2), the expansion budget
-// t_l = kappa·(1 + 1/2 + … + 1/2^l), and the start time of level l,
-// start_l = Σ_{j<l} t_j. It returns start times and budgets indexed by
-// level for levels 0..Depth.
-func (qt *Quadtree) ImplicitSchedule(n int, gamma float64) (starts, budgets []float64) {
-	kappa := (1 + gamma) * math.Sqrt(float64(n)/2)
-	budgets = make([]float64, qt.Depth+1)
-	starts = make([]float64, qt.Depth+1)
-	sum := 0.0
-	acc := 0.0
-	for l := 0; l <= qt.Depth; l++ {
-		sum += 1 / math.Pow(2, float64(l))
-		budgets[l] = kappa * sum
-		starts[l] = acc
-		acc += budgets[l]
-	}
-	return starts, budgets
 }

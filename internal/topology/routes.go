@@ -3,16 +3,22 @@ package topology
 import "sync"
 
 // Point queries (HopDistance, Walk, ShortestPath) run a BFS from the
-// destination that stops as soon as it labels the source, on pooled
+// destination that stops as soon as it labels the source, on reused
 // generation-stamped scratch: they keep no per-graph state, build no
 // table and do not allocate. Every route steps from each node to its
 // smallest-id neighbour one hop closer to the destination, so a route is
 // deterministic and a walked route is ShortestPath's path.
 //
-// A walker's scratch depends only on the node count, so one pool serves
-// every graph; a walker grows when it meets a larger graph. Each query
-// takes its own walker, so a built Graph answers routes concurrently.
-var walkers = sync.Pool{New: func() any { return new(walker) }}
+// A walker's scratch depends only on the node count, so one free list
+// serves every graph; a walker grows when it meets a larger graph. Each
+// query takes its own walker, so a built Graph answers routes
+// concurrently. Unlike sync.Pool the free list never drops a walker, so
+// a route allocates nothing under the race detector or after a garbage
+// collection either.
+var walkers struct {
+	sync.Mutex
+	free []*walker
+}
 
 // HopDistance returns the shortest hop count between u and v, or -1 when
 // disconnected.
@@ -22,7 +28,7 @@ func (g *Graph) HopDistance(u, v NodeID) int {
 	}
 	w := getWalker(g.N())
 	d := w.search(g, u, v)
-	walkers.Put(w)
+	putWalker(w)
 	return d
 }
 
@@ -36,7 +42,7 @@ func (g *Graph) Walk(u, v NodeID, hop func(from, to NodeID) bool) int {
 		return 0
 	}
 	w := getWalker(g.N())
-	defer walkers.Put(w)
+	defer putWalker(w)
 	d := w.search(g, u, v)
 	for cur, k := u, d; k > 0; k-- {
 		next := w.next(g, cur, k)
@@ -73,15 +79,33 @@ type label struct {
 	dist int32 // hops to the search's destination
 }
 
-// getWalker takes a pooled walker with room for n nodes. Fresh labels
-// carry generation 0, which no search uses, so growing keeps gen.
+// getWalker takes a walker with room for n nodes from the free list; the
+// caller returns it with putWalker. Fresh labels carry generation 0,
+// which no search uses, so growing keeps gen.
 func getWalker(n int) *walker {
-	w := walkers.Get().(*walker)
+	w := takeWalker()
 	if len(w.labels) < n {
 		w.labels = make([]label, n)
 		w.queue = make([]NodeID, 0, n)
 	}
 	return w
+}
+
+func takeWalker() *walker {
+	walkers.Lock()
+	defer walkers.Unlock()
+	if last := len(walkers.free) - 1; last >= 0 {
+		w := walkers.free[last]
+		walkers.free = walkers.free[:last]
+		return w
+	}
+	return new(walker)
+}
+
+func putWalker(w *walker) {
+	walkers.Lock()
+	walkers.free = append(walkers.free, w)
+	walkers.Unlock()
 }
 
 // search runs a BFS from dst until it labels src and returns src's hop

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint fmt test race fuzz-smoke bench bench-smoke paper-check examples clean
+.PHONY: check build vet lint fmt test race fuzz-smoke bench bench-smoke paper-check clean
 
 ## check: everything CI runs — build, vet, the invariant analyzers,
 ## gofmt cleanliness, tests, the race pass, a short run of every fuzz
@@ -29,8 +29,14 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+## test: every package's tests, then the root package's testable
+## examples (the README's walkthroughs) again at one and at two workers,
+## which pins each number they print as independent of the worker
+## count. The environment sets the count: go test runs examples once,
+## after the tests, so -cpu 1,2 would run them only at 2
 test:
 	$(GO) test ./...
+	for p in 1 2; do GOMAXPROCS=$$p ELINK_WORKERS=$$p $(GO) test -count 1 -run '^Example' . || exit 1; done
 
 ## race: the concurrent subsystems (streaming engine, free-listed routing
 ## walkers and query scratch, the simulator's allocation-free routing,
@@ -69,10 +75,6 @@ bench-smoke:
 ##   go run ./cmd/elink-experiments -paper -j 1 -csv > internal/experiments/testdata/paper.csv
 paper-check:
 	$(GO) run ./cmd/elink-experiments -paper -j 1 -csv | cmp - internal/experiments/testdata/paper.csv
-
-## examples: compile every example without running them
-examples:
-	$(GO) build -o /dev/null ./examples/...
 
 clean:
 	$(GO) clean ./...

@@ -31,6 +31,10 @@ func main() {
 		svgPath = flag.String("svg", "", "for -kind path: draw the last found path as an SVG to this file")
 	)
 	flag.Parse()
+	if err := checkFlags(*kind, *count); err != nil {
+		fmt.Fprintln(os.Stderr, "elink-query:", err)
+		os.Exit(2)
+	}
 
 	ds, err := loadDataset(*dataset, *nodes, *days, *seed)
 	if err != nil {
@@ -116,9 +120,19 @@ func main() {
 			gm, danger, found, *count,
 			float64(cost)/float64(*count), float64(floodCost)/float64(*count),
 			float64(floodCost)/float64(cost))
-	default:
-		fail(fmt.Errorf("unknown query kind %q", *kind))
 	}
+}
+
+// checkFlags rejects, before any dataset is generated, a query kind
+// main cannot answer and a query count that leaves no average.
+func checkFlags(kind string, count int) error {
+	if kind != "range" && kind != "path" {
+		return fmt.Errorf("unknown query kind %q (want range or path)", kind)
+	}
+	if count < 1 {
+		return fmt.Errorf("-n %d: need at least one query", count)
+	}
+	return nil
 }
 
 func loadDataset(name string, nodes, days int, seed int64) (*elink.Dataset, error) {

@@ -92,8 +92,6 @@ func main() {
 		period    = flag.Int("period", 20, "epoch period for -policy periodic")
 		warmup    = flag.Int("warmup", 0, "observations per node before bootstrap (0 = 4*order)")
 		seed      = flag.Int64("seed", 1, "seed for topology and clustering runs")
-		spanbuf   = flag.Int("spanbuf", 0, "span trace ring capacity (0 = default 256)")
-		spanTopK  = flag.Int("span-topk", 0, "slowest span traces retained (0 = default 16)")
 		withPprof = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
 		dataDir   = flag.String("data-dir", "", "durability directory for snapshots + WAL (empty = no persistence)")
@@ -120,8 +118,8 @@ func main() {
 	}
 	reg := elink.NewMetricsRegistry()
 	elink.RegisterBuildInfo(reg, version) // build metadata + uptime on /metrics
-	spans := elink.NewSpanTracer(*spanbuf, *spanTopK)
-	spans.Instrument(reg) // span_phase_seconds on /metrics
+	spans := elink.NewSpanTracer(0, 0)    // the last 256 traces and the 16 slowest
+	spans.Instrument(reg)                 // span_phase_seconds on /metrics
 	engine, err := elink.NewEngine(g, elink.EngineConfig{
 		Order:               *order,
 		Delta:               *delta,

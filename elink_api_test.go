@@ -2,6 +2,7 @@ package elink_test
 
 import (
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -451,5 +452,27 @@ func TestPublicGenerateConfigs(t *testing.T) {
 	}
 	if _, err := elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: 25, Seed: 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadmeQuotesExample keeps README.md's quick start the exact source
+// of Example, so the numbers it shows are the ones Example's Output
+// block pins.
+func TestReadmeQuotesExample(t *testing.T) {
+	src, err := os.ReadFile("example_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(string(src), "\nfunc Example() {")
+	body, _, ok2 := strings.Cut(body, "\n}\n")
+	if !ok || !ok2 {
+		t.Fatal("example_test.go: func Example() not found")
+	}
+	if body = "func Example() {" + body + "\n}\n"; !strings.Contains(string(readme), body) {
+		t.Errorf("README.md's quick start is not a verbatim copy of Example:\n%s", body)
 	}
 }

@@ -7,13 +7,15 @@ import (
 	"elink"
 )
 
-// Example clusters a tiny grid with two observation regimes and runs a
-// range query over the resulting index.
+// Example clusters an 8×8 grid whose west half observes one phenomenon
+// and east half another, then asks a range query against the clusters.
+// README.md's quick start quotes this function verbatim.
 func Example() {
-	g := elink.NewGrid(4, 4)
+	// An 8x8 sensor grid; west half sees one phenomenon, east half another.
+	g := elink.NewGrid(8, 8)
 	feats := make([]elink.Feature, g.N())
 	for u := 0; u < g.N(); u++ {
-		if g.Pos[u].X >= 2 {
+		if g.Pos[u].X >= 4 {
 			feats[u] = elink.Feature{5}
 		} else {
 			feats[u] = elink.Feature{0}
@@ -21,24 +23,27 @@ func Example() {
 	}
 
 	res, err := elink.Cluster(g, elink.Config{
-		Delta:    1,
+		Delta:    1.0,
 		Metric:   elink.Scalar(),
 		Features: feats,
 	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("clusters:", res.Clustering.NumClusters())
+	fmt.Printf("%d clusters for %d messages\n",
+		res.Clustering.NumClusters(), res.Stats.Messages)
 
+	// Index the clusters, then query: which sensors behave like 5?
 	idx, err := elink.BuildIndex(g, res.Clustering, feats, elink.Scalar())
 	if err != nil {
 		panic(err)
 	}
-	q := elink.RangeQuery(idx, elink.Feature{5}, 0.5, 0)
-	fmt.Println("matches:", len(q.Matches))
+	q := elink.RangeQuery(idx, elink.Feature{5}, 0.4, 0)
+	fmt.Printf("%d matches for %d messages (TAG flooding: %d)\n",
+		len(q.Matches), q.Stats.Messages, elink.TAGCost(g).Messages)
 	// Output:
-	// clusters: 2
-	// matches: 8
+	// 2 clusters for 203 messages
+	// 32 matches for 16 messages (TAG flooding: 126)
 }
 
 // ExampleEngine_snapshot round-trips a live streaming engine through

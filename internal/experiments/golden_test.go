@@ -76,7 +76,7 @@ func TestQuickFiguresGolden(t *testing.T) {
 }
 
 // TestStreamCostsGolden replays a short Tao stream through stream.Engine
-// on the examples/streaming grid (6×9), with range and path queries
+// on the 6×9 Tao buoy grid of Example_streaming, with range and path queries
 // against every epoch's snapshot, and pins its exact costs: messages by
 // layer, the query charges by kind, the epoch paths taken and the
 // snapshot size. The configuration takes all three epoch paths (index

@@ -55,11 +55,14 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 5s -fuzzminimizetime 0
 
-## bench: one pass of every micro-benchmark — the facade's, the quadtree
-## build (internal/topology), routing (internal/sim), range queries
-## (internal/query), the spectral kernels (internal/linalg), the span
-## cost per trace (internal/obs) and a Tao replay with and without span
-## tracing (internal/stream) — so none can rot
+## bench: one pass of every micro-benchmark — the facade's (with ELink
+## and the spanning forest on the 2500-node Death Valley network, whose
+## B/op show the explicit wave's laid-out paths and the reused event
+## queue), the quadtree build (internal/topology), routing
+## (internal/sim), range queries (internal/query), the spectral kernels
+## (internal/linalg), the span cost per trace (internal/obs) and a Tao
+## replay with and without span tracing (internal/stream) — so none can
+## rot
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/topology ./internal/sim ./internal/query ./internal/linalg ./internal/obs ./internal/stream
 

@@ -190,3 +190,21 @@ func BenchmarkELinkDeathValley2500(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSpanningForestDeathValley2500 runs the spanning-forest
+// baseline on the same network and δ. Its flood keeps about 2E events
+// pending at once, the largest event queue of any protocol here, so its
+// B/op shows whether the simulator regrows that queue on every run.
+func BenchmarkSpanningForestDeathValley2500(b *testing.B) {
+	ds, err := elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: 2500, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := elink.ForestConfig{Delta: 50, Metric: ds.Metric, Features: ds.Features, Seed: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := elink.SpanningForestCluster(ds.Graph, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -25,6 +25,7 @@ package elink
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -243,7 +244,8 @@ func observeRun(cfg Config, res *cluster.Result, end float64) {
 	}
 }
 
-// shared holds the immutable inputs every node reads.
+// shared holds the inputs every node reads, derived once per run, and
+// explicit mode's per-cell synchronization state.
 type shared struct {
 	g   *topology.Graph
 	qt  *topology.Quadtree
@@ -254,6 +256,22 @@ type shared struct {
 
 	// Explicit-mode cell bookkeeping, all derived from the quadtree.
 	maxDepth []int // per cell: deepest occupied level in its subtree
+
+	// Explicit mode's synchronization wave routes between the same leader
+	// pairs round after round, so their paths are laid out once. For each
+	// non-root cell c whose leader differs from its parent cell's, c's up
+	// path runs from ℓ(c) to ℓ(parent) and is paths[pathOff[c]:pathOff[c+1]];
+	// the down path runs back from ℓ(parent) to ℓ(c) and has the same
+	// length, so the down paths follow the up paths with the same offsets
+	// shifted by the up half's size, pathOff[len(Cells)]. Other cells'
+	// ranges are empty.
+	pathOff []int32
+	paths   []topology.NodeID
+
+	// Explicit mode's per-cell wave state. Only a cell's leader reads or
+	// writes its entries, so they are node-local state held in one array.
+	obligated  []bool
+	phase1Seen []int32 // phase1 reports received for the active round
 
 	// Cells each node leads, shallowest first: node u's are
 	// ledCells[ledStart[u]:ledStart[u+1]].
@@ -296,7 +314,68 @@ func newShared(g *topology.Graph, qt *topology.Quadtree, cfg Config) *shared {
 			fill[u]++
 		}
 	}
+	if cfg.Mode == Explicit {
+		sh.layPaths()
+		sh.obligated = make([]bool, len(qt.Cells))
+		sh.phase1Seen = make([]int32, len(qt.Cells))
+	}
 	return sh
+}
+
+// layPaths fills the path arena: every up path first, walked exactly as
+// Graph.Walk routes, then the down half, whose size the up paths fix.
+// Explicit mode requires a connected network, so every walk arrives.
+func (sh *shared) layPaths() {
+	cells := sh.qt.Cells
+	sh.pathOff = make([]int32, len(cells)+1)
+	var paths []topology.NodeID
+	for c := range cells {
+		sh.pathOff[c] = int32(len(paths))
+		if from, to, ok := sh.pair(c); ok {
+			paths = append(paths, from)
+			sh.g.Walk(from, to, func(_, next topology.NodeID) bool {
+				paths = append(paths, next)
+				return true
+			})
+		}
+	}
+	half := len(paths)
+	sh.pathOff[len(cells)] = int32(half)
+	sh.paths = slices.Grow(paths, half)[:2*half]
+	for c := range cells {
+		if from, to, ok := sh.pair(c); ok {
+			down := sh.downPath(c)
+			down[0] = to
+			k := 1
+			sh.g.Walk(to, from, func(_, next topology.NodeID) bool {
+				down[k] = next
+				k++
+				return true
+			})
+		}
+	}
+}
+
+// pair returns the leaders of cell c and of its parent cell when c's
+// synchronization messages travel between two nodes.
+func (sh *shared) pair(c int) (leader, parentLeader topology.NodeID, ok bool) {
+	cell := &sh.qt.Cells[c]
+	if cell.Parent < 0 {
+		return 0, 0, false
+	}
+	leader, parentLeader = cell.Leader, sh.qt.Cells[cell.Parent].Leader
+	return leader, parentLeader, leader != parentLeader
+}
+
+// upPath is the route from cell c's leader to its parent cell's leader.
+func (sh *shared) upPath(c int) []topology.NodeID {
+	return sh.paths[sh.pathOff[c]:sh.pathOff[c+1]]
+}
+
+// downPath is the route from cell c's parent cell's leader to c's leader.
+func (sh *shared) downPath(c int) []topology.NodeID {
+	half := sh.pathOff[len(sh.pathOff)-1]
+	return sh.paths[half+sh.pathOff[c] : half+sh.pathOff[c+1]]
 }
 
 // implicitSchedule computes the timer offsets of the implicit signalling
@@ -377,15 +456,10 @@ type node struct {
 
 	switches  int
 	nextEpoch int64
-	sessions  map[int64]*session // explicit mode only: replies look sessions up
-
-	// Session of the most recent join, so a later switch can be related
-	// to the right obligations. (Sessions complete independently, so no
-	// cleanup is needed on switch.)
-	// Explicit-mode per-cell synchronization state, keyed by cell id and
-	// allocated on first write: only cell leaders in explicit mode use it.
-	phase1Seen map[int]int // phase1 replies received for the active round
-	obligated  map[int]bool
+	// Explicit mode only: every session the node began, indexed by its
+	// epoch's low 32 bits, so a reply looks its session up by index.
+	// (Sessions complete independently, so a switch needs no cleanup.)
+	sessions []*session
 }
 
 func newNode(id topology.NodeID, sh *shared) *node {
@@ -465,13 +539,15 @@ func (n *node) newSession(parent topology.NodeID, parentEpoch int64, cellID int)
 	n.nextEpoch++
 	s := &session{epoch: epoch, parent: parent, parentEpoch: parentEpoch, cellID: cellID}
 	if n.explicit() {
-		if n.sessions == nil {
-			n.sessions = make(map[int64]*session)
-		}
-		n.sessions[epoch] = s
+		n.sessions = append(n.sessions, s)
 	}
 	return s
 }
+
+// session returns the session an ack1, nack or ack2 refers to. Every
+// reply goes to the node that began the session, and the epoch's low 32
+// bits count that node's sessions.
+func (n *node) session(epoch int64) *session { return n.sessions[uint32(epoch)] }
 
 // broadcastExpand offers the current cluster to every neighbour except
 // the one the node just joined through.
@@ -493,24 +569,18 @@ func (n *node) OnMessage(ctx sim.Context, msg sim.Message) {
 	case KindExpand:
 		n.onExpand(ctx, msg)
 	case KindAck1:
-		p := msg.Payload.(replyPayload)
-		if s := n.sessions[p.Epoch]; s != nil {
-			s.pending--
-			s.children++
-			n.maybeComplete(ctx, s)
-		}
+		s := n.session(msg.Payload.(replyPayload).Epoch)
+		s.pending--
+		s.children++
+		n.maybeComplete(ctx, s)
 	case KindNack:
-		p := msg.Payload.(replyPayload)
-		if s := n.sessions[p.Epoch]; s != nil {
-			s.pending--
-			n.maybeComplete(ctx, s)
-		}
+		s := n.session(msg.Payload.(replyPayload).Epoch)
+		s.pending--
+		n.maybeComplete(ctx, s)
 	case KindAck2:
-		p := msg.Payload.(replyPayload)
-		if s := n.sessions[p.Epoch]; s != nil {
-			s.children--
-			n.maybeComplete(ctx, s)
-		}
+		s := n.session(msg.Payload.(replyPayload).Epoch)
+		s.children--
+		n.maybeComplete(ctx, s)
 	case KindPhase1:
 		n.onPhase1(ctx, msg.Payload.(phasePayload))
 	case KindPhase2:
@@ -590,13 +660,10 @@ func (n *node) maybeComplete(ctx sim.Context, s *session) {
 // runObligation handles a start signal for the given cell: cluster if
 // still unclustered, then report completion into the phase1 wave.
 func (n *node) runObligation(ctx sim.Context, cellID int) {
-	if n.obligated[cellID] {
+	if n.sh.obligated[cellID] {
 		return
 	}
-	if n.obligated == nil {
-		n.obligated = make(map[int]bool)
-	}
-	n.obligated[cellID] = true
+	n.sh.obligated[cellID] = true
 	// startCluster reports the obligation immediately when the node is
 	// already clustered, or on root-session completion otherwise.
 	n.startCluster(ctx, n.sh.qt.Cells[cellID].Level, cellID)
@@ -612,46 +679,42 @@ func (n *node) reportObligation(ctx sim.Context, cellID int) {
 		n.startNextLevel(ctx, cellID, c.Level)
 		return
 	}
-	parent := &n.sh.qt.Cells[c.Parent]
 	payload := phasePayload{Round: c.Level, ToCell: c.Parent}
-	if parent.Leader == n.id {
+	if n.sh.qt.Cells[c.Parent].Leader == n.id {
 		n.onPhase1(ctx, payload)
 		return
 	}
-	ctx.Route(parent.Leader, KindPhase1, payload)
+	ctx.RoutePath(n.sh.upPath(cellID), KindPhase1, payload)
 }
 
 // onPhase1 aggregates completion reports at a cell and forwards them up
 // once every participating child subtree has reported.
 func (n *node) onPhase1(ctx sim.Context, p phasePayload) {
 	c := &n.sh.qt.Cells[p.ToCell]
-	if n.phase1Seen == nil {
-		n.phase1Seen = make(map[int]int)
-	}
-	n.phase1Seen[p.ToCell]++
-	expected := 0
+	seen := &n.sh.phase1Seen[p.ToCell]
+	*seen++
+	var expected int32
 	for _, ch := range c.Children {
 		if n.sh.maxDepth[ch] >= p.Round {
 			expected++
 		}
 	}
-	if n.phase1Seen[p.ToCell] < expected {
+	if *seen < expected {
 		return
 	}
-	n.phase1Seen[p.ToCell] = 0 // reset for the next round
+	*seen = 0 // reset for the next round
 	if c.Parent < 0 {
 		// The root has heard from every sentinel in S_round: start the
 		// downward phase2 wave.
 		n.sendPhase2Down(ctx, p.ToCell, p.Round)
 		return
 	}
-	parent := &n.sh.qt.Cells[c.Parent]
 	payload := phasePayload{Round: p.Round, ToCell: c.Parent}
-	if parent.Leader == n.id {
+	if n.sh.qt.Cells[c.Parent].Leader == n.id {
 		n.onPhase1(ctx, payload)
 		return
 	}
-	ctx.Route(parent.Leader, KindPhase1, payload)
+	ctx.RoutePath(n.sh.upPath(p.ToCell), KindPhase1, payload)
 }
 
 // onPhase2 forwards the go-ahead wave down to the round's cells, which
@@ -671,13 +734,12 @@ func (n *node) sendPhase2Down(ctx sim.Context, cellID, round int) {
 		if n.sh.maxDepth[ch] < round {
 			continue
 		}
-		child := &n.sh.qt.Cells[ch]
 		payload := phasePayload{Round: round, ToCell: ch}
-		if child.Leader == n.id {
+		if n.sh.qt.Cells[ch].Leader == n.id {
 			n.onPhase2(ctx, payload)
 			continue
 		}
-		ctx.Route(child.Leader, KindPhase2, payload)
+		ctx.RoutePath(n.sh.downPath(ch), KindPhase2, payload)
 	}
 }
 
@@ -686,12 +748,10 @@ func (n *node) sendPhase2Down(ctx sim.Context, cellID, round int) {
 func (n *node) startNextLevel(ctx sim.Context, cellID, level int) {
 	c := &n.sh.qt.Cells[cellID]
 	for _, ch := range c.Children {
-		child := &n.sh.qt.Cells[ch]
-		payload := startPayload{ToCell: ch}
-		if child.Leader == n.id {
+		if n.sh.qt.Cells[ch].Leader == n.id {
 			n.runObligation(ctx, ch)
 			continue
 		}
-		ctx.Route(child.Leader, KindStart, payload)
+		ctx.RoutePath(n.sh.downPath(ch), KindStart, startPayload{ToCell: ch})
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"elink/internal/detrand"
 	"elink/internal/topology"
@@ -47,6 +49,12 @@ type Context interface {
 	// Route transmits a message along the shortest hop path to an
 	// arbitrary node, charging one message per hop.
 	Route(to topology.NodeID, kind string, payload any)
+	// RoutePath transmits a message along a path laid out in advance,
+	// from path[0], which must be this node, to its last node, charging
+	// one message per hop exactly as Route does. Given Graph.ShortestPath's
+	// path, it leaves the network as Route would; a protocol that sends
+	// between the same pairs again and again lays each path once.
+	RoutePath(path []topology.NodeID, kind string, payload any)
 	// SetTimer schedules OnTimer(key) after delay time units.
 	SetTimer(delay float64, key string)
 	// Rand returns the network's deterministic random source.
@@ -198,6 +206,73 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// queues is the free list of drained event queues. A run's queue grows
+// to its peak pending-event count (2E for a flood over every edge), so
+// taking a queue another run has drained saves regrowing it by append
+// on every run; a queue goes back only after Run empties it, when pop
+// has zeroed every slot it used, so no payload stays reachable. Sizing
+// the queue up front instead would need a peak callers cannot predict:
+// at 2,500 nodes it ranges from a few hundred events (explicit ELink)
+// to over 12,000 (the spanning forest).
+//
+// A queue that stays on the list through a whole garbage-collection
+// cycle is dropped at the next one (sweepQueues), so a process that has
+// stopped simulating does not keep one alive: holding even a small
+// queue for good made the quick figures' peak RSS jump by megabytes in
+// about half the runs (DESIGN.md, Simulator). Unlike sync.Pool, the
+// list drops nothing at random under the race detector, so a reused
+// queue's zero allocations hold there too.
+var queues struct {
+	sync.Mutex
+	free []eventHeap
+	idle int // free[:idle] were already on the list at the last sweep
+}
+
+func init() { armQueueSweep() }
+
+// queueSweeper is a sentinel the collector finds unreachable once per
+// cycle; its finalizer sweeps the free list and arms a new sentinel.
+// (It is two words so it is not packed into a tiny-object block, whose
+// finalizers may never run.)
+type queueSweeper struct{ _ [2]uintptr }
+
+func armQueueSweep() {
+	runtime.SetFinalizer(new(queueSweeper), func(*queueSweeper) {
+		sweepQueues()
+		armQueueSweep()
+	})
+}
+
+// sweepQueues drops the queues that stayed idle since the last sweep and
+// marks the rest idle.
+func sweepQueues() {
+	queues.Lock()
+	defer queues.Unlock()
+	kept := copy(queues.free, queues.free[queues.idle:])
+	clear(queues.free[kept:])
+	queues.free = queues.free[:kept]
+	queues.idle = kept
+}
+
+func takeQueue() eventHeap {
+	queues.Lock()
+	defer queues.Unlock()
+	if last := len(queues.free) - 1; last >= 0 {
+		q := queues.free[last]
+		queues.free[last] = nil
+		queues.free = queues.free[:last]
+		queues.idle = min(queues.idle, last)
+		return q
+	}
+	return nil
+}
+
+func putQueue(q eventHeap) {
+	queues.Lock()
+	queues.free = append(queues.free, q[:0])
+	queues.Unlock()
+}
+
 // Network is the deterministic discrete-event executor.
 type Network struct {
 	Graph *topology.Graph
@@ -239,6 +314,7 @@ func NewNetwork(g *topology.Graph, delay DelayModel, seed int64) *Network {
 		ctxs:      make([]nodeCtx, g.N()),
 		delay:     delay,
 		rng:       detrand.New(seed),
+		pq:        takeQueue(),
 		counts:    make(map[string]int64),
 		perNode:   make([]int64, g.N()),
 		maxEvents: int64(g.N())*100000 + 1000000,
@@ -308,16 +384,22 @@ func (n *Network) TxPerNode() []int64 {
 }
 
 // Run invokes Init on every installed protocol, then processes events
-// until the queue drains, returning the final simulated time. It panics
-// if maxEvents is exceeded (a protocol that never terminates is a bug
-// worth failing loudly on).
+// until the queue drains, returning the final simulated time. The
+// drained queue goes back to the free list for the next network. It
+// panics if maxEvents is exceeded (a protocol that never terminates is a
+// bug worth failing loudly on).
 func (n *Network) Run() float64 {
 	for u, p := range n.protocols {
 		if p != nil {
 			p.Init(&n.ctxs[u])
 		}
 	}
-	return n.drain()
+	end := n.drain()
+	if cap(n.pq) > 0 {
+		putQueue(n.pq)
+	}
+	n.pq = nil
+	return end
 }
 
 // drain processes queued events until none remain.
@@ -388,18 +470,9 @@ func (c *nodeCtx) Send(to topology.NodeID, kind string, payload any) {
 	if !n.Graph.HasEdge(c.id, to) {
 		panic(fmt.Sprintf("sim: Send from %d to non-neighbour %d (use Route)", c.id, to))
 	}
-	n.counts[kind]++
-	n.perNode[c.id]++
-	if n.obs != nil {
-		n.obs.count(kind, 1)
+	if d, ok := n.hop(kind, c.id, to); ok {
+		n.pushMessage(n.now+d, c.id, to, kind, payload, 1)
 	}
-	if n.loss > 0 && n.rng.Float64() < n.loss {
-		n.dropped++
-		n.obs.droppedInc()
-		return
-	}
-	d := n.delay.HopDelay(n.rng, c.id, to)
-	n.pushMessage(n.now+d, c.id, to, kind, payload, 1)
 }
 
 func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
@@ -413,20 +486,10 @@ func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
 	var delay float64
 	lost := false
 	hops := n.Graph.Walk(c.id, to, func(cur, next topology.NodeID) bool {
-		n.counts[kind]++
-		n.perNode[cur]++
-		if n.obs != nil {
-			n.obs.count(kind, 1)
-		}
-		if n.loss > 0 && n.rng.Float64() < n.loss {
-			// The frame dies mid-route: hops up to here were paid for.
-			n.dropped++
-			n.obs.droppedInc()
-			lost = true
-			return false
-		}
-		delay += n.delay.HopDelay(n.rng, cur, next)
-		return true
+		d, ok := n.hop(kind, cur, next)
+		delay += d
+		lost = !ok
+		return ok
 	})
 	if hops < 0 {
 		panic(fmt.Sprintf("sim: Route from %d to unreachable %d", c.id, to))
@@ -435,6 +498,40 @@ func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
 		return
 	}
 	n.pushMessage(n.now+delay, c.id, to, kind, payload, hops)
+}
+
+func (c *nodeCtx) RoutePath(path []topology.NodeID, kind string, payload any) {
+	if len(path) == 0 || path[0] != c.id {
+		panic(fmt.Sprintf("sim: RoutePath from %d along a path that does not start there: %v", c.id, path))
+	}
+	n := c.net
+	var delay float64
+	for i := 1; i < len(path); i++ {
+		d, ok := n.hop(kind, path[i-1], path[i])
+		if !ok {
+			return
+		}
+		delay += d
+	}
+	n.pushMessage(n.now+delay, c.id, path[len(path)-1], kind, payload, len(path)-1)
+}
+
+// hop charges one radio hop from cur to next, of a neighbour send or a
+// routed message, and draws its fate: it returns the hop's delay, or
+// false when the frame is lost on this hop (a routed message's earlier
+// hops stay paid for).
+func (n *Network) hop(kind string, cur, next topology.NodeID) (float64, bool) {
+	n.counts[kind]++
+	n.perNode[cur]++
+	if n.obs != nil {
+		n.obs.count(kind, 1)
+	}
+	if n.loss > 0 && n.rng.Float64() < n.loss {
+		n.dropped++
+		n.obs.droppedInc()
+		return 0, false
+	}
+	return n.delay.HopDelay(n.rng, cur, next), true
 }
 
 func (c *nodeCtx) SetTimer(delay float64, key string) {

@@ -60,9 +60,9 @@ fuzz-smoke:
 ## B/op show the explicit wave's laid-out paths and the reused event
 ## queue), the quadtree build (internal/topology), routing
 ## (internal/sim), range queries (internal/query), the spectral kernels
-## (internal/linalg), the span cost per trace (internal/obs) and a Tao
-## replay with and without span tracing (internal/stream) — so none can
-## rot
+## and one warm-started n=2500 eigensolve (internal/linalg), the span
+## cost per trace (internal/obs) and a Tao replay with and without span
+## tracing (internal/stream) — so none can rot
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/topology ./internal/sim ./internal/query ./internal/linalg ./internal/obs ./internal/stream
 

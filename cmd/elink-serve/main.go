@@ -118,7 +118,7 @@ func main() {
 	}
 	reg := elink.NewMetricsRegistry()
 	elink.RegisterBuildInfo(reg, version) // build metadata + uptime on /metrics
-	spans := elink.NewSpanTracer(0, 0)    // the last 256 traces and the 16 slowest
+	spans := elink.NewSpanTracer()        // the last 256 traces and the 16 slowest
 	spans.Instrument(reg)                 // span_phase_seconds on /metrics
 	engine, err := elink.NewEngine(g, elink.EngineConfig{
 		Order:               *order,

@@ -17,7 +17,7 @@ func newTestServer(t *testing.T) (*server, *http.ServeMux) {
 	t.Helper()
 	g := elink.NewGrid(1, 6)
 	reg := elink.NewMetricsRegistry()
-	spans := elink.NewSpanTracer(0, 0)
+	spans := elink.NewSpanTracer()
 	spans.Instrument(reg)
 	engine, err := elink.NewEngine(g, elink.EngineConfig{
 		Order: 0, Delta: 2, Slack: 0.1, Metric: elink.Euclidean(), Seed: 1,

@@ -389,10 +389,10 @@ type (
 	PhaseStat = obs.PhaseStat
 )
 
-// NewSpanTracer returns a span tracer keeping the last capacity traces
-// and the topK slowest (<= 0 selects the defaults, 256 and 16). All
-// methods are nil-receiver safe, so an unset tracer costs one nil test.
-func NewSpanTracer(capacity, topK int) *SpanTracer { return obs.NewSpanTracer(capacity, topK) }
+// NewSpanTracer returns a span tracer keeping the last 256 traces and
+// the 16 slowest. All methods are nil-receiver safe, so an unset tracer
+// costs one nil test.
+func NewSpanTracer() *SpanTracer { return obs.NewSpanTracer() }
 
 // RegisterBuildInfo registers the elink_build_info gauge (version, Go
 // version, GOMAXPROCS as labels, value constant 1) plus

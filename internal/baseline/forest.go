@@ -27,7 +27,6 @@ type ForestConfig struct {
 	Delta    float64
 	Metric   metric.Metric
 	Features []metric.Feature
-	Delay    sim.DelayModel
 	Seed     int64
 }
 
@@ -41,7 +40,7 @@ func SpanningForest(g *topology.Graph, cfg ForestConfig) (*cluster.Result, error
 	if len(cfg.Features) != g.N() {
 		return nil, fmt.Errorf("baseline: %d features for %d nodes", len(cfg.Features), g.N())
 	}
-	net := sim.NewNetwork(g, cfg.Delay, cfg.Seed)
+	net := sim.NewNetwork(g, sim.UnitDelay{}, cfg.Seed)
 	nodes := make([]*forestNode, g.N())
 	sh := &forestShared{cfg: cfg}
 	for u := range nodes {

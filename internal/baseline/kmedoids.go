@@ -18,11 +18,10 @@ type KMedoidsConfig struct {
 	Metric   metric.Metric
 	Features []metric.Feature
 	Seed     int64
-	// MaxIter bounds the medoid-refinement rounds per k (default 15).
-	MaxIter int
-	// MaxK caps the cluster search (default N).
-	MaxK int
 }
+
+// kmedoidsMaxIter bounds the medoid-refinement rounds per k.
+const kmedoidsMaxIter = 15
 
 // KMedoids implements the distributed k-medoids alternative the paper's
 // related-work section dismisses as communication intensive (§9): "in
@@ -48,12 +47,6 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 	if len(cfg.Features) != n {
 		return nil, fmt.Errorf("baseline: %d features for %d nodes", len(cfg.Features), n)
 	}
-	if cfg.MaxIter == 0 {
-		cfg.MaxIter = 15
-	}
-	if cfg.MaxK == 0 || cfg.MaxK > n {
-		cfg.MaxK = n
-	}
 	rng := detrand.New(cfg.Seed)
 	stats := cluster.Stats{Breakdown: make(map[string]int64)}
 	charge := func(kind string, cost int64) {
@@ -65,7 +58,7 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 		medoids := seedMedoids(cfg.Features, cfg.Metric, k, rng)
 		assign := make([]int, n)
 		members := make([][]int, k)
-		for iter := 0; iter < cfg.MaxIter; iter++ {
+		for iter := 0; iter < kmedoidsMaxIter; iter++ {
 			// Broadcast the medoid set to every node.
 			charge("medoid", int64(k)*int64(n))
 			changed := false
@@ -129,8 +122,8 @@ func KMedoids(g *topology.Graph, cfg KMedoidsConfig) (*cluster.Result, error) {
 		}
 		lo = hi
 		hi *= 2
-		if hi >= cfg.MaxK {
-			hi = cfg.MaxK
+		if hi >= n {
+			hi = n
 			c := run(hi)
 			if !satisfies(c) {
 				// Singletons as the guaranteed-valid fallback.

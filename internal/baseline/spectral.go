@@ -259,7 +259,7 @@ func newEigenCache(aff *linalg.SparseSym, maxDim int, rng *rand.Rand) (*eigenCac
 // spectrum is paid for once, not per search step.
 func (e *eigenCache) topK(k int) (*linalg.Matrix, error) {
 	if e.vecs == nil {
-		res, err := e.lap.EigenBottomK(e.maxDim, e.rng, linalg.BottomKOptions{Tol: solveTol})
+		res, err := e.lap.EigenBottomK(e.maxDim, solveTol, e.rng)
 		if err != nil {
 			// Accept iteration-starved solves inside the documented
 			// residual budget; anything else is a hard failure.

@@ -8,7 +8,7 @@ import (
 )
 
 // The zero-alloc contract: at one worker the fused SpMM kernel, the
-// preconditioner Apply paths, and the steady-state LOBPCG loop perform no
+// preconditioner's apply, and the steady-state LOBPCG loop perform no
 // allocations. These are regression tests for the workspace-pooling
 // design — a new allocation on any of these paths shows up here long
 // before it shows up as GC pressure at engine scale.
@@ -30,18 +30,11 @@ func TestPrecondApplyZeroAlloc(t *testing.T) {
 	defer par.SetWorkers(0)
 	l := gridLaplacian(20, 20)
 	w := newBlock(6, l.N)
-	for _, tc := range []struct {
-		name string
-		pre  Preconditioner
-	}{
-		{"chebyshev", NewChebyshev(l, 0, 0, 0)},
-	} {
-		name, pre := tc.name, tc.pre
-		fillRandom(w, rand.New(rand.NewSource(3)))
-		pre.Apply(w) // warm-up: chebyshev sizes its scratch blocks lazily
-		if allocs := testing.AllocsPerRun(10, func() { pre.Apply(w) }); allocs != 0 {
-			t.Fatalf("%s Apply allocates %.1f per call at one worker, want 0", name, allocs)
-		}
+	pre := newChebyshev(l)
+	fillRandom(w, rand.New(rand.NewSource(3)))
+	pre.apply(w) // warm-up: chebyshev sizes its scratch blocks lazily
+	if allocs := testing.AllocsPerRun(10, func() { pre.apply(w) }); allocs != 0 {
+		t.Fatalf("chebyshev apply allocates %.1f per call at one worker, want 0", allocs)
 	}
 }
 
@@ -54,13 +47,12 @@ func TestLobpcgLoopZeroAlloc(t *testing.T) {
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)
 	l := gridLaplacian(20, 25)
+	setKnob(t, &coarseStartMinN, l.N+1)
 	solveAllocs := func(maxIter int) float64 {
+		setKnob(t, &maxIters, maxIter)
 		return testing.AllocsPerRun(3, func() {
 			rng := rand.New(rand.NewSource(42))
-			_, _ = l.EigenBottomK(6, rng, BottomKOptions{
-				MaxIter: maxIter, Tol: 1e-14, RandomStart: true,
-				Precond: NewChebyshev(l, 0, 0, 0),
-			})
+			_, _ = l.EigenBottomK(6, 1e-14, rng)
 		})
 	}
 	short, long := solveAllocs(3), solveAllocs(40)

@@ -36,6 +36,24 @@ func BenchmarkProjectedEigen(b *testing.B) {
 	}
 }
 
+// BenchmarkEigenBottomK2500 times one solve at the shape
+// TestEigenBottomKIterationsPinned pins — the 50×50 grid Laplacian, k=8,
+// the spectral baseline's tol 2e-4 — so the coarse-grid warm start and
+// its coarse-level preconditioners are timed (the quick-scale spectral
+// figure stays below coarseStartMinN and never builds a hierarchy).
+func BenchmarkEigenBottomK2500(b *testing.B) {
+	l := gridLaplacian(50, 50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := l.EigenBottomK(8, 2e-4, rand.New(rand.NewSource(2501)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchValues = res.Values
+	}
+}
+
 // BenchmarkKMeans times k-means++ seeding plus Lloyd at the paper-scale
 // spectral search's shape: 2500 row-normalized 16-dimensional embedding
 // rows split into 256 clusters.

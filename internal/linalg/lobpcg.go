@@ -43,24 +43,6 @@ func (e *ConvergenceError) Error() string {
 
 func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
 
-// BottomKOptions tunes EigenBottomK. The zero value uses the defaults.
-type BottomKOptions struct {
-	// MaxIter caps the LOBPCG iterations (0 = 500).
-	MaxIter int
-	// Tol is the relative residual tolerance: pair i is converged when
-	// ||L v - λ v||₂ <= Tol * (|λ| + 1). 0 = 1e-6.
-	Tol float64
-	// Precond is applied to the residual block every iteration (nil =
-	// NewChebyshev with its default knobs, built for the normalized
-	// Laplacian's known [0, 2] spectrum; IdentityPrecond{} disables
-	// preconditioning).
-	Precond Preconditioner
-	// RandomStart forces the seeded-random starting block, skipping the
-	// coarse-grid warm start (tests compare the warm start against it; it
-	// is the only mode where rng is consumed at the fine level).
-	RandomStart bool
-}
-
 // BottomKResult is a bottom-k eigensolve outcome. It is returned even
 // when the solve fails to converge, so residual diagnostics survive.
 type BottomKResult struct {
@@ -87,8 +69,12 @@ const denseBottomKLimit = 2048
 // coarseStartMinN is the size below which the warm start stops
 // recursing and draws the block from the seeded generator instead: at a
 // few hundred vertices a coarse level costs more in solve overhead than
-// the iterations it saves. A variable so tests can steer path selection.
+// the iterations it saves. A variable so tests can force a random start.
 var coarseStartMinN = 600
+
+// maxIters caps a fine-level solve's LOBPCG iterations. A variable so
+// tests can starve a solve.
+var maxIters = 500
 
 // Coarse-level solve budget: each hierarchy level refines its prolonged
 // block only far enough to seed the next-finer level (the fine solve
@@ -105,21 +91,23 @@ const (
 // symmetric matrix using preconditioned LOBPCG (locally optimal block
 // preconditioned conjugate gradient, Knyazev's formulation) with full
 // reorthogonalization of the Rayleigh–Ritz basis every iteration. The
-// residual block is preconditioned each iteration (Chebyshev by default,
-// see BottomKOptions.Precond) and the starting block is prolonged from
-// a coarse-grid solve over a deterministic heavy-edge-matching
-// hierarchy (see BottomKOptions.RandomStart). Eigenvalues come back
-// ascending; for a normalized graph Laplacian the returned vectors are
-// the NJW spectral embedding, and a zero eigenvalue of multiplicity m
-// (one per connected component) is resolved exactly as long as the
-// block is at least m wide — the block carries k+8 vectors by default.
+// residual block is preconditioned each iteration by a Chebyshev
+// semi-iteration and, from coarseStartMinN vertices up, the starting
+// block is prolonged from a coarse-grid solve over a deterministic
+// heavy-edge-matching hierarchy. Pair i is converged when
+// ||L v - λ v||₂ <= tol·(|λ| + 1); tol must be positive and finite.
+// Eigenvalues come back ascending; for a normalized graph Laplacian the
+// returned vectors are the NJW spectral embedding, and a zero eigenvalue
+// of multiplicity m (one per connected component) is resolved exactly as
+// long as the block is at least m wide — the block carries up to k+8
+// vectors.
 //
 // Determinism: every arithmetic reduction (dot products, Gram–Schmidt,
 // the projected dense eigensolve) runs in a fixed serial order; only
 // independent per-column and fixed-chunk per-row computations fan out
 // over internal/par, writing caller-owned slots. Results are therefore
 // bitwise identical for every worker count, and depend only on the
-// matrix, the options, and the supplied generator.
+// matrix, tol, and the supplied generator.
 //
 // The steady-state iteration loop runs against workspace allocated once
 // per solve: at one worker it performs no allocations at all (pinned by
@@ -128,12 +116,16 @@ const (
 //
 // On iteration-budget exhaustion the best-effort result is returned
 // together with a *ConvergenceError (wrapping ErrNoConvergence) carrying
-// the per-pair residuals — never silently. A non-finite matrix entry, or
-// a projected eigensolve that fails, is an error with no result.
-func (c *CSR) EigenBottomK(k int, rng *rand.Rand, opt BottomKOptions) (*BottomKResult, error) {
+// the per-pair residuals — never silently. A bad k or tol, a non-finite
+// matrix entry, or a projected eigensolve that fails, is an error with
+// no result.
+func (c *CSR) EigenBottomK(k int, tol float64, rng *rand.Rand) (*BottomKResult, error) {
 	n := c.N
 	if k <= 0 {
 		return nil, fmt.Errorf("linalg: EigenBottomK requires k >= 1, got %d", k)
+	}
+	if !(tol > 0) || math.IsInf(tol, 1) {
+		return nil, fmt.Errorf("linalg: EigenBottomK requires a finite tol > 0, got %v", tol)
 	}
 	if k > n {
 		k = n
@@ -144,14 +136,6 @@ func (c *CSR) EigenBottomK(k int, rng *rand.Rand, opt BottomKOptions) (*BottomKR
 				return nil, fmt.Errorf("linalg: EigenBottomK: non-finite entry %v in row %d", v, r)
 			}
 		}
-	}
-	maxIter := opt.MaxIter
-	if maxIter <= 0 {
-		maxIter = 500
-	}
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-6
 	}
 	b := k + 8
 	if b > (n-1)/3 {
@@ -164,23 +148,15 @@ func (c *CSR) EigenBottomK(k int, rng *rand.Rand, opt BottomKOptions) (*BottomKR
 		return c.denseBottomK(k)
 	}
 
-	pre := opt.Precond
-	if pre == nil {
-		pre = NewChebyshev(c, 0, 0, 0)
-	}
+	pre := newChebyshev(c)
 	st := newLobpcgState(c, b, pre)
-	levels := 0
-	if opt.RandomStart {
-		fillRandom(st.x, rng)
-	} else {
-		var err error
-		if levels, err = fillWarmStart(c, st.x, rng, pre, 0); err != nil {
-			return nil, err
-		}
+	levels, err := fillWarmStart(c, st.x, rng, pre, 0)
+	if err != nil {
+		return nil, err
 	}
 	orthonormalize(st.x)
 
-	iters, err := st.run(k, tol, maxIter)
+	iters, err := st.run(k, tol, maxIters)
 	if err != nil {
 		return nil, err
 	}
@@ -225,13 +201,13 @@ func fillRandom(x [][]float64, rng *rand.Rand) {
 // depth (0 = the block is random: the matrix was already small, the
 // matching stalled, or the coarse graph is too small to host the block),
 // or the error of a failed coarse solve.
-func fillWarmStart(c *CSR, x [][]float64, rng *rand.Rand, pre Preconditioner, depth int) (int, error) {
+func fillWarmStart(c *CSR, x [][]float64, rng *rand.Rand, pre *chebPrecond, depth int) (int, error) {
 	b := len(x)
 	if c.N >= coarseStartMinN && depth < coarseMaxLevels {
 		lvl := coarsen(c)
 		nc := lvl.op.N
 		if nc > 3*b+1 && nc <= c.N-c.N/8 {
-			cpre := precondFor(pre, lvl.op)
+			cpre := pre.forCoarse(lvl.op)
 			cst := newLobpcgState(lvl.op, b, cpre)
 			levels, err := fillWarmStart(lvl.op, cst.x, rng, cpre, depth+1)
 			if err != nil {
@@ -249,25 +225,16 @@ func fillWarmStart(c *CSR, x [][]float64, rng *rand.Rand, pre Preconditioner, de
 	return 0, nil
 }
 
-// precondFor rebuilds the configured preconditioner kind for a coarse
-// operator, falling back to the default Chebyshev for kinds that cannot
-// re-derive themselves.
-func precondFor(pre Preconditioner, op *CSR) Preconditioner {
-	if c, ok := pre.(coarsable); ok {
-		return c.ForMatrix(op)
-	}
-	return NewChebyshev(op, 0, 0, 0)
-}
-
 // lobpcgState is one solve's workspace: every block, projected-problem
 // buffer, and chunk-body closure the iteration loop touches is allocated
 // here once, so the loop itself is allocation-free in steady state. The
 // chunk bodies are bound method values stored in fields — handing a
 // field to the execution layer allocates nothing, where a fresh closure
-// per call would.
+// per call would. A nil pre runs the loop unpreconditioned (the tests'
+// reference).
 type lobpcgState struct {
 	c   *CSR
-	pre Preconditioner
+	pre *chebPrecond
 	n   int
 	b   int
 
@@ -278,7 +245,7 @@ type lobpcgState struct {
 	plen    int         // live columns in p
 	s       [][]float64 // Rayleigh–Ritz basis headers (pointers into x/w/p)
 	as      [][]float64 // L·s storage, 3b columns
-	dropped [][]float64 // orthonormalizeKeepAll scratch
+	dropped [][]float64 // orthonormalizeKeepAll spill: up to 2b columns
 
 	lam, res []float64
 
@@ -293,7 +260,7 @@ type lobpcgState struct {
 	fRayleigh, fGram, fCompose, fConjugate func(lo, hi int)
 }
 
-func newLobpcgState(c *CSR, b int, pre Preconditioner) *lobpcgState {
+func newLobpcgState(c *CSR, b int, pre *chebPrecond) *lobpcgState {
 	n := c.N
 	st := &lobpcgState{
 		c: c, pre: pre, n: n, b: b,
@@ -305,7 +272,7 @@ func newLobpcgState(c *CSR, b int, pre Preconditioner) *lobpcgState {
 		palt:    newBlock(b, n),
 		s:       make([][]float64, 0, 3*b),
 		as:      newBlock(3*b, n),
-		dropped: make([][]float64, 0, b),
+		dropped: make([][]float64, 0, 2*b),
 		lam:     make([]float64, b),
 		res:     make([]float64, b),
 		t:       make([]float64, 3*b*3*b),
@@ -324,7 +291,7 @@ func newLobpcgState(c *CSR, b int, pre Preconditioner) *lobpcgState {
 // zero-alloc path), otherwise over internal/par's fixed-grain chunk
 // layout. Both paths execute identical per-element arithmetic, so the
 // results are bitwise independent of the worker count.
-func (st *lobpcgState) fan(n int, body func(lo, hi int)) {
+func fan(n int, body func(lo, hi int)) {
 	if par.Workers() == 1 {
 		body(0, n)
 		return
@@ -344,7 +311,7 @@ func (st *lobpcgState) run(k int, tol float64, maxIter int) (int, error) {
 		// Rayleigh quotients and raw residuals on the current orthonormal
 		// X; convergence is judged on the unpreconditioned residual norms
 		// (a NaN residual never counts as converged).
-		st.fan(b, st.fRayleigh)
+		fan(b, st.fRayleigh)
 		done := true
 		for j := 0; j < k; j++ {
 			if !(st.res[j] <= tol*(math.Abs(st.lam[j])+1)) {
@@ -361,25 +328,28 @@ func (st *lobpcgState) run(k int, tol float64, maxIter int) (int, error) {
 
 		// W = M⁻¹ R: the preconditioned residual enters the trial basis
 		// (Knyazev's formulation).
-		st.pre.Apply(st.w)
+		if st.pre != nil {
+			st.pre.apply(st.w)
+		}
 
 		// Rayleigh–Ritz basis S = [X | W | P], fully reorthogonalized by
-		// modified Gram–Schmidt; collapsed directions are dropped (the
-		// span is what matters, and dropping is deterministic). s holds
-		// pointers into the x/w/p pools — their contents are consumed
-		// here and rebuilt next iteration, so mutating them is free.
+		// modified Gram–Schmidt; collapsed directions past X are dropped
+		// (the span is what matters, and dropping is deterministic). s
+		// holds pointers into the x/w/p pools — their contents are
+		// consumed here and rebuilt next iteration, so mutating them is
+		// free.
 		st.s = append(st.s[:0], st.x...)
 		st.s = append(st.s, st.w...)
 		st.s = append(st.s, st.p[:st.plen]...)
-		st.s = orthonormalizeDrop(st.s, b)
-		m := len(st.s)
+		m := orthonormalizeKeepAll(st.s, b, &st.dropped)
+		st.s = st.s[:m]
 		st.m = m
 
 		st.c.MulVecs(st.s, st.as[:m])
 
 		// T = Sᵀ (L S): row i writes (i, j>=i) and mirrors — disjoint
 		// across i, serial within a row.
-		st.fan(m, st.fGram)
+		fan(m, st.fGram)
 
 		// Projected eigensolve, serial and in place; the permutation
 		// orders Ritz values ascending.
@@ -393,8 +363,8 @@ func (st *lobpcgState) run(k int, tol float64, maxIter int) (int, error) {
 
 		// New block from the smallest-b Ritz rotations, then conjugate
 		// directions P = X' - X (Xᵀ X') from the outgoing X.
-		st.fan(b, st.fCompose)
-		st.fan(b, st.fConjugate)
+		fan(b, st.fCompose)
+		fan(b, st.fConjugate)
 		st.plen = orthonormalizeKeepAll(st.palt, 0, &st.dropped)
 		st.p, st.palt = st.palt, st.p
 		st.x, st.xalt = st.xalt, st.x
@@ -609,32 +579,11 @@ func mgsProject(basis [][]float64, col []float64) float64 {
 	return f
 }
 
-// orthonormalizeDrop runs modified Gram–Schmidt over the columns,
+// orthonormalizeKeepAll runs modified Gram–Schmidt over the columns,
 // dropping any column whose remainder collapses below tolerance instead
 // of re-seeding it (the basis is allowed to shrink). The first keep
 // columns are never dropped (pass 0 to allow dropping everywhere); they
-// are assumed linearly independent, as the orthonormal X block is.
-func orthonormalizeDrop(q [][]float64, keep int) [][]float64 {
-	out := q[:0]
-	for c := 0; c < len(q); c++ {
-		col := q[c]
-		norm := math.Sqrt(mgsProject(out, col))
-		if norm < 1e-10 && len(out) >= keep {
-			continue
-		}
-		if norm == 0 {
-			norm = 1
-		}
-		inv := 1 / norm
-		for r := range col {
-			col[r] *= inv
-		}
-		out = append(out, col)
-	}
-	return out
-}
-
-// orthonormalizeKeepAll is orthonormalizeDrop for pooled storage: kept
+// are assumed linearly independent, as the orthonormal X block is. Kept
 // columns compact to the front of q while the dropped columns' backing
 // slices are parked after them (contents unspecified), so a reused
 // workspace pool never strands storage. dropScratch is the caller's

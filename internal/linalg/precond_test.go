@@ -8,15 +8,15 @@ import (
 	"elink/internal/par"
 )
 
-// applyToDense materializes the linear operator a Preconditioner's Apply
-// implements by running it over the identity's columns — Apply is linear,
-// so the columns are M⁻¹'s columns.
-func applyToDense(m Preconditioner, n int) *Matrix {
+// applyToDense materializes the linear operator the preconditioner's
+// apply implements by running it over the identity's columns — apply is
+// linear, so the columns are M⁻¹'s columns.
+func applyToDense(m *chebPrecond, n int) *Matrix {
 	out := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
 		col := [][]float64{make([]float64, n)}
 		col[0][j] = 1
-		m.Apply(col)
+		m.apply(col)
 		for r := 0; r < n; r++ {
 			out.Set(r, j, col[0][r])
 		}
@@ -24,28 +24,19 @@ func applyToDense(m Preconditioner, n int) *Matrix {
 	return out
 }
 
-// TestChebyshevDefaults: the zero-value knobs resolve to the documented
-// defaults — 8 steps, Gershgorin hi (≈2 on a normalized Laplacian), and
-// lo = hi/30.
+// TestChebyshevDefaults: the interval is the documented one — Gershgorin
+// hi (≈2 on a normalized Laplacian) and lo = hi/30 — and a zero matrix
+// gets hi = 1 rather than an empty interval.
 func TestChebyshevDefaults(t *testing.T) {
-	l := gridLaplacian(8, 8)
-	m, ok := NewChebyshev(l, 0, 0, 0).(*chebPrecond)
-	if !ok {
-		t.Fatal("NewChebyshev did not return a *chebPrecond")
-	}
-	if m.steps != chebDefaultSteps {
-		t.Errorf("steps = %d, want %d", m.steps, chebDefaultSteps)
-	}
+	m := newChebyshev(gridLaplacian(8, 8))
 	if m.hi < 1.5 || m.hi > 2.5 {
 		t.Errorf("Gershgorin hi = %v, want ~2 for a normalized Laplacian", m.hi)
 	}
-	if math.Abs(m.lo-m.hi/chebDefaultRatio) > 1e-15 {
-		t.Errorf("lo = %v, want hi/%d = %v", m.lo, chebDefaultRatio, m.hi/chebDefaultRatio)
+	if math.Abs(m.lo-m.hi/chebRatio) > 1e-15 {
+		t.Errorf("lo = %v, want hi/%d = %v", m.lo, chebRatio, m.hi/chebRatio)
 	}
-	// Explicit knobs are honored.
-	e := NewChebyshev(l, 3, 0.25, 1.75).(*chebPrecond)
-	if e.steps != 3 || e.lo != 0.25 || e.hi != 1.75 {
-		t.Errorf("explicit knobs not preserved: %+v", e)
+	if z := newChebyshev(NewSparseSym(4).Finalize()); z.hi != 1 || z.lo != 1.0/chebRatio {
+		t.Errorf("zero matrix: interval [%v, %v], want [1/%d, 1]", z.lo, z.hi, chebRatio)
 	}
 }
 
@@ -55,7 +46,7 @@ func TestChebyshevDefaults(t *testing.T) {
 func TestChebyshevSPD(t *testing.T) {
 	l := gridLaplacian(5, 6)
 	n := l.N
-	dense := applyToDense(NewChebyshev(l, 0, 0, 0), n)
+	dense := applyToDense(newChebyshev(l), n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if d := math.Abs(dense.At(i, j) - dense.At(j, i)); d > 1e-10 {
@@ -86,13 +77,13 @@ func TestChebyshevAmplifiesBottomSpectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewChebyshev(l, 0, 0, 0)
+	m := newChebyshev(l)
 	gain := func(col int) float64 {
 		v := [][]float64{make([]float64, n)}
 		for r := 0; r < n; r++ {
 			v[0][r] = vecs.At(r, col)
 		}
-		m.Apply(v)
+		m.apply(v)
 		return math.Sqrt(dot(v[0], v[0]))
 	}
 	bottom := gain(n - 1) // smallest eigenvalue (dense order is descending)
@@ -108,50 +99,38 @@ func TestChebyshevAmplifiesBottomSpectrum(t *testing.T) {
 // solve must converge in well under half the unpreconditioned iterations.
 func TestChebyshevCutsIterations(t *testing.T) {
 	l := gridLaplacian(25, 30)
-	solve := func(pre Preconditioner) *BottomKResult {
-		rng := rand.New(rand.NewSource(5))
-		res, err := l.EigenBottomK(6, rng, BottomKOptions{
-			Tol: 1e-4, Precond: pre, RandomStart: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	setKnob(t, &coarseStartMinN, l.N+1)
+	cheb, err := l.EigenBottomK(6, 1e-4, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain := solve(IdentityPrecond{})
-	cheb := solve(NewChebyshev(l, 0, 0, 0))
-	if 2*cheb.Iters >= plain.Iters {
-		t.Fatalf("chebyshev took %d iters vs %d unpreconditioned: want < half", cheb.Iters, plain.Iters)
+	plain, plainIters := solvePlain(t, l, 6, 1e-4, rand.New(rand.NewSource(5)))
+	if 2*cheb.Iters >= plainIters {
+		t.Fatalf("chebyshev took %d iters vs %d unpreconditioned: want < half", cheb.Iters, plainIters)
 	}
 	for j := range cheb.Values {
-		if math.Abs(cheb.Values[j]-plain.Values[j]) > 1e-6 {
-			t.Errorf("value %d: cheb %v vs plain %v", j, cheb.Values[j], plain.Values[j])
+		if math.Abs(cheb.Values[j]-plain.lam[j]) > 1e-6 {
+			t.Errorf("value %d: cheb %v vs plain %v", j, cheb.Values[j], plain.lam[j])
 		}
 	}
 }
 
-// TestPrecondForMatrix: the coarse-level rebuild preserves each kind —
-// Chebyshev re-derives for the coarse operator, identity stays identity,
-// and unknown kinds fall back to the default Chebyshev.
+// TestPrecondForMatrix: the coarse-level rebuild is a Chebyshev
+// preconditioner on the coarse operator that keeps the fine level's
+// interval rather than re-estimating one from the coarse rows.
 func TestPrecondForMatrix(t *testing.T) {
-	fine := gridLaplacian(10, 10)
-	op := coarsen(fine).op
-	if _, ok := precondFor(NewChebyshev(fine, 0, 0, 0), op).(*chebPrecond); !ok {
-		t.Error("chebyshev did not re-derive as chebyshev on the coarse operator")
+	fine := newChebyshev(gridLaplacian(10, 10))
+	op := coarsen(fine.c).op
+	m := fine.forCoarse(op)
+	if m.c != op {
+		t.Error("coarse preconditioner does not apply the coarse operator")
 	}
-	if _, ok := precondFor(IdentityPrecond{}, op).(IdentityPrecond); !ok {
-		t.Error("identity did not stay identity")
-	}
-	if _, ok := precondFor(fakePrecond{}, op).(*chebPrecond); !ok {
-		t.Error("non-coarsable kind did not fall back to chebyshev")
+	if m.lo != fine.lo || m.hi != fine.hi {
+		t.Errorf("coarse interval [%v, %v], want the fine [%v, %v]", m.lo, m.hi, fine.lo, fine.hi)
 	}
 }
 
-type fakePrecond struct{}
-
-func (fakePrecond) Apply([][]float64) {}
-
-// TestPrecondWorkerIndependence: the Chebyshev Apply is bitwise identical
+// TestPrecondWorkerIndependence: the Chebyshev apply is bitwise identical
 // at every worker count.
 func TestPrecondWorkerIndependence(t *testing.T) {
 	l := gridLaplacian(12, 13)
@@ -160,7 +139,7 @@ func TestPrecondWorkerIndependence(t *testing.T) {
 		defer par.SetWorkers(0)
 		w := newBlock(6, l.N)
 		fillRandom(w, rand.New(rand.NewSource(8)))
-		NewChebyshev(l, 0, 0, 0).Apply(w)
+		newChebyshev(l).apply(w)
 		return w
 	}
 	ref := apply(1)

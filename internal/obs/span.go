@@ -33,13 +33,12 @@ import (
 // package every method is safe on a nil receiver: an un-instrumented
 // call site pays one pointer test per span operation.
 
-// DefaultSpanCapacity is the recent-trace ring size used when
-// NewSpanTracer gets a non-positive capacity.
-const DefaultSpanCapacity = 256
-
-// DefaultSpanTopK is the slowest-trace set size used when NewSpanTracer
-// gets a non-positive k.
-const DefaultSpanTopK = 16
+// A SpanTracer keeps the last spanCapacity traces and the spanTopK
+// slowest ones.
+const (
+	spanCapacity = 256
+	spanTopK     = 16
+)
 
 // maxPhaseNames bounds the per-phase attribution map; span names beyond
 // the cap are lumped into "other" so a buggy call site cannot grow the
@@ -141,15 +140,13 @@ type SpanTracer struct {
 	reg     *Registry
 }
 
-// NewSpanTracer returns a tracer retaining the last capacity traces and
-// the topK slowest ones (non-positive arguments select the defaults).
-func NewSpanTracer(capacity, topK int) *SpanTracer {
-	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
-	}
-	if topK <= 0 {
-		topK = DefaultSpanTopK
-	}
+// NewSpanTracer returns a tracer retaining the last 256 traces and the
+// 16 slowest ones.
+func NewSpanTracer() *SpanTracer { return newSpanTracer(spanCapacity, spanTopK) }
+
+// newSpanTracer returns a tracer retaining the last capacity traces and
+// the topK slowest ones; tests build small ones to exercise eviction.
+func newSpanTracer(capacity, topK int) *SpanTracer {
 	now := time.Now()
 	return &SpanTracer{
 		base:   now,

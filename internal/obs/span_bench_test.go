@@ -9,7 +9,7 @@ import "testing"
 // trees exercise the rootAlloc pooling, the monotonic clock reads and
 // record()'s phase attribution, which together dominate the cost.
 func BenchmarkQueryShapedTrace(b *testing.B) {
-	t := NewSpanTracer(256, 32)
+	t := newSpanTracer(256, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		root := t.Start("range-query")
@@ -25,7 +25,7 @@ func BenchmarkQueryShapedTrace(b *testing.B) {
 // (root + five sequential phase children plus a label), the other trace
 // shape the streaming engine emits on every recluster round.
 func BenchmarkEpochShapedTrace(b *testing.B) {
-	t := NewSpanTracer(256, 32)
+	t := newSpanTracer(256, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		root := t.Start("epoch")

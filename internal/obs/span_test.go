@@ -80,7 +80,7 @@ func TestSpanNilSafety(t *testing.T) {
 }
 
 func TestSpanSelfTimeTelescopes(t *testing.T) {
-	tr := NewSpanTracer(8, 4)
+	tr := newSpanTracer(8, 4)
 	clk := newFakeClock(0)
 	tr.SetClock(clk.Now)
 
@@ -125,7 +125,7 @@ func TestSpanSelfTimeTelescopes(t *testing.T) {
 }
 
 func TestSpanConcurrentChildrenClamp(t *testing.T) {
-	tr := NewSpanTracer(4, 2)
+	tr := newSpanTracer(4, 2)
 	clk := newFakeClock(0)
 	tr.SetClock(clk.Now)
 
@@ -148,7 +148,7 @@ func TestSpanConcurrentChildrenClamp(t *testing.T) {
 }
 
 func TestSpanRingWraparound(t *testing.T) {
-	tr := NewSpanTracer(4, 2)
+	tr := newSpanTracer(4, 2)
 	clk := newFakeClock(0)
 	tr.SetClock(clk.Now)
 
@@ -181,7 +181,7 @@ func TestSpanRingWraparound(t *testing.T) {
 }
 
 func TestSpanTopKRetention(t *testing.T) {
-	tr := NewSpanTracer(4, 3)
+	tr := newSpanTracer(4, 3)
 	clk := newFakeClock(0)
 	tr.SetClock(clk.Now)
 
@@ -204,7 +204,7 @@ func TestSpanTopKRetention(t *testing.T) {
 }
 
 func TestSpanPhaseStats(t *testing.T) {
-	tr := NewSpanTracer(8, 4)
+	tr := newSpanTracer(8, 4)
 	clk := newFakeClock(0)
 	tr.SetClock(clk.Now)
 	reg := NewRegistry()
@@ -250,7 +250,7 @@ func TestSpanPhaseStats(t *testing.T) {
 }
 
 func TestSpanPhaseNameCap(t *testing.T) {
-	tr := NewSpanTracer(4, 2)
+	tr := newSpanTracer(4, 2)
 	clk := newFakeClock(time.Microsecond)
 	tr.SetClock(clk.Now)
 	for i := 0; i < maxPhaseNames+50; i++ {
@@ -273,7 +273,7 @@ func TestSpanPhaseNameCap(t *testing.T) {
 }
 
 func TestSpanWriteJSON(t *testing.T) {
-	tr := NewSpanTracer(8, 4)
+	tr := newSpanTracer(8, 4)
 	clk := newFakeClock(0)
 	tr.SetClock(clk.Now)
 	root := tr.Start("epoch")
@@ -305,7 +305,7 @@ func TestSpanWriteJSON(t *testing.T) {
 }
 
 func TestSpanWriteChromeTrace(t *testing.T) {
-	tr := NewSpanTracer(8, 4)
+	tr := newSpanTracer(8, 4)
 	clk := newFakeClock(0)
 	tr.SetClock(clk.Now)
 	root := tr.Start("epoch")
@@ -352,7 +352,7 @@ func TestSpanWriteChromeTrace(t *testing.T) {
 // TestSpanConcurrencyHammer exercises concurrent trace construction,
 // fork-join children and exports under -race.
 func TestSpanConcurrencyHammer(t *testing.T) {
-	tr := NewSpanTracer(32, 8)
+	tr := newSpanTracer(32, 8)
 	reg := NewRegistry()
 	tr.Instrument(reg)
 	var writers, readers sync.WaitGroup

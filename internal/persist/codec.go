@@ -53,7 +53,7 @@ func (e *enc) nodes(v []topology.NodeID) {
 		e.i64(int64(x))
 	}
 }
-func (e *enc) feature(f metric.Feature) { e.b = f.AppendBinary(e.b) }
+func (e *enc) feature(f metric.Feature) { e.floats(f) }
 func (e *enc) features(fs []metric.Feature) {
 	e.u32(uint32(len(fs)))
 	for _, f := range fs {
@@ -201,18 +201,7 @@ func (d *dec) nodes() []topology.NodeID {
 	return v
 }
 
-func (d *dec) feature() metric.Feature {
-	if d.err != nil {
-		return nil
-	}
-	f, rest, err := metric.DecodeFeature(d.b[d.off:])
-	if err != nil {
-		d.fail("%v", err)
-		return nil
-	}
-	d.off = len(d.b) - len(rest)
-	return f
-}
+func (d *dec) feature() metric.Feature { return metric.Feature(d.floats()) }
 
 func (d *dec) features() []metric.Feature {
 	n := d.count(4) // each feature is at least a 4-byte length

@@ -71,7 +71,7 @@ func BenchmarkTaoReplay(b *testing.B) {
 	})
 	b.Run("traced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			replay(b, obs.NewSpanTracer(0, 0))
+			replay(b, obs.NewSpanTracer())
 		}
 	})
 }

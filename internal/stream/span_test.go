@@ -76,7 +76,7 @@ func bootstrapEpoch(traces []*obs.SpanTrace) *obs.SpanTrace {
 // children (validate/refit/bootstrap/publish) account for at least 95%
 // of the bootstrap epoch's wall time.
 func TestEpochSpanAttribution(t *testing.T) {
-	spans := obs.NewSpanTracer(64, 8)
+	spans := obs.NewSpanTracer()
 	e := spanEngine(t, spans)
 
 	traces := spans.Recent(0)
@@ -158,7 +158,7 @@ func TestBootstrapRunLabels(t *testing.T) {
 	for u := range feats {
 		feats[u] = metric.Feature{rng.Float64()}
 	}
-	spans := obs.NewSpanTracer(16, 4)
+	spans := obs.NewSpanTracer()
 	e := featEngine(t, g, feats, Config{
 		Delta: 0.3, Slack: 0.03, Metric: metric.Scalar{}, Seed: 5, Spans: spans,
 	})
@@ -200,7 +200,7 @@ func TestSpansOffStatsEmpty(t *testing.T) {
 // TestQuerySpans: range and path queries produce their own root traces
 // with the query execution phases as children.
 func TestQuerySpans(t *testing.T) {
-	spans := obs.NewSpanTracer(256, 8)
+	spans := obs.NewSpanTracer()
 	e := spanEngine(t, spans)
 
 	if _, err := e.RangeQuery(metric.Feature{0.5}, 0.2, 0); err != nil {
@@ -241,7 +241,7 @@ func TestQuerySpans(t *testing.T) {
 // TestPersistSpans: snapshot save/restore and WAL-journaled epochs show
 // up as traces with the durability phases as children.
 func TestPersistSpans(t *testing.T) {
-	spans := obs.NewSpanTracer(256, 8)
+	spans := obs.NewSpanTracer()
 	e := spanEngine(t, spans)
 
 	wal, err := persist.OpenWAL(t.TempDir(), persist.WALOptions{Fsync: persist.FsyncAlways})
@@ -309,12 +309,12 @@ func TestSpanDeterminism(t *testing.T) {
 		return buf.Bytes()
 	}
 	bare := snap(nil)
-	spanned := snap(obs.NewSpanTracer(64, 8))
+	spanned := snap(obs.NewSpanTracer())
 	if !bytes.Equal(bare, spanned) {
 		t.Fatal("engine snapshot differs with spans attached")
 	}
 	// And tracing through a parent span (the HTTP path) is equivalent.
-	tr := obs.NewSpanTracer(8, 2)
+	tr := obs.NewSpanTracer()
 	root := tr.Start("http")
 	time.Sleep(time.Microsecond)
 	root.Finish()

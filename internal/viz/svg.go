@@ -20,13 +20,15 @@ var palette = []string{
 	"#86bcb6", "#d37295", "#a0cbe8", "#ffbe7d", "#8cd17d",
 }
 
+// The drawing is svgWidth pixels wide (height follows the bounding box's
+// aspect ratio), with nodes of radius svgNodeRadius pixels.
+const (
+	svgWidth      = 640
+	svgNodeRadius = 6.0
+)
+
 // Options controls the rendering.
 type Options struct {
-	// Width is the SVG pixel width (height follows the bounding box's
-	// aspect ratio). Default 640.
-	Width int
-	// NodeRadius in pixels. Default 6.
-	NodeRadius float64
 	// ShowEdges draws the communication graph in light grey.
 	ShowEdges bool
 	// ShowRoots rings each cluster root.
@@ -41,32 +43,20 @@ type Options struct {
 	Title string
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.Width == 0 {
-		out.Width = 640
-	}
-	if out.NodeRadius == 0 {
-		out.NodeRadius = 6
-	}
-	return out
-}
-
 // WriteSVG renders g, coloured by c (pass nil for an uncoloured network),
 // to w. The drawing is a faithful plan view: node positions come straight
 // from the topology.
 func WriteSVG(w io.Writer, g *topology.Graph, c *cluster.Clustering, opts Options) error {
-	opts = opts.withDefaults()
 	min, max := g.BoundingBox()
 	spanX := math.Max(max.X-min.X, 1e-9)
 	spanY := math.Max(max.Y-min.Y, 1e-9)
 
-	margin := 3 * opts.NodeRadius
+	margin := 3 * svgNodeRadius
 	titlePad := 0.0
 	if opts.Title != "" {
 		titlePad = 24
 	}
-	innerW := float64(opts.Width) - 2*margin
+	innerW := float64(svgWidth) - 2*margin
 	scale := innerW / spanX
 	innerH := spanY * scale
 	height := innerH + 2*margin + titlePad
@@ -84,7 +74,7 @@ func WriteSVG(w io.Writer, g *topology.Graph, c *cluster.Clustering, opts Option
 	}
 
 	pr(`<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%.0f" viewBox="0 0 %d %.0f">`+"\n",
-		opts.Width, height, opts.Width, height)
+		svgWidth, height, svgWidth, height)
 	pr(`<rect width="100%%" height="100%%" fill="white"/>` + "\n")
 	if opts.Title != "" {
 		pr(`<text x="%v" y="17" font-family="sans-serif" font-size="14" fill="#333">%s</text>`+"\n",
@@ -140,10 +130,10 @@ func WriteSVG(w io.Writer, g *topology.Graph, c *cluster.Clustering, opts Option
 			stroke, sw = "#000000", 2.0
 		}
 		pr(`<circle cx="%.1f" cy="%.1f" r="%.1f" fill="%s" stroke="%s" stroke-width="%.1f"/>`+"\n",
-			x, y, opts.NodeRadius, fill, stroke, sw)
+			x, y, svgNodeRadius, fill, stroke, sw)
 		if roots[topology.NodeID(u)] {
 			pr(`<circle cx="%.1f" cy="%.1f" r="%.1f" fill="none" stroke="#000000" stroke-width="1.2"/>`+"\n",
-				x, y, opts.NodeRadius+3)
+				x, y, svgNodeRadius+3)
 		}
 	}
 	pr("</svg>\n")

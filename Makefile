@@ -47,13 +47,15 @@ race:
 
 ## fuzz-smoke: a few seconds of each fuzz target — the snapshot decoder
 ## (whose decodable inputs are also restored into an engine, rebuilding
-## the maintainer and index) and the WAL record decoder. Minimization is
+## the maintainer and index), the WAL record decoder and elink-serve's
+## three request-body endpoints. Minimization is
 ## off: on a large seed it would take the whole run. A crasher is
 ## written under the package's testdata/fuzz; fix the bug and commit the
 ## file as a regression seed
 fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 5s -fuzzminimizetime 0
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzWALRecordDecode$$' -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./cmd/elink-serve -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 5s -fuzzminimizetime 0
 
 ## bench: one pass of every micro-benchmark — the facade's (with ELink
 ## and the spanning forest on the 2500-node Death Valley network, whose

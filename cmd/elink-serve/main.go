@@ -31,7 +31,9 @@
 //	GET  /v1/stats         cumulative engine counters
 //	GET  /v1/snapshot      current epoch's clustering
 //	POST /admin/snapshot   write a snapshot now (requires -data-dir)
-//	GET  /metrics          Prometheus text exposition of the obs registry
+//	GET  /metrics          Prometheus text: the daemon's own HTTP, build,
+//	                       WAL and snapshot metrics, then the engine's
+//	                       Stats rendered at scrape time (see engineMetrics)
 //	GET  /debug/spans      span traces: recent ring, top-K slowest and the
 //	                       per-phase latency attribution table as JSON;
 //	                       ?format=chrome emits Chrome trace-event JSON
@@ -46,7 +48,9 @@
 // in /debug/spans and an error body cross-reference the same log entry.
 // Requests are counted in http_requests_total / timed in
 // http_request_duration_seconds (path labels are route patterns, so the
-// cardinality is fixed).
+// cardinality is fixed). Every engine family on /metrics is read from
+// Engine.Stats when the scrape arrives, so it always equals the
+// matching /v1/stats field, restarts included.
 package main
 
 import (
@@ -119,7 +123,6 @@ func main() {
 	reg := elink.NewMetricsRegistry()
 	elink.RegisterBuildInfo(reg, version) // build metadata + uptime on /metrics
 	spans := elink.NewSpanTracer()        // the last 256 traces and the 16 slowest
-	spans.Instrument(reg)                 // span_phase_seconds on /metrics
 	engine, err := elink.NewEngine(g, elink.EngineConfig{
 		Order:               *order,
 		Delta:               *delta,
@@ -130,7 +133,6 @@ func main() {
 		FragmentationFactor: *frag,
 		Period:              *period,
 		WarmupObs:           *warmup,
-		Obs:                 reg,
 		Spans:               spans,
 	})
 	if err != nil {
@@ -287,9 +289,11 @@ func (s *server) recover(restore bool) error {
 			if err != nil {
 				return err
 			}
+			start := time.Now()
 			err = s.engine.Restore(f)
 			f.Close()
 			if err == nil {
+				s.recordRestore(time.Since(start))
 				log.Printf("elink-serve: restored %s (seq %d, epoch %d)", filepath.Base(p), s.engine.Seq(), s.engine.Snapshot().Epoch)
 				break
 			}
@@ -342,6 +346,7 @@ func (s *server) writeSnapshot() (elink.SnapshotInfo, error) {
 		os.Remove(tmp.Name())
 		return info, err
 	}
+	s.recordSnapshot(info)
 	snaps := s.listSnapshots()
 	if len(snaps) > 3 {
 		for _, p := range snaps[3:] {
@@ -362,6 +367,28 @@ func (s *server) writeSnapshot() (elink.SnapshotInfo, error) {
 		}
 	}
 	return info, nil
+}
+
+// recordSnapshot counts one snapshot written into the data dir.
+func (s *server) recordSnapshot(info elink.SnapshotInfo) {
+	s.reg.Help("persist_snapshot_total", "Engine snapshots written.")
+	s.reg.Help("persist_snapshot_bytes_total", "Snapshot bytes written.")
+	s.reg.Help("persist_snapshot_seconds", "Snapshot capture+write latency.")
+	s.reg.Help("persist_snapshot_last_seq", "Ingest sequence of the newest snapshot.")
+	s.reg.Help("persist_snapshot_last_bytes", "Size of the newest snapshot.")
+	s.reg.Counter("persist_snapshot_total").Inc()
+	s.reg.Counter("persist_snapshot_bytes_total").Add(info.Bytes)
+	s.reg.Histogram("persist_snapshot_seconds", elink.LatencyBuckets()).Observe(info.Duration.Seconds())
+	s.reg.Gauge("persist_snapshot_last_seq").Set(float64(info.Seq))
+	s.reg.Gauge("persist_snapshot_last_bytes").Set(float64(info.Bytes))
+}
+
+// recordRestore counts one snapshot restored at boot, which took d.
+func (s *server) recordRestore(d time.Duration) {
+	s.reg.Help("persist_restore_total", "Snapshot restores applied.")
+	s.reg.Help("persist_restore_seconds", "Snapshot restore latency.")
+	s.reg.Counter("persist_restore_total").Inc()
+	s.reg.Histogram("persist_restore_seconds", elink.LatencyBuckets()).Observe(d.Seconds())
 }
 
 // snapshotSeq recovers the ingest sequence number embedded in a
@@ -632,12 +659,89 @@ func (s *server) adminSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// metrics serves the registry in Prometheus text exposition format.
+// metrics serves the daemon's registry, then the engine's Stats rendered
+// into a registry built for this scrape, in Prometheus text exposition
+// format. Reading Stats waits for an in-flight epoch, as /v1/stats does;
+// while boot recovery runs only the daemon's own families are served.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WritePrometheus(w); err != nil {
+	err := s.reg.WritePrometheus(w)
+	if err == nil && !s.restoring.Load() {
+		err = engineMetrics(s.engine.Stats(), s.engine.Config().Mode).WritePrometheus(w)
+	}
+	if err != nil {
 		log.Printf("elink-serve: write metrics: %v", err)
 	}
+}
+
+// engineMetrics renders one Stats reading as the engine's metric
+// families. Each value is a field of st, so a scrape and a /v1/stats read
+// of the same state agree exactly.
+func engineMetrics(st elink.EngineStats, mode elink.Mode) *elink.MetricsRegistry {
+	reg := elink.NewMetricsRegistry()
+	reg.Help("engine_epoch", "Current published snapshot epoch.")
+	reg.Help("engine_clusters", "Cluster count of the published snapshot.")
+	reg.Help("engine_fragmentation", "Cluster count relative to the last full clustering run.")
+	reg.Help("engine_index_depth", "Deepest M-tree entry in the published index.")
+	reg.Gauge("engine_epoch").Set(float64(st.Epochs))
+	reg.Gauge("engine_clusters").Set(float64(st.NumClusters))
+	reg.Gauge("engine_fragmentation").Set(st.Fragmentation)
+	reg.Gauge("engine_index_depth").Set(float64(st.IndexDepth))
+
+	reg.Help("engine_readings_total", "Raw measurements ingested (feature pushes are not readings).")
+	reg.Help("engine_reclusters_total", "Policy-triggered full ELink re-runs (bootstrap excluded).")
+	reg.Help("engine_index_rebuilds_total", "Membership-driven M-tree rebuilds.")
+	reg.Help("elink_runs_total", "Completed ELink clustering runs, bootstrap included, by signalling mode.")
+	reg.Counter("engine_readings_total").Add(st.Readings)
+	reg.Counter("engine_reclusters_total").Add(st.Reclusters)
+	reg.Counter("engine_index_rebuilds_total").Add(st.IndexRebuilds)
+	runs := st.Reclusters
+	if st.Epochs > 0 {
+		runs++ // epoch 1 is the bootstrap run
+	}
+	reg.Counter("elink_runs_total", "mode", mode.String()).Add(runs)
+
+	sc := st.Screening
+	reg.Help("maintenance_updates_total", "Feature updates screened by the slack-delta protocol.")
+	reg.Help("maintenance_screened_total", "Updates silenced for free, by screening condition.")
+	reg.Help("maintenance_root_fetches_total", "Full screen violations that fetched the fresh root feature.")
+	reg.Help("maintenance_root_drifts_total", "Root updates that forced a broadcast.")
+	reg.Help("maintenance_membership_total", "Cluster membership changes by event.")
+	reg.Counter("maintenance_updates_total").Add(int64(sc.Updates))
+	reg.Counter("maintenance_screened_total", "cond", "a1").Add(int64(sc.ScreenedA1))
+	reg.Counter("maintenance_screened_total", "cond", "a2").Add(int64(sc.ScreenedA2))
+	reg.Counter("maintenance_screened_total", "cond", "a3").Add(int64(sc.ScreenedA3))
+	reg.Counter("maintenance_root_fetches_total").Add(int64(sc.RootFetches))
+	reg.Counter("maintenance_root_drifts_total").Add(int64(sc.RootDrifts))
+	reg.Counter("maintenance_membership_total", "event", "detach").Add(int64(sc.Detaches))
+	reg.Counter("maintenance_membership_total", "event", "rejoin").Add(int64(sc.Rejoins))
+	reg.Counter("maintenance_membership_total", "event", "singleton").Add(int64(sc.Singletons))
+
+	// Kinds and phases split the same transmissions two ways, so they are
+	// two families: summing either one never counts a message twice.
+	reg.Help("engine_messages_total", "Update-path radio transmissions by message kind (queries excluded).")
+	reg.Help("engine_phase_messages_total", "Radio transmissions by engine phase.")
+	for kind, n := range st.Breakdown {
+		reg.Counter("engine_messages_total", "kind", kind).Add(n)
+	}
+	reg.Counter("engine_phase_messages_total", "phase", "bootstrap").Add(st.BootstrapMsgs)
+	reg.Counter("engine_phase_messages_total", "phase", "maintenance").Add(st.MaintenanceMsgs)
+	reg.Counter("engine_phase_messages_total", "phase", "index_repair").Add(st.IndexRepairMsgs)
+	reg.Counter("engine_phase_messages_total", "phase", "index_rebuild").Add(st.IndexRebuildMsgs)
+	reg.Counter("engine_phase_messages_total", "phase", "recluster").Add(st.ReclusterMsgs)
+	reg.Counter("engine_phase_messages_total", "phase", "query").Add(st.QueryMsgs)
+
+	reg.Help("queries_total", "Queries answered, by query type.")
+	reg.Counter("queries_total", "type", "range").Add(st.RangeQueries)
+	reg.Counter("queries_total", "type", "path").Add(st.PathQueries)
+
+	reg.Help("span_phase_spans_total", "Finished spans per traced phase.")
+	reg.Help("span_phase_self_nanoseconds_total", "Summed span self-time per traced phase.")
+	for _, p := range st.Phases {
+		reg.Counter("span_phase_spans_total", "phase", p.Phase).Add(p.Count)
+		reg.Counter("span_phase_self_nanoseconds_total", "phase", p.Phase).Add(p.TotalNs)
+	}
+	return reg
 }
 
 // spansDump serves the span tracer: by default a JSON document with the

@@ -18,10 +18,9 @@ func newTestServer(t *testing.T) (*server, *http.ServeMux) {
 	g := elink.NewGrid(1, 6)
 	reg := elink.NewMetricsRegistry()
 	spans := elink.NewSpanTracer()
-	spans.Instrument(reg)
 	engine, err := elink.NewEngine(g, elink.EngineConfig{
 		Order: 0, Delta: 2, Slack: 0.1, Metric: elink.Euclidean(), Seed: 1,
-		Obs: reg, Spans: spans,
+		Spans: spans,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,14 +179,140 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"engine_clusters 2",
 		`elink_runs_total{mode="implicit"} 1`,
 		`queries_total{type="range"} 1`,
-		`sim_messages_total{kind=`,
+		`engine_messages_total{kind="expand"}`,
+		`engine_phase_messages_total{phase="bootstrap"}`,
 		`http_requests_total{code="200",path="/v1/ingest"} 1`,
-		"query_latency_seconds_bucket",
+		`http_request_duration_seconds_bucket{path="/v1/query/range"`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
+}
+
+// scrape parses a /metrics body into series values keyed by name and
+// label string, as printed, failing on a family whose TYPE line appears
+// more than once.
+func scrape(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	series := map[string]float64{}
+	types := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fam = strings.Fields(fam)[0]
+			if types[fam] {
+				t.Errorf("TYPE line for %s appears twice", fam)
+			}
+			types[fam] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		series[line[:i]] = v
+	}
+	return series
+}
+
+// checkMetricsMatchStats scrapes /metrics and /v1/stats from one idle
+// server and requires every engine family to equal its Stats field.
+func checkMetricsMatchStats(t *testing.T, mux *http.ServeMux) {
+	t.Helper()
+	got := scrape(t, do(t, mux, "GET", "/metrics", "").Body.String())
+	var st elink.EngineStats
+	if err := json.Unmarshal(do(t, mux, "GET", "/v1/stats", "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	sc := st.Screening
+	want := map[string]float64{
+		"engine_epoch":                                       float64(st.Epochs),
+		"engine_clusters":                                    float64(st.NumClusters),
+		"engine_fragmentation":                               st.Fragmentation,
+		"engine_index_depth":                                 float64(st.IndexDepth),
+		"engine_readings_total":                              float64(st.Readings),
+		"engine_reclusters_total":                            float64(st.Reclusters),
+		"engine_index_rebuilds_total":                        float64(st.IndexRebuilds),
+		`elink_runs_total{mode="implicit"}`:                  float64(1 + st.Reclusters),
+		"maintenance_updates_total":                          float64(sc.Updates),
+		`maintenance_screened_total{cond="a1"}`:              float64(sc.ScreenedA1),
+		`maintenance_screened_total{cond="a2"}`:              float64(sc.ScreenedA2),
+		`maintenance_screened_total{cond="a3"}`:              float64(sc.ScreenedA3),
+		"maintenance_root_fetches_total":                     float64(sc.RootFetches),
+		"maintenance_root_drifts_total":                      float64(sc.RootDrifts),
+		`maintenance_membership_total{event="detach"}`:       float64(sc.Detaches),
+		`maintenance_membership_total{event="rejoin"}`:       float64(sc.Rejoins),
+		`maintenance_membership_total{event="singleton"}`:    float64(sc.Singletons),
+		`engine_phase_messages_total{phase="bootstrap"}`:     float64(st.BootstrapMsgs),
+		`engine_phase_messages_total{phase="maintenance"}`:   float64(st.MaintenanceMsgs),
+		`engine_phase_messages_total{phase="index_repair"}`:  float64(st.IndexRepairMsgs),
+		`engine_phase_messages_total{phase="index_rebuild"}`: float64(st.IndexRebuildMsgs),
+		`engine_phase_messages_total{phase="recluster"}`:     float64(st.ReclusterMsgs),
+		`engine_phase_messages_total{phase="query"}`:         float64(st.QueryMsgs),
+		`queries_total{type="range"}`:                        float64(st.RangeQueries),
+		`queries_total{type="path"}`:                         float64(st.PathQueries),
+	}
+	for kind, n := range st.Breakdown {
+		want[`engine_messages_total{kind="`+kind+`"}`] = float64(n)
+	}
+	for key, v := range want {
+		if g, ok := got[key]; !ok || g != v {
+			t.Errorf("/metrics %s = %v (present %v), /v1/stats says %v", key, g, ok, v)
+		}
+	}
+	// The kind split covers the update path exactly: every transmission
+	// but the queries'.
+	var kinds float64
+	for key, v := range got {
+		if strings.HasPrefix(key, "engine_messages_total{") {
+			kinds += v
+		}
+	}
+	if update := st.TotalUpdateMsgs(); kinds != float64(update) {
+		t.Errorf("engine_messages_total sums to %v, the update-path phases to %d", kinds, update)
+	}
+}
+
+// TestServeMetricsMatchStats drives a feature-push server through
+// batches of 6, 2 and 1 updates with a snapshot after the second, then
+// restarts it from that snapshot and the one-batch WAL tail. In both
+// processes every engine family on /metrics must equal its /v1/stats
+// field.
+func TestServeMetricsMatchStats(t *testing.T) {
+	dir := t.TempDir()
+	newPersistentServer := func() *http.ServeMux {
+		t.Helper()
+		s, mux := newTestServer(t)
+		s.dataDir = dir
+		s.walOpts = elink.WALOptions{Fsync: elink.FsyncAlways}
+		if err := s.recover(true); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		return mux
+	}
+	mux := newPersistentServer()
+	for _, req := range []struct{ method, path, body string }{
+		{"POST", "/v1/ingest", `{"features":[
+			{"node":0,"feature":[0]},{"node":1,"feature":[0.1]},{"node":2,"feature":[0.2]},
+			{"node":3,"feature":[9]},{"node":4,"feature":[9.1]},{"node":5,"feature":[9.2]}]}`},
+		{"POST", "/v1/ingest", `{"features":[{"node":2,"feature":[4]},{"node":4,"feature":[9.4]}]}`},
+		{"POST", "/admin/snapshot", ""},
+		{"POST", "/v1/ingest", `{"features":[{"node":1,"feature":[0.5]}]}`},
+		{"POST", "/v1/query/range", `{"feature":[0.1],"radius":0.5,"initiator":0}`},
+		{"POST", "/v1/query/path", `{"danger":[9.1],"gamma":2,"src":0,"dst":5}`},
+	} {
+		if w := do(t, mux, req.method, req.path, req.body); w.Code != http.StatusOK {
+			t.Fatalf("%s %s = %d %s", req.method, req.path, w.Code, w.Body.String())
+		}
+	}
+	checkMetricsMatchStats(t, mux)
+
+	// Restart: the snapshot covers two batches, the WAL replays the third.
+	checkMetricsMatchStats(t, newPersistentServer())
 }
 
 // TestServePersistence drives the crash-recovery path end to end at the
@@ -354,6 +479,11 @@ func TestServeRestoringGate(t *testing.T) {
 		}
 	}
 
+	// /metrics stays up, with the daemon's own families only.
+	if w := do(t, mux, "GET", "/metrics", ""); w.Code != http.StatusOK || strings.Contains(w.Body.String(), "engine_epoch") {
+		t.Errorf("metrics while restoring = %d, engine families present: %v", w.Code, strings.Contains(w.Body.String(), "engine_epoch"))
+	}
+
 	s.restoring.Store(false)
 	bootstrapTestServer(t, mux)
 	if w := do(t, mux, "GET", "/v1/stats", ""); w.Code != http.StatusOK {
@@ -474,9 +604,12 @@ func TestServeSpansEndpoint(t *testing.T) {
 		}
 	}
 
-	// The phase histograms reach /metrics.
-	if body := do(t, mux, "GET", "/metrics", "").Body.String(); !strings.Contains(body, `span_phase_seconds_count{phase="http"}`) {
-		t.Error("metrics missing span_phase_seconds for the http phase")
+	// The phase table's counts and self-time totals reach /metrics.
+	body := do(t, mux, "GET", "/metrics", "").Body.String()
+	for _, want := range []string{`span_phase_spans_total{phase="http"}`, `span_phase_self_nanoseconds_total{phase="epoch"}`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %s", want)
+		}
 	}
 
 	// Chrome trace export: a JSON array of events with the complete-event

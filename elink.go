@@ -361,9 +361,10 @@ func NewWALMetrics(reg *MetricsRegistry) persist.WALMetrics { return persist.New
 
 // MetricsRegistry is a concurrency-safe registry of counters, gauges and
 // histograms with Prometheus-text and JSON export, aliased from
-// internal/obs. Hand one to EngineConfig.Obs (or elink.Config.Obs for
-// batch runs) and every layer — simulator messages, ELink runs, slack-Δ
-// maintenance, index repairs, queries — reports into it.
+// internal/obs. It holds what a serving process measures itself (HTTP
+// traffic, build info, WAL and snapshot I/O); the engine's own counts
+// live in Engine.Stats, which a server renders into a registry at
+// scrape time.
 type MetricsRegistry = obs.Registry
 
 // Span tracing types, aliased from internal/obs. Hand a SpanTracer to
@@ -404,7 +405,7 @@ func RegisterBuildInfo(reg *MetricsRegistry, version string) { obs.RegisterBuild
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // LatencyBuckets returns the shared latency histogram layout (1µs–10s)
-// used by every *_latency_seconds and *_duration_seconds family.
+// used by every *_seconds histogram on elink-serve's /metrics.
 func LatencyBuckets() []float64 { return obs.LatencyBuckets() }
 
 // Parallelism reports the worker count the parallel execution layer

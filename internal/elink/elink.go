@@ -31,7 +31,6 @@ import (
 
 	"elink/internal/cluster"
 	"elink/internal/metric"
-	"elink/internal/obs"
 	"elink/internal/sim"
 	"elink/internal/topology"
 )
@@ -105,11 +104,6 @@ type Config struct {
 	Loss float64
 	// Seed drives any randomized delay model and the loss process.
 	Seed int64
-	// Obs, when non-nil, receives live message counters for the run
-	// (sim_messages_total{scope="elink",kind}) plus a completion summary:
-	// elink_runs_total, elink_run_rounds / elink_run_messages histograms
-	// and the elink_clusters gauge, all labelled by signalling mode.
-	Obs *obs.Registry
 }
 
 func (c *Config) withDefaults(n int) Config {
@@ -169,7 +163,7 @@ func (c *Config) validate(g *topology.Graph) error {
 // every cluster's induced subgraph is connected (see
 // Clustering.SplitDisconnected).
 func Run(g *topology.Graph, cfg Config) (*cluster.Result, error) {
-	cfg, net, rootOf, err := simulate(g, cfg)
+	net, rootOf, err := simulate(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -180,16 +174,14 @@ func Run(g *topology.Graph, cfg Config) (*cluster.Result, error) {
 		Breakdown: net.MessageBreakdown(),
 		Time:      net.Now(),
 	}
-	res := &cluster.Result{Clustering: cluster.FromRoots(rootOf).SplitDisconnected(g), Stats: stats}
-	observeRun(cfg, res, stats.Time)
-	return res, nil
+	return &cluster.Result{Clustering: cluster.FromRoots(rootOf).SplitDisconnected(g), Stats: stats}, nil
 }
 
 // TxPerNode runs the same clustering as Run but returns the per-node
 // transmission counts instead of the clustering — the input to energy and
 // network-lifetime analyses (every hop is charged to its sender).
 func TxPerNode(g *topology.Graph, cfg Config) ([]int64, error) {
-	_, net, _, err := simulate(g, cfg)
+	net, _, err := simulate(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -198,16 +190,15 @@ func TxPerNode(g *topology.Graph, cfg Config) ([]int64, error) {
 
 // simulate validates cfg, fills in its defaults and runs one ELink node
 // per sensor on a fresh network until no event is left. It returns the
-// defaulted config, the drained network and every node's cluster root,
-// or an error if a node finished unclustered.
-func simulate(g *topology.Graph, cfg Config) (Config, *sim.Network, []topology.NodeID, error) {
+// drained network and every node's cluster root, or an error if a node
+// finished unclustered.
+func simulate(g *topology.Graph, cfg Config) (*sim.Network, []topology.NodeID, error) {
 	if err := cfg.validate(g); err != nil {
-		return cfg, nil, nil, err
+		return nil, nil, err
 	}
 	cfg = cfg.withDefaults(g.N())
 	sh := newShared(g, topology.BuildQuadtree(g), cfg)
 	net := sim.NewNetwork(g, cfg.Delay, cfg.Seed)
-	net.Instrument(cfg.Obs, "elink")
 	if cfg.Loss > 0 {
 		net.SetLoss(cfg.Loss)
 	}
@@ -220,28 +211,11 @@ func simulate(g *topology.Graph, cfg Config) (Config, *sim.Network, []topology.N
 	rootOf := make([]topology.NodeID, len(nodes))
 	for u, nd := range nodes {
 		if !nd.clustered {
-			return cfg, nil, nil, fmt.Errorf("elink: node %d finished unclustered (lost synchronization messages under fault injection, or a protocol bug)", u)
+			return nil, nil, fmt.Errorf("elink: node %d finished unclustered (lost synchronization messages under fault injection, or a protocol bug)", u)
 		}
 		rootOf[u] = nd.root
 	}
-	return cfg, net, rootOf, nil
-}
-
-// observeRun publishes a completed run's summary into cfg.Obs. With the
-// synchronous unit-delay model the run's end time is its round count,
-// the quantity Theorem 2/3 bound by O(√N log N).
-func observeRun(cfg Config, res *cluster.Result, end float64) {
-	mode := cfg.Mode.String()
-	if cfg.Obs != nil {
-		cfg.Obs.Help("elink_runs_total", "Completed ELink clustering runs by signalling mode.")
-		cfg.Obs.Help("elink_run_rounds", "Rounds (simulated time) per ELink run.")
-		cfg.Obs.Help("elink_run_messages", "Total radio transmissions per ELink run.")
-		cfg.Obs.Help("elink_clusters", "Cluster count of the most recent ELink run.")
-		cfg.Obs.Counter("elink_runs_total", "mode", mode).Inc()
-		cfg.Obs.Histogram("elink_run_rounds", obs.RoundBuckets(), "mode", mode).Observe(end)
-		cfg.Obs.Histogram("elink_run_messages", obs.MessageBuckets(), "mode", mode).Observe(float64(res.Stats.Messages))
-		cfg.Obs.Gauge("elink_clusters", "mode", mode).Set(float64(res.Clustering.NumClusters()))
-	}
+	return net, rootOf, nil
 }
 
 // shared holds the inputs every node reads, derived once per run, and

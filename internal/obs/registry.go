@@ -1,22 +1,20 @@
-// Package obs is the repository's unified observability layer: a
-// lightweight, allocation-conscious, concurrency-safe metrics registry
-// (counters, gauges, histograms with fixed bucket layouts) plus
-// hierarchical span tracing (span.go).
+// Package obs is the repository's observability layer: a
+// concurrency-safe metrics registry (counters, gauges, histograms with
+// fixed bucket layouts) with Prometheus text export, plus hierarchical
+// span tracing (span.go).
 //
-// The paper's headline claims are quantitative — O(√N log N) rounds and
-// O(N) messages for ELink, amortized maintenance cost under the slack
-// protocol — and this package makes those quantities observable live,
-// per phase and per algorithm, through the same instrumentation in the
-// simulator, the streaming engine and the serving daemon. The registry
-// exports itself in Prometheus text format (WritePrometheus) for
-// scraping.
+// The paper's costs — messages by kind and phase, ELink's rounds, the
+// slack protocol's screens — are exact counts with one ledger each
+// (cluster.Stats, update.Counters, stream.Stats); no algorithm layer
+// writes into a registry. A registry holds what only a serving process
+// knows (HTTP traffic, build info, WAL and snapshot I/O), and a server
+// renders the ledgers into a registry built at scrape time. Spans answer
+// where an operation's wall time went; the engine threads an optional
+// *SpanTracer through each operation.
 //
-// Instrumentation is opt-in everywhere: call sites take a *Registry
-// and/or *SpanTracer that may be nil, and every metric method is safe on a
-// nil receiver, so the un-instrumented hot paths pay a single pointer
-// test. Call sites are expected to cache the *Counter/*Gauge/*Histogram
-// handles they use on hot paths; lookups take the registry mutex, but
-// updates on a handle are a single atomic operation.
+// Every metric and span method is safe on a nil receiver. Lookups take
+// the registry mutex; updates on a cached *Counter/*Gauge/*Histogram
+// handle are a single atomic operation.
 package obs
 
 import (
@@ -363,35 +361,13 @@ func escapeLabelValue(v string) string {
 	return b.String()
 }
 
-// Fixed bucket layouts shared across the repository, so dashboards can
-// aggregate like with like.
-
-// LatencyBuckets is the query-latency layout in seconds: 1µs to 10s in
-// roughly 1-2.5-5 decades. Returns a fresh slice.
+// LatencyBuckets is the latency layout in seconds shared by the
+// repository's duration histograms, so dashboards can aggregate like
+// with like: 1µs to 10s in roughly 1-2.5-5 decades. Returns a fresh
+// slice.
 func LatencyBuckets() []float64 {
 	return []float64{
 		1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 		1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 	}
-}
-
-// MessageBuckets is the message-count layout: 1 to 10M in 1-2-5 decades.
-// Returns a fresh slice.
-func MessageBuckets() []float64 {
-	out := make([]float64, 0, 22)
-	for decade := 1.0; decade <= 1e7; decade *= 10 {
-		out = append(out, decade, 2*decade, 5*decade)
-	}
-	return out[:22] // ..., 1e7
-}
-
-// RoundBuckets is the round-count layout: powers of two from 1 to 65536
-// (O(√N log N) rounds stay far left of the top for any feasible N).
-// Returns a fresh slice.
-func RoundBuckets() []float64 {
-	out := make([]float64, 17)
-	for i := range out {
-		out[i] = float64(int64(1) << i)
-	}
-	return out
 }

@@ -114,7 +114,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(3)
 	r.Gauge("y").Set(1)
-	r.Histogram("z", MessageBuckets()).Observe(1)
+	r.Histogram("z", LatencyBuckets()).Observe(1)
 	r.Help("x", "nope")
 	var c *Counter
 	c.Inc()
@@ -192,19 +192,13 @@ query_latency_seconds_count{type="range"} 3
 }
 
 func TestBucketLayoutsAscending(t *testing.T) {
-	for name, bs := range map[string][]float64{
-		"latency": LatencyBuckets(), "message": MessageBuckets(), "round": RoundBuckets(),
-	} {
-		if len(bs) == 0 {
-			t.Errorf("%s: empty layout", name)
-		}
-		for i := 1; i < len(bs); i++ {
-			if bs[i] <= bs[i-1] {
-				t.Errorf("%s: not ascending at %d: %v", name, i, bs)
-			}
-		}
+	bs := LatencyBuckets()
+	if len(bs) == 0 {
+		t.Fatal("empty latency layout")
 	}
-	if top := MessageBuckets()[len(MessageBuckets())-1]; top != 1e7 {
-		t.Errorf("message top bound = %v, want 1e7", top)
+	for i := 1; i < len(bs); i++ {
+		if bs[i] <= bs[i-1] {
+			t.Errorf("latency layout not ascending at %d: %v", i, bs)
+		}
 	}
 }

@@ -23,9 +23,8 @@ import (
 // whose children ran concurrently). Summed over a strictly sequential
 // trace, self-times telescope to exactly the root's wall time, which is
 // what makes the per-phase tables additive.
-// Self-times also feed per-phase reservoirs (PhaseStats: p50/p95/max)
-// and, when Instrument attached a registry, span_phase_seconds
-// histograms, so scrapes and trace dumps read the same numbers.
+// Self-times also feed per-phase reservoirs (PhaseStats: p50/p95/max,
+// with exact counts and totals).
 //
 // The clock is injected (SetClock) so tests can drive spans
 // deterministically; span timings never feed figure tables, keeping the
@@ -109,7 +108,6 @@ type phaseAgg struct {
 	total   int64
 	samples []int64 // ring of the last phaseSampleCap self-times
 	next    int
-	hist    *Histogram // nil unless Instrument attached a registry
 }
 
 // SpanTracer hands out root spans and retains finished traces. All
@@ -137,7 +135,6 @@ type SpanTracer struct {
 	k       int
 	total   int64
 	phases  map[string]*phaseAgg
-	reg     *Registry
 }
 
 // NewSpanTracer returns a tracer retaining the last 256 traces and the
@@ -180,27 +177,6 @@ func (t *SpanTracer) SetClock(fn func() time.Time) {
 	}
 	t.mu.Lock()
 	t.origin = fn()
-	t.mu.Unlock()
-}
-
-// Instrument additionally exports every phase's self-time through reg as
-// span_phase_seconds{phase=...} histograms (LatencyBuckets layout). Nil
-// detaches. Phases observed before Instrument keep their reservoir
-// statistics but start their histogram at the attach point.
-func (t *SpanTracer) Instrument(reg *Registry) {
-	if t == nil {
-		return
-	}
-	reg.Help("span_phase_seconds", "Span self-time per phase of the traced pipelines.")
-	t.mu.Lock()
-	t.reg = reg
-	for name, agg := range t.phases {
-		if reg == nil {
-			agg.hist = nil
-		} else {
-			agg.hist = reg.Histogram("span_phase_seconds", LatencyBuckets(), "phase", name)
-		}
-	}
 	t.mu.Unlock()
 }
 
@@ -380,8 +356,6 @@ func (s *Span) Finish() {
 // record files one finished trace into the phase attribution and the
 // ring and top-K stores.
 func (t *SpanTracer) record(trace *SpanTrace) {
-	var observe []*Histogram
-	var selfs []int64
 	t.mu.Lock()
 	for _, r := range trace.Spans {
 		agg := t.phases[r.Name]
@@ -393,9 +367,6 @@ func (t *SpanTracer) record(trace *SpanTrace) {
 				}
 			} else {
 				agg = &phaseAgg{}
-				if t.reg != nil {
-					agg.hist = t.reg.Histogram("span_phase_seconds", LatencyBuckets(), "phase", r.Name)
-				}
 				t.phases[r.Name] = agg
 			}
 		}
@@ -409,10 +380,6 @@ func (t *SpanTracer) record(trace *SpanTrace) {
 		} else {
 			agg.samples[agg.next] = r.SelfNs
 			agg.next = (agg.next + 1) % phaseSampleCap
-		}
-		if agg.hist != nil {
-			observe = append(observe, agg.hist)
-			selfs = append(selfs, r.SelfNs)
 		}
 	}
 	trace.Seq = t.total
@@ -434,11 +401,6 @@ func (t *SpanTracer) record(trace *SpanTrace) {
 		}
 	}
 	t.mu.Unlock()
-	// Histogram observations happen outside the tracer lock; handles are
-	// atomic and the slight reorder is invisible to scrapes.
-	for i, h := range observe {
-		h.Observe(float64(selfs[i]) / 1e9)
-	}
 }
 
 // Total returns how many traces were ever finished (including evicted

@@ -47,7 +47,6 @@ func TestSpanNilSafety(t *testing.T) {
 	c.Finish()
 	s.Finish()
 	tr.SetClock(nil)
-	tr.Instrument(nil)
 	if got := tr.Total(); got != 0 {
 		t.Fatalf("nil Total = %d", got)
 	}
@@ -207,8 +206,6 @@ func TestSpanPhaseStats(t *testing.T) {
 	tr := newSpanTracer(8, 4)
 	clk := newFakeClock(0)
 	tr.SetClock(clk.Now)
-	reg := NewRegistry()
-	tr.Instrument(reg)
 
 	for i := 1; i <= 100; i++ {
 		root := tr.Start("epoch")
@@ -239,13 +236,9 @@ func TestSpanPhaseStats(t *testing.T) {
 	if rf.P95Ns < int64(90*time.Millisecond) || rf.P95Ns > int64(100*time.Millisecond) {
 		t.Fatalf("refit p95 = %v", time.Duration(rf.P95Ns))
 	}
-	// Instrument exported the same observations as histograms.
-	var prom bytes.Buffer
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	if !strings.Contains(prom.String(), `span_phase_seconds_count{phase="refit"} 100`) {
-		t.Fatalf("span_phase_seconds missing from exposition:\n%s", prom.String())
+	// The total is exact over every observation: 1+2+...+100 ms.
+	if rf.TotalNs != int64(5050*time.Millisecond) {
+		t.Fatalf("refit total = %v, want 5.05s", time.Duration(rf.TotalNs))
 	}
 }
 
@@ -353,8 +346,6 @@ func TestSpanWriteChromeTrace(t *testing.T) {
 // fork-join children and exports under -race.
 func TestSpanConcurrencyHammer(t *testing.T) {
 	tr := newSpanTracer(32, 8)
-	reg := NewRegistry()
-	tr.Instrument(reg)
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -397,8 +388,6 @@ func TestSpanConcurrencyHammer(t *testing.T) {
 				tr.WriteChromeTrace(&buf, 8)
 				tr.PhaseStats()
 				tr.Slowest()
-				buf.Reset()
-				reg.WritePrometheus(&buf)
 			}
 		}()
 	}

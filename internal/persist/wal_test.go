@@ -306,3 +306,79 @@ func TestParseFsyncPolicy(t *testing.T) {
 		t.Error("bogus policy parsed successfully")
 	}
 }
+
+// TestWALCrashAtEveryOffset cuts a journal of mixed readings and feature
+// records at every byte length a crash could leave on disk. Each prefix
+// must reopen, replay exactly the records whose frames end within it,
+// and accept the next append, which replays after them.
+func TestWALCrashAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	w, err := persist.OpenWAL(dir, persist.WALOptions{Fsync: persist.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*persist.BatchRecord
+	for seq := int64(1); seq <= 6; seq++ {
+		rec := readingsRecord(seq, int(seq))
+		if seq%2 == 0 {
+			rec = &persist.BatchRecord{Seq: seq, Kind: persist.RecordFeatures,
+				Nodes: []int64{0, seq}, Features: [][]float64{{float64(seq)}, {-0.5, float64(seq) / 3}}}
+		}
+		recs = append(recs, rec)
+	}
+	seg := filepath.Join(dir, "wal-00000000.seg")
+	var ends []int64 // ends[i] is the segment length once recs[i] is written
+	for _, rec := range recs {
+		if err := w.Append(rec, nil); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, fi.Size())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(data)) != ends[len(ends)-1] {
+		t.Fatalf("segment holds %d bytes, the last append ended at %d", len(data), ends[len(ends)-1])
+	}
+
+	for l := 0; l <= len(data); l++ {
+		cut := filepath.Join(t.TempDir(), "wal")
+		if err := os.MkdirAll(cut, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cut, "wal-00000000.seg"), data[:l], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := persist.OpenWAL(cut, persist.WALOptions{Fsync: persist.FsyncNever})
+		if err != nil {
+			t.Fatalf("L=%d: open: %v", l, err)
+		}
+		var want []*persist.BatchRecord
+		for i, end := range ends {
+			if end <= int64(l) {
+				want = append(want, recs[i])
+			}
+		}
+		if got := collect(t, r, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("L=%d: replayed %d records, want the %d whose frames end by L", l, len(got), len(want))
+		}
+		next := readingsRecord(int64(len(want))+1, 2)
+		if err := r.Append(next, nil); err != nil {
+			t.Fatalf("L=%d: append after reopen: %v", l, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := collect(t, r, 0); !reflect.DeepEqual(got, append(want, next)) {
+			t.Fatalf("L=%d: after the append, replayed %d records, want %d then the new one", l, len(got), len(want))
+		}
+	}
+}

@@ -291,7 +291,6 @@ type Network struct {
 	delivered int64
 	dropped   int64
 	loss      float64
-	obs       *netObs // optional metrics sink (see Instrument)
 
 	maxEvents int64 // guards against protocol bugs that never quiesce
 }
@@ -523,12 +522,8 @@ func (c *nodeCtx) RoutePath(path []topology.NodeID, kind string, payload any) {
 func (n *Network) hop(kind string, cur, next topology.NodeID) (float64, bool) {
 	n.counts[kind]++
 	n.perNode[cur]++
-	if n.obs != nil {
-		n.obs.count(kind, 1)
-	}
 	if n.loss > 0 && n.rng.Float64() < n.loss {
 		n.dropped++
-		n.obs.droppedInc()
 		return 0, false
 	}
 	return n.delay.HopDelay(n.rng, cur, next), true

@@ -88,9 +88,6 @@ type Engine struct {
 	rebuilds       int64
 	refreshMsgs    int64
 
-	// eobs caches metric handles (zero value = observability off).
-	eobs engineObs
-
 	snap atomic.Pointer[Snapshot]
 
 	// qmu guards only the query-side telemetry, so recording a query
@@ -132,7 +129,6 @@ func New(g *topology.Graph, cfg Config) (*Engine, error) {
 		feats:   make([]metric.Feature, g.N()),
 		featSet: make([]bool, g.N()),
 		touched: make([]bool, g.N()),
-		eobs:    newEngineObs(cfg.Obs),
 	}
 	if cfg.Order >= 1 {
 		e.models = make([]*ar.Model, g.N())
@@ -289,7 +285,6 @@ func (e *Engine) ingestLocked(batch []Reading, sp *obs.Span) (*IngestResult, err
 		e.readings++
 		res.Readings++
 	}
-	e.eobs.readings.Add(int64(res.Readings))
 
 	if !e.ready {
 		if e.warm < e.g.N() {
@@ -379,7 +374,6 @@ func (e *Engine) ingestFeaturesLocked(batch []FeatureUpdate, sp *obs.Span) (*Ing
 		}
 		res.Readings++
 	}
-	e.eobs.readings.Add(int64(res.Readings))
 
 	if !e.ready {
 		rs.Finish()
@@ -443,7 +437,6 @@ func (e *Engine) applyEpoch(nodes []topology.NodeID, res *IngestResult, sp *obs.
 		if err != nil {
 			return err
 		}
-		e.eobs.reclusters.Inc()
 		res.Reclustered = true
 	case res.Detaches > 0:
 		// Membership changed: the M-tree topology is stale, rebuild it
@@ -454,7 +447,6 @@ func (e *Engine) applyEpoch(nodes []topology.NodeID, res *IngestResult, sp *obs.
 		if err != nil {
 			return err
 		}
-		e.eobs.rebuilds.Inc()
 	case len(nodes) > 0:
 		// Membership stable: repair routing features and covering radii
 		// with one convergecast over the drifted nodes.
@@ -466,7 +458,6 @@ func (e *Engine) applyEpoch(nodes []topology.NodeID, res *IngestResult, sp *obs.
 			return err
 		}
 		e.refreshMsgs += msgs
-		e.eobs.refresh.Add(msgs)
 	}
 
 	ps := sp.Child("publish")
@@ -529,7 +520,6 @@ func (e *Engine) fullCluster(sp *obs.Span, stats *cluster.Stats) (*index.Index, 
 		Features: feats,
 		Mode:     e.cfg.Mode,
 		Seed:     e.cfg.Seed,
-		Obs:      e.cfg.Obs,
 	})
 	rs.Finish()
 	if err != nil {
@@ -541,7 +531,6 @@ func (e *Engine) fullCluster(sp *obs.Span, stats *cluster.Stats) (*index.Index, 
 	}
 	m, err := update.NewMaintainer(e.g, res.Clustering, feats, update.Config{
 		Delta: e.cfg.Delta, Slack: e.cfg.Slack, Metric: e.cfg.Metric,
-		Obs: e.cfg.Obs,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: maintainer: %w", err)
@@ -590,7 +579,6 @@ func (e *Engine) publish() {
 		Index:      e.idx,
 		Features:   e.idx.Features,
 	})
-	e.eobs.publish(e.epoch, e.maint.NumClusters(), e.maint.Fragmentation(), e.idx.MaxDepth())
 }
 
 // RangeQuery answers a §7.2 range query against the current snapshot.
@@ -619,7 +607,6 @@ func (e *Engine) RangeQuerySpanned(q metric.Feature, r float64, initiator topolo
 	d := time.Since(start) //elink:allow walltime — query latency telemetry; never feeds deterministic figure state
 	sp.Finish()
 	e.recordQuery(&e.rangeQ, d, res.Stats.Messages)
-	query.ObserveRange(e.cfg.Obs, res, d)
 	return res, nil
 }
 
@@ -648,7 +635,6 @@ func (e *Engine) PathQuerySpanned(danger metric.Feature, gamma float64, src, dst
 	d := time.Since(start) //elink:allow walltime — query latency telemetry; never feeds deterministic figure state
 	sp.Finish()
 	e.recordQuery(&e.pathQ, d, res.Stats.Messages)
-	query.ObservePath(e.cfg.Obs, res, d)
 	return res, nil
 }
 
@@ -708,6 +694,8 @@ func (e *Engine) Stats() Stats {
 		s.MaintenanceMsgs += cur.Messages
 		s.Screening = addCounters(s.Screening, e.maint.CountersSnapshot())
 		s.NumClusters = e.maint.NumClusters()
+		s.Fragmentation = e.maint.Fragmentation()
+		s.IndexDepth = e.idx.MaxDepth()
 	}
 	e.mu.Unlock()
 

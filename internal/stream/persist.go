@@ -141,7 +141,6 @@ func (e *Engine) SaveSnapshot(w io.Writer) (persist.SnapshotInfo, error) {
 	if err != nil {
 		return info, fmt.Errorf("stream: write snapshot: %w", err)
 	}
-	e.eobs.snapshot(info)
 	return info, nil
 }
 
@@ -153,7 +152,6 @@ func (e *Engine) SaveSnapshot(w io.Writer) (persist.SnapshotInfo, error) {
 func (e *Engine) Restore(r io.Reader) error {
 	sp := e.cfg.Spans.Start("restore")
 	defer sp.Finish()
-	start := time.Now() //elink:allow walltime — restore latency telemetry; recovered state comes from the snapshot bytes
 	ds := sp.Child("decode")
 	st, err := persist.ReadSnapshot(r)
 	ds.Finish()
@@ -200,7 +198,6 @@ func (e *Engine) Restore(r io.Reader) error {
 		}
 		maint, err = update.FromState(e.g, update.Config{
 			Delta: e.cfg.Delta, Slack: e.cfg.Slack, Metric: e.cfg.Metric,
-			Obs: e.cfg.Obs,
 		}, *st.Maint, st.Feats)
 		if err != nil {
 			return fmt.Errorf("stream: restore maintainer: %w", err)
@@ -245,12 +242,10 @@ func (e *Engine) Restore(r io.Reader) error {
 			Index:      e.idx,
 			Features:   e.idx.Features,
 		})
-		e.eobs.publish(e.epoch, e.maint.NumClusters(), e.maint.Fragmentation(), e.idx.MaxDepth())
 	} else {
 		e.idxPublished = false
 		e.snap.Store(nil)
 	}
-	e.eobs.restore(time.Since(start)) //elink:allow walltime — restore latency telemetry; recovered state comes from the snapshot bytes
 	return nil
 }
 
@@ -322,8 +317,5 @@ func (e *Engine) ReplayWAL(w *persist.WAL) (int, error) {
 		replayed++
 		return nil
 	})
-	if replayed > 0 {
-		e.eobs.replayed(int64(replayed))
-	}
 	return replayed, err
 }

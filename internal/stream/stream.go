@@ -98,14 +98,6 @@ type Config struct {
 	// before the engine bootstraps its first clustering (default
 	// 4*Order, minimum Order+1).
 	WarmupObs int
-	// Obs, when non-nil, receives the engine's live metrics: per-epoch
-	// gauges (engine_epoch, engine_clusters, engine_fragmentation,
-	// engine_index_depth), ingest/maintenance counters, query-latency
-	// histograms, and — through the same registry — the maintenance
-	// protocol's screening counters and every full (re-)clustering run's
-	// per-kind message counters. The registry is concurrency-safe; one
-	// registry may serve many engines if their metrics should aggregate.
-	Obs *obs.Registry
 	// Spans, when non-nil, receives one hierarchical span trace per
 	// engine operation: every ingested epoch (children: validate, refit,
 	// maintain, index/recluster, journal, publish), every query, and
@@ -220,6 +212,13 @@ type Stats struct {
 	Updates int64 `json:"updates"`
 	// NumClusters is the current cluster count (0 while warming up).
 	NumClusters int `json:"clusters"`
+	// Fragmentation is NumClusters relative to the count right after the
+	// last full clustering run (the ratio PolicyAdaptive compares with
+	// FragmentationFactor); 0 while warming up.
+	Fragmentation float64 `json:"fragmentation"`
+	// IndexDepth is the deepest M-tree entry of the current index; 0
+	// while warming up.
+	IndexDepth int `json:"indexDepth"`
 
 	// Screening is the maintenance protocol's telemetry, accumulated
 	// across maintainer generations.

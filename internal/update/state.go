@@ -97,7 +97,6 @@ func FromState(g *topology.Graph, cfg Config, st State, feats []metric.Feature) 
 		stats:           cluster.Stats{Messages: st.Stats.Messages, Time: st.Stats.Time, Breakdown: make(map[string]int64, len(st.Stats.Breakdown))},
 		counters:        st.Counters,
 		initialClusters: st.InitialClusters,
-		mobs:            newMaintObs(cfg.Obs),
 	}
 	for k, v := range st.Stats.Breakdown {
 		m.stats.Breakdown[k] = v

@@ -25,7 +25,6 @@ import (
 
 	"elink/internal/cluster"
 	"elink/internal/metric"
-	"elink/internal/obs"
 	"elink/internal/topology"
 )
 
@@ -47,12 +46,6 @@ type Config struct {
 	Slack float64
 	// Metric measures feature dissimilarity.
 	Metric metric.Metric
-	// Obs, when non-nil, mirrors the screening Counters and per-kind
-	// message charges into the registry live (families
-	// maintenance_updates_total, maintenance_screened_total{cond},
-	// maintenance_membership_total{event}, maintenance_messages_total{kind}),
-	// so scrapes see the slack protocol working between Stats calls.
-	Obs *obs.Registry
 }
 
 // Counters exposes how often each screening path fired, for the
@@ -91,65 +84,10 @@ type Maintainer struct {
 	stats           cluster.Stats
 	counters        Counters
 	initialClusters int
-	mobs            maintObs
 
 	// clustering caches Clustering's result; detach, the only place
 	// membership changes, drops it.
 	clustering *cluster.Clustering
-}
-
-// maintObs caches the registry handles the maintainer's hot path hits.
-// The zero value is the observability-off state: every counter is nil
-// and writes become nil-receiver no-ops, so un-instrumented maintainers
-// pay nothing.
-type maintObs struct {
-	updates    *obs.Counter
-	a1, a2, a3 *obs.Counter
-	fetches    *obs.Counter
-	rootDrifts *obs.Counter
-	detaches   *obs.Counter
-	rejoins    *obs.Counter
-	singletons *obs.Counter
-	reg        *obs.Registry
-	msgs       map[string]*obs.Counter
-}
-
-func newMaintObs(reg *obs.Registry) maintObs {
-	if reg == nil {
-		return maintObs{}
-	}
-	reg.Help("maintenance_updates_total", "Feature updates screened by the slack-delta protocol.")
-	reg.Help("maintenance_screened_total", "Updates silenced for free, by screening condition.")
-	reg.Help("maintenance_root_fetches_total", "Full screen violations that fetched the fresh root feature.")
-	reg.Help("maintenance_root_drifts_total", "Root updates that forced a broadcast.")
-	reg.Help("maintenance_membership_total", "Cluster membership changes by event.")
-	reg.Help("maintenance_messages_total", "Maintenance protocol transmissions by message kind.")
-	return maintObs{
-		updates:    reg.Counter("maintenance_updates_total"),
-		a1:         reg.Counter("maintenance_screened_total", "cond", "a1"),
-		a2:         reg.Counter("maintenance_screened_total", "cond", "a2"),
-		a3:         reg.Counter("maintenance_screened_total", "cond", "a3"),
-		fetches:    reg.Counter("maintenance_root_fetches_total"),
-		rootDrifts: reg.Counter("maintenance_root_drifts_total"),
-		detaches:   reg.Counter("maintenance_membership_total", "event", "detach"),
-		rejoins:    reg.Counter("maintenance_membership_total", "event", "rejoin"),
-		singletons: reg.Counter("maintenance_membership_total", "event", "singleton"),
-		reg:        reg,
-		msgs:       make(map[string]*obs.Counter),
-	}
-}
-
-// msg mirrors one charge of cost transmissions of the given kind.
-func (o *maintObs) msg(kind string, cost int64) {
-	if o.reg == nil {
-		return
-	}
-	ctr := o.msgs[kind]
-	if ctr == nil {
-		ctr = o.reg.Counter("maintenance_messages_total", "kind", kind)
-		o.msgs[kind] = ctr
-	}
-	ctr.Add(cost)
 }
 
 // NewMaintainer wraps an initial clustering. feats are the features the
@@ -173,7 +111,6 @@ func NewMaintainer(g *topology.Graph, c *cluster.Clustering, feats []metric.Feat
 		depth:      make([]int, g.N()),
 		rootFeatAt: make([]metric.Feature, g.N()),
 		stats:      cluster.Stats{Breakdown: make(map[string]int64)},
-		mobs:       newMaintObs(cfg.Obs),
 	}
 	for u := range m.feats {
 		m.feats[u] = feats[u].Clone()
@@ -258,7 +195,6 @@ func (m *Maintainer) rebuildTree(id int) {
 func (m *Maintainer) charge(kind string, cost int64) {
 	m.stats.Breakdown[kind] += cost
 	m.stats.Messages += cost
-	m.mobs.msg(kind, cost)
 }
 
 // Stats returns the accumulated communication cost.
@@ -290,7 +226,6 @@ func (m *Maintainer) Feature(u topology.NodeID) metric.Feature { return m.feats[
 // conditions and any required re-clustering, and charging messages.
 func (m *Maintainer) Update(u topology.NodeID, newFeat metric.Feature) {
 	m.counters.Updates++
-	m.mobs.updates.Inc()
 	old := m.feats[u]
 	m.feats[u] = newFeat.Clone()
 	id := m.clusterOf[u]
@@ -305,22 +240,18 @@ func (m *Maintainer) Update(u topology.NodeID, newFeat metric.Feature) {
 	switch {
 	case d(old, newFeat) <= m.cfg.Slack:
 		m.counters.ScreenedA1++
-		m.mobs.a1.Inc()
 		return
 	case d(newFeat, rf)-d(old, rf) <= m.cfg.Slack:
 		m.counters.ScreenedA2++
-		m.mobs.a2.Inc()
 		return
 	case d(newFeat, rf) <= m.cfg.Delta-m.cfg.Slack:
 		m.counters.ScreenedA3++
-		m.mobs.a3.Inc()
 		return
 	}
 
 	// All three screens failed: fetch the fresh root feature up the tree
 	// and back (2 * depth messages).
 	m.counters.RootFetches++
-	m.mobs.fetches.Inc()
 	m.charge(KindFetch, int64(m.depth[u]))
 	m.charge(KindRootFeat, int64(m.depth[u]))
 	fresh := m.feats[m.rootOf[id]]
@@ -338,11 +269,9 @@ func (m *Maintainer) rootUpdate(u topology.NodeID, old metric.Feature) {
 	advertised := m.rootFeatAt[u]
 	if m.cfg.Metric.Distance(advertised, m.feats[u]) <= m.cfg.Slack {
 		m.counters.ScreenedA1++
-		m.mobs.a1.Inc()
 		return
 	}
 	m.counters.RootDrifts++
-	m.mobs.rootDrifts.Inc()
 	fresh := m.feats[u].Clone()
 	mem := append([]topology.NodeID(nil), m.members[id]...)
 	m.charge(KindBroadcast, int64(len(mem)-1))
@@ -366,7 +295,6 @@ func (m *Maintainer) rootUpdate(u topology.NodeID, old metric.Feature) {
 func (m *Maintainer) detach(u topology.NodeID) {
 	m.clustering = nil
 	m.counters.Detaches++
-	m.mobs.detaches.Inc()
 	oldID := m.clusterOf[u]
 	mem := m.members[oldID]
 	for i, v := range mem {
@@ -398,7 +326,6 @@ func (m *Maintainer) detach(u topology.NodeID) {
 			m.depth[u] = m.depth[k] + 1
 			m.rootFeatAt[u] = m.rootFeatAt[k]
 			m.counters.Rejoins++
-			m.mobs.rejoins.Inc()
 			adopted = true
 			break
 		}
@@ -413,7 +340,6 @@ func (m *Maintainer) detach(u topology.NodeID) {
 		m.depth[u] = 0
 		m.rootFeatAt[u] = m.feats[u].Clone()
 		m.counters.Singletons++
-		m.mobs.singletons.Inc()
 	}
 
 	// The old cluster may have lost connectivity through u.

@@ -58,9 +58,10 @@ fuzz-smoke:
 	$(GO) test ./cmd/elink-serve -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 5s -fuzzminimizetime 0
 
 ## bench: one pass of every micro-benchmark — the facade's (with ELink
-## and the spanning forest on the 2500-node Death Valley network, whose
-## B/op show the explicit wave's laid-out paths and the reused event
-## queue), the quadtree build (internal/topology), routing
+## and both §8.3 baselines on the 2500-node Death Valley network, whose
+## B/op show the explicit wave's laid-out paths, the reused event queue
+## in BenchmarkSpanningForestDeathValley2500 and the slice-indexed
+## rounds of BenchmarkHierarchicalDeathValley2500), the quadtree build (internal/topology), routing
 ## (internal/sim), range queries (internal/query), the spectral kernels
 ## and one warm-started n=2500 eigensolve (internal/linalg), the span
 ## cost per trace (internal/obs) and a Tao replay with and without span

@@ -6,6 +6,7 @@ package elink_test
 // benchmark in bench/: sh bench/run.sh -workload <name>.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -201,10 +202,32 @@ func BenchmarkSpanningForestDeathValley2500(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := elink.ForestConfig{Delta: 50, Metric: ds.Metric, Features: ds.Features, Seed: 1}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := elink.SpanningForestCluster(ds.Graph, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHierarchicalDeathValley2500 runs the hierarchical baseline on
+// the same network at the two δ the dv-paper workload uses. Rounds
+// reuse their scratch, so B/op is mostly per-run setup and the result.
+func BenchmarkHierarchicalDeathValley2500(b *testing.B) {
+	ds, err := elink.GenerateDeathValley(elink.DeathValleyGenConfig{Nodes: 2500, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, delta := range []float64{50, 400} {
+		cfg := elink.HierConfig{Delta: delta, Metric: ds.Metric, Features: ds.Features}
+		b.Run(fmt.Sprintf("delta=%v", delta), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := elink.HierarchicalCluster(ds.Graph, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

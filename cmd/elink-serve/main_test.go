@@ -281,7 +281,8 @@ func checkMetricsMatchStats(t *testing.T, mux *http.ServeMux) {
 // batches of 6, 2 and 1 updates with a snapshot after the second, then
 // restarts it from that snapshot and the one-batch WAL tail. In both
 // processes every engine family on /metrics must equal its /v1/stats
-// field.
+// field, and /v1/stats readings must equal the sum of the ingest
+// answers' readings.
 func TestServeMetricsMatchStats(t *testing.T) {
 	dir := t.TempDir()
 	newPersistentServer := func() *http.ServeMux {
@@ -295,6 +296,7 @@ func TestServeMetricsMatchStats(t *testing.T) {
 		return mux
 	}
 	mux := newPersistentServer()
+	var ingested int64
 	for _, req := range []struct{ method, path, body string }{
 		{"POST", "/v1/ingest", `{"features":[
 			{"node":0,"feature":[0]},{"node":1,"feature":[0.1]},{"node":2,"feature":[0.2]},
@@ -305,14 +307,62 @@ func TestServeMetricsMatchStats(t *testing.T) {
 		{"POST", "/v1/query/range", `{"feature":[0.1],"radius":0.5,"initiator":0}`},
 		{"POST", "/v1/query/path", `{"danger":[9.1],"gamma":2,"src":0,"dst":5}`},
 	} {
-		if w := do(t, mux, req.method, req.path, req.body); w.Code != http.StatusOK {
+		w := do(t, mux, req.method, req.path, req.body)
+		if w.Code != http.StatusOK {
 			t.Fatalf("%s %s = %d %s", req.method, req.path, w.Code, w.Body.String())
+		}
+		if req.path == "/v1/ingest" {
+			var res elink.IngestResult
+			if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+			ingested += int64(res.Readings)
 		}
 	}
 	checkMetricsMatchStats(t, mux)
+	checkReadings(t, mux, ingested)
 
 	// Restart: the snapshot covers two batches, the WAL replays the third.
-	checkMetricsMatchStats(t, newPersistentServer())
+	mux = newPersistentServer()
+	checkMetricsMatchStats(t, mux)
+	checkReadings(t, mux, ingested)
+}
+
+// checkReadings asserts /v1/stats reports want readings.
+func checkReadings(t *testing.T, mux *http.ServeMux, want int64) {
+	t.Helper()
+	var st elink.EngineStats
+	if err := json.Unmarshal(do(t, mux, "GET", "/v1/stats", "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Readings != want {
+		t.Errorf("/v1/stats readings = %d, want %d (the sum of the ingest answers)", st.Readings, want)
+	}
+}
+
+// TestServeHugeFeatureRange ingests a feature of 1e308, whose squared
+// distance to the others overflows, and checks a range query of radius
+// 1e308 around it still finds it and the low plateau (|1e308 - x| rounds
+// to 1e308), but not the high plateau.
+func TestServeHugeFeatureRange(t *testing.T) {
+	_, mux := newTestServer(t)
+	bootstrapTestServer(t, mux)
+	if w := do(t, mux, "POST", "/v1/ingest", `{"features":[{"node":2,"feature":[1e308]}]}`); w.Code != http.StatusOK {
+		t.Fatalf("ingest = %d %s", w.Code, w.Body.String())
+	}
+	w := do(t, mux, "POST", "/v1/query/range", `{"feature":[1e308],"radius":1e308,"initiator":0}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("range = %d %s", w.Code, w.Body.String())
+	}
+	var rr struct {
+		Matches []elink.NodeID `json:"matches"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rr.Matches) != "[0 1 2 3 4 5]" {
+		t.Errorf("range around [1e308] matched %v, want every node", rr.Matches)
+	}
 }
 
 // TestServePersistence drives the crash-recovery path end to end at the

@@ -1,10 +1,14 @@
 package baseline
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"elink/internal/cluster"
+	"elink/internal/data"
 	"elink/internal/metric"
 	"elink/internal/topology"
 )
@@ -287,5 +291,73 @@ func TestForestDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.Clustering.NumClusters() != b.Clustering.NumClusters() || a.Stats.Messages != b.Stats.Messages {
 		t.Error("spanning forest runs are not deterministic")
+	}
+}
+
+// TestBaselinesMatchReference pins both §8.3 baselines to the map-based
+// references in ref_test.go: clustering, roots, message total,
+// breakdown and time must be reflect.DeepEqual on seeded random
+// geometric graphs (N 20–300, average degree 3–6) at random δ, δ = 0
+// and δ = +Inf, with scalar, two-dimensional and few-valued (so tied)
+// features, and on the
+// 2500-node Death Valley network. The subtests run in parallel.
+func TestBaselinesMatchReference(t *testing.T) {
+	check := func(t *testing.T, name string, g *topology.Graph, feats []metric.Feature, m metric.Metric, delta float64, seed int64) {
+		t.Helper()
+		h, err := Hierarchical(g, HierConfig{Delta: delta, Metric: m, Features: feats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := hierRef(g, HierConfig{Delta: delta, Metric: m, Features: feats}); !reflect.DeepEqual(h, want) {
+			t.Fatalf("%s δ=%v: Hierarchical = %+v %+v, reference %+v %+v", name, delta, h.Clustering, h.Stats, want.Clustering, want.Stats)
+		}
+		f, err := SpanningForest(g, ForestConfig{Delta: delta, Metric: m, Features: feats, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := forestRef(g, ForestConfig{Delta: delta, Metric: m, Features: feats, Seed: seed}); !reflect.DeepEqual(f, want) {
+			t.Fatalf("%s δ=%v: SpanningForest = %+v %+v, reference %+v %+v", name, delta, f.Clustering, f.Stats, want.Clustering, want.Stats)
+		}
+	}
+	t.Run("random", func(t *testing.T) {
+		t.Parallel()
+		rng := rand.New(rand.NewSource(35))
+		for trial := 0; trial < 21; trial++ {
+			n := 20 + rng.Intn(281)
+			g := topology.RandomGeometricForDegree(n, 3+3*rng.Float64(), rng)
+			var feats []metric.Feature
+			var m metric.Metric = metric.Scalar{}
+			switch trial % 3 {
+			case 0:
+				feats = bandedFeatures(g, 1+rng.Intn(5), 5*rng.Float64(), rng)
+			case 1:
+				feats = make([]metric.Feature, n)
+				for u := range feats {
+					feats[u] = metric.Feature{rng.NormFloat64(), rng.NormFloat64()}
+				}
+				m = metric.Euclidean{}
+			case 2: // few distinct values: distances, heights and fitnesses tie
+				feats = make([]metric.Feature, n)
+				for u := range feats {
+					feats[u] = metric.Feature{float64(rng.Intn(4))}
+				}
+			}
+			name := fmt.Sprintf("trial %d (N=%d)", trial, n)
+			for _, delta := range []float64{rng.Float64() * 6, 0, math.Inf(1)} {
+				check(t, name, g, feats, m, delta, int64(trial))
+			}
+		}
+	})
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("deathvalley-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			ds, err := data.DeathValley(data.DeathValleyConfig{Nodes: 2500, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, delta := range []float64{50, 150, 400} {
+				check(t, fmt.Sprintf("Death Valley seed %d", seed), ds.Graph, ds.Features, ds.Metric, delta, seed)
+			}
+		})
 	}
 }

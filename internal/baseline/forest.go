@@ -3,7 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"elink/internal/cluster"
 	"elink/internal/metric"
@@ -41,20 +41,28 @@ func SpanningForest(g *topology.Graph, cfg ForestConfig) (*cluster.Result, error
 		return nil, fmt.Errorf("baseline: %d features for %d nodes", len(cfg.Features), g.N())
 	}
 	net := sim.NewNetwork(g, sim.UnitDelay{}, cfg.Seed)
-	nodes := make([]*forestNode, g.N())
-	sh := &forestShared{cfg: cfg}
+	// Every node's per-neighbour state is a window of two shared arrays,
+	// indexed by the neighbour's position in the sorted adjacency list.
+	deg := 2 * g.Edges()
+	feats := make([]*metric.Feature, deg)
+	children := make([]bool, deg)
+	nodes := make([]forestNode, g.N())
+	off := 0
 	for u := range nodes {
-		nodes[u] = &forestNode{sh: sh, id: topology.NodeID(u), parent: -1, clusterRoot: -1}
-		net.SetProtocol(topology.NodeID(u), nodes[u])
+		k := len(g.Neighbors(topology.NodeID(u)))
+		nodes[u] = forestNode{cfg: &cfg, id: topology.NodeID(u), parent: -1, highestChild: -1, clusterRoot: -1,
+			feats: feats[off : off+k : off+k], children: children[off : off+k : off+k]}
+		off += k
+		net.SetProtocol(topology.NodeID(u), &nodes[u])
 	}
 	end := net.Run()
 
 	rootOf := make([]topology.NodeID, g.N())
-	for u, nd := range nodes {
-		if nd.clusterRoot < 0 {
+	for u := range nodes {
+		if nodes[u].clusterRoot < 0 {
 			return nil, fmt.Errorf("baseline: forest node %d finished without a cluster root", u)
 		}
-		rootOf[u] = nd.clusterRoot
+		rootOf[u] = nodes[u].clusterRoot
 	}
 	c := cluster.FromRoots(rootOf).SplitDisconnected(g)
 	return &cluster.Result{
@@ -67,68 +75,68 @@ func SpanningForest(g *topology.Graph, cfg ForestConfig) (*cluster.Result, error
 	}, nil
 }
 
-type forestShared struct {
-	cfg ForestConfig
-}
-
+// Payloads are pointers to data written once before it is sent: a
+// feature message carries &Features[id], a report the sender's own
+// forestReport and a root message the sender's clusterRoot, so no
+// payload is boxed.
 type forestReport struct {
 	Height  float64
-	Feature metric.Feature
-}
-
-type forestRootMsg struct {
-	Root topology.NodeID
+	Feature *metric.Feature
 }
 
 // forestNode is the per-node state machine of the two-phase algorithm.
+// Per-neighbour state is indexed by the neighbour's position in the
+// node's sorted adjacency list.
 type forestNode struct {
-	sh *forestShared
-	id topology.NodeID
+	cfg *ForestConfig
+	id  topology.NodeID
 
 	// Phase 1.
-	feats       map[topology.NodeID]metric.Feature
+	feats       []*metric.Feature // neighbours' features, once received
+	nfeats      int
 	parent      topology.NodeID
-	decisions   int // attach/decline replies received
-	attachCount int // children acquired in phase 1 (reports expected)
-	children    map[topology.NodeID]bool
+	decisions   int    // attach/decline replies received
+	attachCount int    // children acquired in phase 1 (reports expected)
+	children    []bool // attached and not detached
 
 	// Phase 2.
 	reports       int
 	height        float64
-	highestChild  topology.NodeID
+	highestChild  int // neighbour position; -1 for none
 	reported      bool
-	detachedRoot  bool // true when instructed to detach
+	report        forestReport
 	clusterRoot   topology.NodeID
 	rootAnnounced bool
 }
 
-func (n *forestNode) cfg() ForestConfig { return n.sh.cfg }
-
 func (n *forestNode) Init(ctx sim.Context) {
-	n.feats = make(map[topology.NodeID]metric.Feature)
-	n.children = make(map[topology.NodeID]bool)
-	n.highestChild = -1
 	if len(ctx.Neighbors()) == 0 {
 		// Isolated node: a singleton cluster.
 		n.becomeRoot(ctx)
 		return
 	}
 	for _, nb := range ctx.Neighbors() {
-		ctx.Send(nb, ForestKindFeature, n.cfg().Features[n.id])
+		ctx.Send(nb, ForestKindFeature, &n.cfg.Features[n.id])
 	}
 }
 
 func (n *forestNode) OnTimer(sim.Context, string) {}
 
+// slot returns nb's position in this node's sorted neighbour list.
+func slot(ctx sim.Context, nb topology.NodeID) int {
+	k, _ := slices.BinarySearch(ctx.Neighbors(), nb)
+	return k
+}
+
 func (n *forestNode) OnMessage(ctx sim.Context, msg sim.Message) {
 	switch msg.Kind {
 	case ForestKindFeature:
-		n.feats[msg.From] = msg.Payload.(metric.Feature)
-		if len(n.feats) == len(ctx.Neighbors()) {
+		n.feats[slot(ctx, msg.From)] = msg.Payload.(*metric.Feature)
+		if n.nfeats++; n.nfeats == len(ctx.Neighbors()) {
 			n.chooseParent(ctx)
 		}
 	case ForestKindAttach:
-		n.children[msg.From] = true
+		n.children[slot(ctx, msg.From)] = true
 		n.attachCount++
 		n.decisions++
 		n.maybeReport(ctx)
@@ -136,14 +144,13 @@ func (n *forestNode) OnMessage(ctx sim.Context, msg sim.Message) {
 		n.decisions++
 		n.maybeReport(ctx)
 	case ForestKindReport:
-		n.onReport(ctx, msg.From, msg.Payload.(forestReport))
+		n.onReport(ctx, slot(ctx, msg.From), msg.Payload.(*forestReport))
 	case ForestKindDetach:
 		// Our subtree is cut loose: we become a new cluster root
 		// (the paper's "highest_child as the root").
 		n.becomeRoot(ctx)
 	case ForestKindRoot:
-		r := msg.Payload.(forestRootMsg)
-		n.announceRoot(ctx, r.Root)
+		n.announceRoot(ctx, *msg.Payload.(*topology.NodeID))
 	}
 }
 
@@ -154,12 +161,12 @@ func (n *forestNode) OnMessage(ctx sim.Context, msg sim.Message) {
 func (n *forestNode) chooseParent(ctx sim.Context) {
 	best := topology.NodeID(-1)
 	bestD := math.Inf(1)
-	me := n.cfg().Features[n.id]
-	for _, nb := range ctx.Neighbors() {
+	me := n.cfg.Features[n.id]
+	for k, nb := range ctx.Neighbors() {
 		if nb >= n.id {
-			continue
+			break // sorted: the rest are larger too
 		}
-		d := n.cfg().Metric.Distance(me, n.feats[nb])
+		d := n.cfg.Metric.Distance(me, *n.feats[k])
 		if d < bestD || (d == bestD && nb < best) {
 			best, bestD = nb, d
 		}
@@ -184,19 +191,19 @@ func (n *forestNode) maybeReport(ctx sim.Context) {
 	n.sendReport(ctx)
 }
 
-func (n *forestNode) onReport(ctx sim.Context, child topology.NodeID, rep forestReport) {
+// onReport takes the report of the child at neighbour position child.
+func (n *forestNode) onReport(ctx sim.Context, child int, rep *forestReport) {
 	n.reports++
-	me := n.cfg().Features[n.id]
-	h := rep.Height + n.cfg().Metric.Distance(rep.Feature, me)
-	delta := n.cfg().Delta
-	if h+n.height > delta {
+	h := rep.Height + n.cfg.Metric.Distance(*rep.Feature, n.cfg.Features[n.id])
+	nbrs := ctx.Neighbors()
+	if h+n.height > n.cfg.Delta {
 		// Detach the taller side.
 		if h >= n.height {
-			ctx.Send(child, ForestKindDetach, nil)
-			delete(n.children, child)
+			ctx.Send(nbrs[child], ForestKindDetach, nil)
+			n.children[child] = false
 		} else {
-			ctx.Send(n.highestChild, ForestKindDetach, nil)
-			delete(n.children, n.highestChild)
+			ctx.Send(nbrs[n.highestChild], ForestKindDetach, nil)
+			n.children[n.highestChild] = false
 			n.height = h
 			n.highestChild = child
 		}
@@ -213,13 +220,13 @@ func (n *forestNode) sendReport(ctx sim.Context) {
 		n.becomeRoot(ctx)
 		return
 	}
-	ctx.Send(n.parent, ForestKindReport, forestReport{Height: n.height, Feature: n.cfg().Features[n.id]})
+	n.report = forestReport{Height: n.height, Feature: &n.cfg.Features[n.id]}
+	ctx.Send(n.parent, ForestKindReport, &n.report)
 }
 
 // becomeRoot marks this node as a cluster root and announces the cluster
 // id down the (remaining) tree.
 func (n *forestNode) becomeRoot(ctx sim.Context) {
-	n.detachedRoot = true
 	n.announceRoot(ctx, n.id)
 }
 
@@ -229,13 +236,11 @@ func (n *forestNode) announceRoot(ctx sim.Context, root topology.NodeID) {
 	}
 	n.rootAnnounced = true
 	n.clusterRoot = root
-	// Sorted order keeps event sequencing deterministic.
-	kids := make([]topology.NodeID, 0, len(n.children))
-	for ch := range n.children {
-		kids = append(kids, ch)
-	}
-	sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-	for _, ch := range kids {
-		ctx.Send(ch, ForestKindRoot, forestRootMsg{Root: root})
+	// Neighbour order is id order, which keeps event sequencing
+	// deterministic.
+	for k, nb := range ctx.Neighbors() {
+		if n.children[k] {
+			ctx.Send(nb, ForestKindRoot, &n.clusterRoot)
+		}
 	}
 }

@@ -3,7 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"elink/internal/cluster"
 	"elink/internal/metric"
@@ -36,107 +36,115 @@ type HierConfig struct {
 //
 // Time and message complexity are O(N²) in the worst case (the paper's
 // stated bound).
+//
+// All per-cluster state is indexed by cluster label (the smallest member
+// id), and each cluster's members form an intrusive list, so rounds
+// reuse their scratch and a merge relabels only the absorbed side. Each
+// round walks the labels in ascending order and probes every adjacent
+// larger label, so pairs come out in (i, j) order, and the probe hop
+// counts from one root come from a single truncated BFS.
 func Hierarchical(g *topology.Graph, cfg HierConfig) (*cluster.Result, error) {
 	n := g.N()
 	if len(cfg.Features) != n {
 		return nil, fmt.Errorf("baseline: %d features for %d nodes", len(cfg.Features), n)
 	}
 
-	// Cluster state: root id per cluster; diameter bound m; member lists.
 	root := make([]int, n) // cluster label per node (smallest member id)
-	for i := range root {
-		root[i] = i
-	}
-	members := make(map[int][]topology.NodeID, n)
-	diam := make(map[int]float64, n)          // bound on root-to-member distance
-	croot := make(map[int]topology.NodeID, n) // cluster representative node
+	// Per label: its member list (head/next, -1 ends it; head -1 once
+	// absorbed), diameter bound m, representative node and best merge
+	// candidate. bestRound and doneRound are round stamps and seen a
+	// per-scan stamp, so no state is cleared between rounds.
+	head, next, size := make([]int, n), make([]int, n), make([]int, n)
+	diam := make([]float64, n)
+	croot := make([]topology.NodeID, n)
+	bestOther, bestRound := make([]int, n), make([]int, n)
+	bestFit := make([]float64, n)
+	doneRound, seen := make([]int, n), make([]int, n)
+	scan := 0
 	for i := 0; i < n; i++ {
-		members[i] = []topology.NodeID{topology.NodeID(i)}
-		diam[i] = 0
+		root[i], head[i], next[i], size[i] = i, i, -1, 1
 		croot[i] = topology.NodeID(i)
+		bestRound[i], doneRound[i] = -1, -1
 	}
+	var nbrs []int
+	var targets []topology.NodeID
+	var hops []int
 
 	stats := cluster.Stats{Breakdown: make(map[string]int64)}
 	charge := func(kind string, cost int64) {
 		stats.Breakdown[kind] += cost
 		stats.Messages += cost
 	}
+	offer := func(round, i, j int, fitness float64) {
+		if bestRound[i] != round || fitness < bestFit[i] || (fitness == bestFit[i] && j < bestOther[i]) {
+			bestRound[i], bestOther[i], bestFit[i] = round, j, fitness
+		}
+	}
 
 	for round := 0; ; round++ {
-		// Discover adjacent cluster pairs; members report up their trees.
-		adj := make(map[[2]int]bool)
-		for u := 0; u < n; u++ {
-			for _, v := range g.Neighbors(topology.NodeID(u)) {
-				a, b := root[u], root[int(v)]
-				if a == b {
-					continue
-				}
-				if a > b {
-					a, b = b, a
-				}
-				adj[[2]int{a, b}] = true
-			}
-		}
-		if len(adj) == 0 {
-			break
-		}
-		for _, mem := range members {
-			charge("report", int64(len(mem)))
-		}
-
-		// Fitness evaluation between adjacent roots.
-		type cand struct {
-			other   int
-			fitness float64
-		}
-		best := make(map[int]cand)
-		pairs := make([][2]int, 0, len(adj))
-		for p := range adj {
-			pairs = append(pairs, p)
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
-		for _, p := range pairs {
-			i, j := p[0], p[1]
-			ri, rj := croot[i], croot[j]
-			charge("probe", 2*int64(g.HopDistance(ri, rj)))
-			d := cfg.Metric.Distance(cfg.Features[ri], cfg.Features[rj])
-			if diam[i]+d+diam[j] > cfg.Delta {
-				continue // rule each other out (§8.3)
-			}
-			var mij float64
-			if diam[i] >= diam[j] {
-				mij = math.Max(diam[i], diam[j]+d)
-			} else {
-				mij = math.Max(diam[j], diam[i]+d)
-			}
-			if c, ok := best[i]; !ok || mij < c.fitness || (mij == c.fitness && j < c.other) {
-				best[i] = cand{other: j, fitness: mij}
-			}
-			if c, ok := best[j]; !ok || mij < c.fitness || (mij == c.fitness && i < c.other) {
-				best[j] = cand{other: i, fitness: mij}
-			}
-		}
-
-		// Mutually-best pairs merge.
-		merged := false
-		done := make(map[int]bool)
-		labels := make([]int, 0, len(best))
-		for l := range best {
-			labels = append(labels, l)
-		}
-		sort.Ints(labels)
-		for _, i := range labels {
-			ci := best[i]
-			j := ci.other
-			if done[i] || done[j] {
+		// Every adjacent root pair (i < j), in (i, j) order, negotiates
+		// diameter and fitness.
+		adjacent := false
+		for i := 0; i < n; i++ {
+			if head[i] < 0 {
 				continue
 			}
-			if cj, ok := best[j]; !ok || cj.other != i {
+			scan++
+			nbrs = nbrs[:0]
+			for u := head[i]; u >= 0; u = next[u] {
+				for _, v := range g.Neighbors(topology.NodeID(u)) {
+					if j := root[v]; j > i && seen[j] != scan {
+						seen[j] = scan
+						nbrs = append(nbrs, j)
+					}
+				}
+			}
+			if len(nbrs) == 0 {
+				continue
+			}
+			adjacent = true
+			slices.Sort(nbrs)
+			targets = targets[:0]
+			for _, j := range nbrs {
+				targets = append(targets, croot[j])
+			}
+			ri := croot[i]
+			hops = g.HopDistancesTo(ri, targets, hops)
+			for k, j := range nbrs {
+				rj := croot[j]
+				charge("probe", 2*int64(hops[k]))
+				d := cfg.Metric.Distance(cfg.Features[ri], cfg.Features[rj])
+				if diam[i]+d+diam[j] > cfg.Delta {
+					continue // rule each other out (§8.3)
+				}
+				var mij float64
+				if diam[i] >= diam[j] {
+					mij = math.Max(diam[i], diam[j]+d)
+				} else {
+					mij = math.Max(diam[j], diam[i]+d)
+				}
+				offer(round, i, j, mij)
+				offer(round, j, i, mij)
+			}
+		}
+		if !adjacent {
+			break
+		}
+		// Members report adjacent foreign clusters up their trees: one
+		// message per node.
+		charge("report", int64(n))
+
+		// Mutually-best pairs merge, in ascending label order.
+		merged := false
+		for i := 0; i < n; i++ {
+			if bestRound[i] != round {
+				continue
+			}
+			j := bestOther[i]
+			if doneRound[i] == round || doneRound[j] == round {
+				continue
+			}
+			if bestRound[j] != round || bestOther[j] != i {
 				continue
 			}
 			// Merge under the label of the smaller id; the surviving
@@ -152,17 +160,18 @@ func Hierarchical(g *topology.Graph, cfg HierConfig) (*cluster.Result, error) {
 			} else {
 				newRoot = croot[j]
 			}
-			charge("merge", int64(len(members[lo])+len(members[hi])))
-			for _, u := range members[hi] {
+			charge("merge", int64(size[lo]+size[hi]))
+			tail := -1
+			for u := head[hi]; u >= 0; u = next[u] {
 				root[u] = lo
+				tail = u
 			}
-			members[lo] = append(members[lo], members[hi]...)
-			delete(members, hi)
-			diam[lo] = best[i].fitness
+			next[tail] = head[lo]
+			head[lo], head[hi] = head[hi], -1
+			size[lo] += size[hi]
+			diam[lo] = bestFit[i]
 			croot[lo] = newRoot
-			delete(diam, hi)
-			delete(croot, hi)
-			done[i], done[j] = true, true
+			doneRound[i], doneRound[j] = round, round
 			merged = true
 		}
 		stats.Time = float64(round + 1)

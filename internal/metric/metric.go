@@ -72,7 +72,51 @@ func (Euclidean) Distance(a, b Feature) float64 {
 		d := a[i] - b[i]
 		sum += d * d
 	}
-	return math.Sqrt(sum)
+	if sum <= math.MaxFloat64 {
+		return math.Sqrt(sum)
+	}
+	return overflowNorm(a, b, sum, nil)
+}
+
+// overflowNorm finishes a Euclidean distance whose plain sum of squares,
+// sum, is +Inf or NaN; the callers keep the common case inline. It
+// returns sqrt(Σ w_i (a_i-b_i)²), with w_i = 1 when w is nil, for the
+// rare inputs whose sum overflows although the distance may not: each
+// term is divided by the largest √w_i·|a_i-b_i| before squaring, as
+// math.Hypot does, and the operands are halved first when a difference
+// itself overflows. A distance past MaxFloat64, or an infinite operand,
+// still gives +Inf, and a NaN sum stays NaN.
+func overflowNorm(a, b Feature, sum float64, w []float64) float64 {
+	if math.IsNaN(sum) {
+		return sum
+	}
+	half := 1.0
+	for i := range a {
+		if math.IsInf(a[i]-b[i], 0) {
+			half = 0.5
+			break
+		}
+	}
+	term := func(i int) float64 {
+		d := a[i]*half - b[i]*half
+		if w != nil {
+			d *= math.Sqrt(w[i])
+		}
+		return d
+	}
+	var scale float64
+	for i := range a {
+		scale = math.Max(scale, math.Abs(term(i)))
+	}
+	if math.IsInf(scale, 1) {
+		return scale
+	}
+	var scaled float64
+	for i := range a {
+		d := term(i) / scale
+		scaled += d * d
+	}
+	return scale * math.Sqrt(scaled) / half
 }
 
 // Manhattan is the L1 metric.
@@ -120,7 +164,10 @@ func (m WeightedEuclidean) Distance(a, b Feature) float64 {
 		d := a[i] - b[i]
 		sum += m.Weights[i] * d * d
 	}
-	return math.Sqrt(sum)
+	if sum <= math.MaxFloat64 {
+		return math.Sqrt(sum)
+	}
+	return overflowNorm(a, b, sum, m.Weights)
 }
 
 // Scalar treats one-dimensional features as plain numbers: d(a,b) = |a-b|.

@@ -213,3 +213,55 @@ func clampf(v float64) float64 {
 func clamp4(a, b, c, d float64) Feature {
 	return Feature{clampf(a), clampf(b), clampf(c), clampf(d)}
 }
+
+// TestEuclideanNoSpuriousOverflow checks the distances whose sum of
+// squares overflows although the distance does not: they come back
+// finite and correctly rounded, and only a distance past MaxFloat64 (or
+// an infinite operand) is +Inf.
+func TestEuclideanNoSpuriousOverflow(t *testing.T) {
+	w := NewWeightedEuclidean(4, 1)
+	cases := []struct {
+		name string
+		m    Metric
+		a, b Feature
+		want float64
+	}{
+		{"one huge difference", Euclidean{}, Feature{1e308}, Feature{0}, 1e308},
+		{"two huge differences", Euclidean{}, Feature{1e200, 1e200}, Feature{0, 0}, 1e200 * math.Sqrt2},
+		{"difference overflows", Euclidean{}, Feature{1e308}, Feature{-1e308}, math.Inf(1)},
+		{"difference near max", Euclidean{}, Feature{1e308, 0}, Feature{-5e307, 0}, 1.5e308},
+		{"infinite operand", Euclidean{}, Feature{math.Inf(1), 0}, Feature{0, 0}, math.Inf(1)},
+		{"weighted", w, Feature{1e200, 0}, Feature{0, 0}, 2e200},
+		{"weighted, difference overflows", NewWeightedEuclidean(1, 0.25), Feature{0, 0x1p1023}, Feature{0, -0x1p1023}, 0x1p1023},
+		{"weighted past max", w, Feature{1e308, 0}, Feature{0, 0}, math.Inf(1)},
+	}
+	for _, tc := range cases {
+		if got := tc.m.Distance(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: Distance(%v, %v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
+// Property: a feature pair scaled up by 2^600, which overflows the plain
+// sum of squares, has 2^600 times the distance of the unscaled pair.
+func TestEuclideanLargeScaleProperty(t *testing.T) {
+	up := math.Ldexp(1, 600)
+	ms := []Metric{Euclidean{}, NewWeightedEuclidean(0.5, 0.3, 0.2, 0.1)}
+	prop := func(ax, ay, az, aw, bx, by, bz, bw float64) bool {
+		a, b := clamp4(ax, ay, az, aw), clamp4(bx, by, bz, bw)
+		A, B := make(Feature, 4), make(Feature, 4)
+		for i := range a {
+			A[i], B[i] = a[i]*up, b[i]*up
+		}
+		for _, m := range ms {
+			want, got := m.Distance(a, b)*up, m.Distance(A, B)
+			if math.IsInf(got, 0) || math.Abs(got-want) > 1e-15*want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

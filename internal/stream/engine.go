@@ -372,6 +372,7 @@ func (e *Engine) ingestFeaturesLocked(batch []FeatureUpdate, sp *obs.Span) (*Ing
 		if e.ready {
 			e.touched[up.Node] = true
 		}
+		e.readings++
 		res.Readings++
 	}
 

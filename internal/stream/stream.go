@@ -173,7 +173,8 @@ type IngestResult struct {
 	Epoch int64 `json:"epoch"`
 	// Ready reports whether the engine has bootstrapped a clustering.
 	Ready bool `json:"ready"`
-	// Readings is how many measurements the batch carried.
+	// Readings is how many raw measurements or feature updates the batch
+	// carried.
 	Readings int `json:"readings"`
 	// Updates is how many feature updates were pushed through the
 	// maintenance protocol.
@@ -206,7 +207,9 @@ type Stats struct {
 	Epochs int64 `json:"epochs"`
 	// CollectedAt is the wall-clock time this copy was taken.
 	CollectedAt time.Time `json:"collectedAt"`
-	// Readings is the total measurements ingested.
+	// Readings is how many raw measurements or feature updates all
+	// batches carried: the sum of their IngestResult.Readings, across
+	// snapshot restore and WAL replay.
 	Readings int64 `json:"readings"`
 	// Updates is the total feature updates through the maintainer.
 	Updates int64 `json:"updates"`

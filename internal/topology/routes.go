@@ -32,6 +32,26 @@ func (g *Graph) HopDistance(u, v NodeID) int {
 	return d
 }
 
+// HopDistancesTo returns the hop count from src to each of targets, in
+// targets' order (-1 for an unreachable target), appended to out[:0]. It
+// runs one BFS from src that stops as soon as every target is labelled;
+// targets may repeat and may include src. A reused out makes it
+// allocation-free.
+func (g *Graph) HopDistancesTo(src NodeID, targets []NodeID, out []int) []int {
+	w := getWalker(g.N())
+	defer putWalker(w)
+	w.searchAll(g, src, targets)
+	out = out[:0]
+	for _, t := range targets {
+		if l := w.labels[t]; l.gen == w.gen {
+			out = append(out, int(l.dist))
+		} else {
+			out = append(out, -1)
+		}
+	}
+	return out
+}
+
 // Walk calls hop(from, to) for each hop of the shortest path from u to v,
 // in order, and returns the path's hop count (-1 when v is unreachable, in
 // which case hop is never called). hop returning false stops the walk
@@ -114,12 +134,7 @@ func putWalker(w *walker) {
 // on return every node within dist-1 hops of dst carries its exact
 // distance: enough for next to walk from src down to dst.
 func (w *walker) search(g *Graph, src, dst NodeID) int {
-	w.gen++
-	if w.gen == 0 { // wrapped: stale labels could alias the new generation
-		clear(w.labels)
-		w.gen = 1
-	}
-	gen := w.gen
+	gen := w.newGen()
 	w.labels[dst] = label{gen: gen}
 	q := append(w.queue[:0], dst)
 	for head := 0; head < len(q); head++ {
@@ -139,6 +154,56 @@ func (w *walker) search(g *Graph, src, dst NodeID) int {
 	}
 	w.queue = q
 	return -1
+}
+
+// searchAll runs a BFS from src until it labels every target (or
+// exhausts src's component). Targets are first marked with a generation
+// of their own, one below the search's, so a target's first label is
+// counted once however often it repeats in targets.
+func (w *walker) searchAll(g *Graph, src NodeID, targets []NodeID) {
+	mark := w.newGen()
+	gen := w.newGen()
+	if gen < mark { // wrapped between the two: the marks were cleared
+		mark = w.newGen()
+		gen = w.newGen()
+	}
+	left := 0
+	for _, t := range targets {
+		if w.labels[t].gen != mark {
+			w.labels[t].gen = mark
+			left++
+		}
+	}
+	if w.labels[src].gen == mark {
+		left--
+	}
+	w.labels[src] = label{gen: gen}
+	q := append(w.queue[:0], src)
+	for head := 0; head < len(q) && left > 0; head++ {
+		x := q[head]
+		d := w.labels[x].dist + 1
+		for _, y := range g.Adj[x] {
+			switch w.labels[y].gen {
+			case gen:
+				continue
+			case mark:
+				left--
+			}
+			w.labels[y] = label{gen: gen, dist: d}
+			q = append(q, y)
+		}
+	}
+	w.queue = q
+}
+
+// newGen starts a new generation, so every existing label goes stale.
+func (w *walker) newGen() uint32 {
+	w.gen++
+	if w.gen == 0 { // wrapped: stale labels could alias the new generation
+		clear(w.labels)
+		w.gen = 1
+	}
+	return w.gen
 }
 
 // next returns cur's smallest-id neighbour at distance k-1 from the last

@@ -378,3 +378,88 @@ func TestTruncatedWalkConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestHopDistancesToMatchesHopDistance checks every entry of a
+// multi-target search against HopDistance on connected and fragmented
+// random geometric graphs, with target lists that repeat nodes, include
+// the source and reach into other components (-1).
+func TestHopDistancesToMatchesHopDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	unreachable := 0
+	for _, radius := range []float64{3, 1.3, 0.9} {
+		g := geometricGraph(60, math.Sqrt(60), radius, rng)
+		var out []int
+		for trial := 0; trial < 200; trial++ {
+			src := NodeID(rng.Intn(g.N()))
+			targets := make([]NodeID, rng.Intn(12))
+			for k := range targets {
+				switch rng.Intn(5) {
+				case 0:
+					targets[k] = src
+				case 1:
+					if k > 0 {
+						targets[k] = targets[rng.Intn(k)]
+						continue
+					}
+					fallthrough
+				default:
+					targets[k] = NodeID(rng.Intn(g.N()))
+				}
+			}
+			out = g.HopDistancesTo(src, targets, out)
+			if len(out) != len(targets) {
+				t.Fatalf("radius %v: HopDistancesTo(%d, %v) returned %d entries", radius, src, targets, len(out))
+			}
+			for k, tg := range targets {
+				if want := g.HopDistance(src, tg); out[k] != want {
+					t.Fatalf("radius %v: HopDistancesTo(%d, %v)[%d] = %d, want HopDistance %d", radius, src, targets, k, out[k], want)
+				}
+				if out[k] < 0 {
+					unreachable++
+				}
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no target was unreachable; the fragmented fixtures no longer cover -1")
+	}
+}
+
+// TestHopDistancesToGenerationWrap starts a multi-target search on a
+// walker whose generation counter is about to wrap, at each of the two
+// generations it takes, and checks the answers survive the wrap.
+func TestHopDistancesToGenerationWrap(t *testing.T) {
+	g := NewGrid(4, 5)
+	targets := []NodeID{19, 0, 7, 7, 12}
+	ref := refHopDistances(g, 0)
+	for _, start := range []uint32{math.MaxUint32 - 1, math.MaxUint32} {
+		w := getWalker(g.N())
+		w.gen = start
+		for i := range w.labels {
+			w.labels[i] = label{gen: start, dist: 99}
+		}
+		w.searchAll(g, 0, targets)
+		for _, tg := range targets {
+			if l := w.labels[tg]; l.gen != w.gen || int(l.dist) != ref[tg] {
+				t.Errorf("start gen %d: target %d labelled (gen %d, dist %d), want (gen %d, dist %d)", start, tg, l.gen, l.dist, w.gen, ref[tg])
+			}
+		}
+		putWalker(w)
+	}
+}
+
+// TestHopDistancesToAllocs pins a multi-target search into a reused out
+// slice at zero allocations.
+func TestHopDistancesToAllocs(t *testing.T) {
+	g := NewGrid(16, 16)
+	targets := []NodeID{3, 200, 17, 255, 3}
+	out := make([]int, 0, len(targets))
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		out = g.HopDistancesTo(NodeID((i*37)%g.N()), targets, out)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("HopDistancesTo allocates %v objects per call, want 0", allocs)
+	}
+}

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	elink-experiments                  # quick scale (seconds)
-//	elink-experiments -paper           # the paper's scale (minutes)
+//	elink-experiments -paper           # the paper's scale (about a minute)
 //	elink-experiments -only fig08,fig13
 //	elink-experiments -j 8             # eight-way figure/kernel parallelism
 package main
@@ -39,7 +39,7 @@ func validNames() string {
 
 func main() {
 	var (
-		paper  = flag.Bool("paper", false, "run at the paper's full scale (2500-node Death Valley, 100k readings; takes minutes)")
+		paper  = flag.Bool("paper", false, "run at the paper's full scale (2500-node Death Valley, 100k readings; about a minute)")
 		only   = flag.String("only", "", "comma-separated figure names to run (default all); names: "+validNames())
 		seed   = flag.Int64("seed", 1, "random seed")
 		jobs   = flag.Int("j", 0, "worker count for the parallel execution layer and the figure runner (0 = GOMAXPROCS or ELINK_WORKERS); results are identical for every value")

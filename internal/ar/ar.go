@@ -2,7 +2,8 @@
 // features (paper §2.2 and Appendix A).
 //
 // Each sensor node regresses its raw time series locally: an AR(k) model
-// x_t = α₁x_{t−1} + … + α_k x_{t−k} + ε_t, fitted by least squares. The
+// x_t = α₁x_{t−1} + … + α_k x_{t−k} + ε_t, fitted by least squares (FitLS
+// fits any design matrix, such as the Tao dataset's mixed model). The
 // fitted coefficient vector is the node's feature; clustering compares
 // these vectors, never the raw data. When new measurements arrive the
 // coefficients are refreshed incrementally by recursive least squares
@@ -16,49 +17,6 @@ import (
 
 	"elink/internal/linalg"
 )
-
-// Fit estimates AR(order) coefficients for series by ordinary least
-// squares on the normal equations XXᵀα = XY. It needs at least
-// 2*order observations. A tiny ridge term keeps the normal matrix
-// invertible on degenerate (e.g. constant) series.
-func Fit(series []float64, order int) ([]float64, error) {
-	if order < 1 {
-		return nil, fmt.Errorf("ar: order must be >= 1, got %d", order)
-	}
-	m := len(series) - order
-	if m < order {
-		return nil, fmt.Errorf("ar: need at least %d observations for AR(%d), got %d", 2*order, order, len(series))
-	}
-	// Normal matrix P = XXᵀ and rhs b = XY, built incrementally.
-	p := linalg.NewMatrix(order, order)
-	b := make([]float64, order)
-	x := make([]float64, order)
-	for t := order; t < len(series); t++ {
-		lagVector(series, t, x)
-		y := series[t]
-		for i := 0; i < order; i++ {
-			b[i] += x[i] * y
-			for j := 0; j < order; j++ {
-				p.Set(i, j, p.At(i, j)+x[i]*x[j])
-			}
-		}
-	}
-	for i := 0; i < order; i++ {
-		p.Set(i, i, p.At(i, i)+1e-9)
-	}
-	coef, err := linalg.Solve(p, b)
-	if err != nil {
-		return nil, fmt.Errorf("ar: normal equations singular: %w", err)
-	}
-	return coef, nil
-}
-
-// lagVector fills x with (series[t-1], …, series[t-order]).
-func lagVector(series []float64, t int, x []float64) {
-	for i := range x {
-		x[i] = series[t-1-i]
-	}
-}
 
 // Model is an online AR(k) model maintained by recursive least squares.
 // P tracks (XXᵀ)⁻¹ so each Update is O(k²) with no matrix solve.
@@ -88,39 +46,6 @@ func NewModel(order int) *Model {
 		p:    linalg.Identity(order).Scale(1e6),
 		lags: make([]float64, 0, order),
 	}
-}
-
-// FitModel batch-fits series and returns a Model ready for online
-// updates, with P seeded from the batch normal matrix.
-func FitModel(series []float64, order int) (*Model, error) {
-	coef, err := Fit(series, order)
-	if err != nil {
-		return nil, err
-	}
-	p := linalg.NewMatrix(order, order)
-	x := make([]float64, order)
-	for t := order; t < len(series); t++ {
-		lagVector(series, t, x)
-		for i := 0; i < order; i++ {
-			for j := 0; j < order; j++ {
-				p.Set(i, j, p.At(i, j)+x[i]*x[j])
-			}
-		}
-	}
-	for i := 0; i < order; i++ {
-		p.Set(i, i, p.At(i, i)+1e-9)
-	}
-	pinv, err := linalg.Inverse(p)
-	if err != nil {
-		return nil, fmt.Errorf("ar: cannot invert normal matrix: %w", err)
-	}
-	m := &Model{Order: order, Coef: coef, p: pinv, lags: make([]float64, 0, order)}
-	// Seed the lag window with the tail of the series, newest first.
-	for i := 0; i < order; i++ {
-		m.lags = append(m.lags, series[len(series)-1-i])
-	}
-	m.seen = len(series)
-	return m, nil
 }
 
 // SetCoef overrides the current coefficients (used to initialize every
@@ -219,11 +144,6 @@ func Simulate(coef []float64, n int, initial []float64, noise func() float64) []
 		lags[0] = v
 	}
 	return out
-}
-
-// GaussianNoise returns a noise source drawing from N(0, sigma²) using rng.
-func GaussianNoise(rng *rand.Rand, sigma float64) func() float64 {
-	return func() float64 { return rng.NormFloat64() * sigma }
 }
 
 // UniformNoise returns a noise source drawing from U(lo, hi) using rng, as

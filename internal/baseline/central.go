@@ -11,22 +11,15 @@ import (
 // itself happens for free at the base station).
 type CentralizedCost struct {
 	g    *topology.Graph
-	base topology.NodeID
-	hops []int
+	hops []int // shortest-hop distance from each node to the base station
 }
 
 // NewCentralizedCost creates the cost model with the base station at the
 // given node (the paper places it at the network edge; experiments use
 // the corner node 0).
 func NewCentralizedCost(g *topology.Graph, base topology.NodeID) *CentralizedCost {
-	return &CentralizedCost{g: g, base: base, hops: g.HopDistances(base)}
+	return &CentralizedCost{g: g, hops: g.HopDistances(base)}
 }
-
-// Base returns the base-station node.
-func (c *CentralizedCost) Base() topology.NodeID { return c.base }
-
-// Hops returns the shortest-hop distance from node u to the base station.
-func (c *CentralizedCost) Hops(u topology.NodeID) int64 { return int64(c.hops[u]) }
 
 // ShipAll charges one full raw-data round: every node sends `values`
 // measurements to the base station ("centralized raw" in Fig 12).

@@ -245,9 +245,9 @@ type eigenCache struct {
 }
 
 // newEigenCache finalizes the affinity into its normalized Laplacian.
-// affinity sets every position once, which FinalizeStrict verifies.
+// affinity sets every position once, which Finalize verifies.
 func newEigenCache(aff *linalg.SparseSym, maxDim int, rng *rand.Rand) (*eigenCache, error) {
-	csr, err := aff.FinalizeStrict()
+	csr, err := aff.Finalize()
 	if err != nil {
 		return nil, fmt.Errorf("baseline: affinity build: %w", err)
 	}

@@ -136,57 +136,3 @@ func greedyBallCover(g *topology.Graph, feats []metric.Feature, m metric.Metric,
 	}
 	return FromAssignment(labels)
 }
-
-func TestTheorem1Reduction(t *testing.T) {
-	// Random small graphs: the clique cover number must equal the optimal
-	// δ-clustering size of the reduced instance (the paper's Theorem 1
-	// correspondence), checked with two independent exact solvers.
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 12; trial++ {
-		n := 4 + rng.Intn(6)
-		var edges [][2]int
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.45 {
-					edges = append(edges, [2]int{u, v})
-				}
-			}
-		}
-		cc := CliqueCoverNumber(n, edges)
-		cg, feats, m, delta := ReduceCliqueCover(n, edges)
-		opt, err := Optimal(cg, feats, m, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opt.NumClusters() != cc {
-			t.Fatalf("trial %d (n=%d, %d edges): clique cover %d != optimal δ-clustering %d",
-				trial, n, len(edges), cc, opt.NumClusters())
-		}
-	}
-}
-
-func TestReductionDistanceIsMetric(t *testing.T) {
-	_, feats, m, _ := ReduceCliqueCover(5, [][2]int{{0, 1}, {1, 2}, {3, 4}})
-	if err := metric.VerifyMetric(m, feats, 1e-12); err != nil {
-		t.Errorf("the reduction's distance is not a metric: %v", err)
-	}
-}
-
-func TestCliqueCoverKnownGraphs(t *testing.T) {
-	// Triangle: one clique.
-	if got := CliqueCoverNumber(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}); got != 1 {
-		t.Errorf("triangle cover = %d, want 1", got)
-	}
-	// Path of 4: two edges cover it.
-	if got := CliqueCoverNumber(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}); got != 2 {
-		t.Errorf("P4 cover = %d, want 2", got)
-	}
-	// Empty graph on 4 vertices: 4 singleton cliques.
-	if got := CliqueCoverNumber(4, nil); got != 4 {
-		t.Errorf("empty graph cover = %d, want 4", got)
-	}
-	// 5-cycle: cover number 3 (edges can cover at most 2 vertices each).
-	if got := CliqueCoverNumber(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}); got != 3 {
-		t.Errorf("C5 cover = %d, want 3", got)
-	}
-}

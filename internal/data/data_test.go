@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"elink/internal/topology"
@@ -187,8 +188,8 @@ func TestSyntheticRecoversAlpha(t *testing.T) {
 			t.Errorf("node %d recovered alpha = %.3f, want within (0.3, 0.9) for true U(0.4, 0.8)", u, f[0])
 		}
 	}
-	if ds.Graph.AvgDegree() < 2.5 || ds.Graph.AvgDegree() > 7.5 {
-		t.Errorf("average degree %.2f, want near 4", ds.Graph.AvgDegree())
+	if d := 2 * float64(ds.Graph.Edges()) / float64(ds.Graph.N()); d < 2.5 || d > 7.5 {
+		t.Errorf("average degree %.2f, want near 4", d)
 	}
 }
 
@@ -235,7 +236,7 @@ func TestDatasetsDeterministicPerSeed(t *testing.T) {
 	a, _ := Synthetic(SyntheticConfig{Nodes: 40, Readings: 500, Seed: 9})
 	b, _ := Synthetic(SyntheticConfig{Nodes: 40, Readings: 500, Seed: 9})
 	for u := range a.Features {
-		if !a.Features[u].Equal(b.Features[u]) {
+		if !slices.Equal(a.Features[u], b.Features[u]) {
 			t.Fatalf("node %d features differ across identical seeds", u)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,15 +12,27 @@ import (
 
 func quick() Scale { return QuickScale() }
 
+// column returns the series values of the named column of tbl, failing
+// the test when tbl has no such column.
+func column(t *testing.T, tbl *Table, name string) []float64 {
+	t.Helper()
+	idx := slices.Index(tbl.Columns, name)
+	if idx < 0 {
+		t.Fatalf("%s: no column %q in %v", tbl.Title, name, tbl.Columns)
+	}
+	out := make([]float64, len(tbl.Rows))
+	for i, r := range tbl.Rows {
+		out[i] = r.Values[idx]
+	}
+	return out
+}
+
 func TestTableBasics(t *testing.T) {
 	tbl := &Table{Title: "t", XLabel: "x", Columns: []string{"a", "b"}}
 	tbl.AddRow(1, 2, 3)
 	tbl.AddRow(2, 4, 5)
-	if got := tbl.Column("b"); len(got) != 2 || got[1] != 5 {
-		t.Errorf("Column(b) = %v", got)
-	}
-	if tbl.Column("missing") != nil {
-		t.Error("missing column should be nil")
+	if got := column(t, tbl, "b"); len(got) != 2 || got[1] != 5 {
+		t.Errorf("column(b) = %v", got)
 	}
 	s := tbl.String()
 	if !strings.Contains(s, "== t ==") || !strings.Contains(s, "a") {
@@ -41,9 +54,9 @@ func TestFig08Shapes(t *testing.T) {
 	if len(tbl.Rows) == 0 {
 		t.Fatal("no rows")
 	}
-	elink := tbl.Column(SeriesELinkImplicit)
-	central := tbl.Column(SeriesCentralized)
-	forest := tbl.Column(SeriesForest)
+	elink := column(t, tbl, SeriesELinkImplicit)
+	central := column(t, tbl, SeriesCentralized)
+	forest := column(t, tbl, SeriesForest)
 	// Cluster count must not increase with delta for every algorithm,
 	// modulo small non-monotonic wiggles; check endpoints.
 	if elink[0] < elink[len(elink)-1] {
@@ -87,8 +100,8 @@ func TestFig10ELinkBeatsCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	el := tbl.Column("elink-update")
-	ce := tbl.Column("centralized-update")
+	el := column(t, tbl, "elink-update")
+	ce := column(t, tbl, "centralized-update")
 	for i := range el {
 		if el[i] > ce[i] {
 			t.Errorf("slack row %d: elink update cost %v exceeds centralized %v", i, el[i], ce[i])
@@ -105,7 +118,7 @@ func TestFig11QualityDegradesWithSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	el := tbl.Column(SeriesELinkImplicit)
+	el := column(t, tbl, SeriesELinkImplicit)
 	// Larger slack tightens the initial delta, so the final count should
 	// not decrease from the smallest to the largest slack.
 	if el[len(el)-1] < el[0] {
@@ -134,7 +147,7 @@ func TestFig12Ordering(t *testing.T) {
 	}
 	// Cumulative series must be non-decreasing.
 	for col := 0; col < len(tbl.Columns); col++ {
-		series := tbl.Column(tbl.Columns[col])
+		series := column(t, tbl, tbl.Columns[col])
 		for i := 1; i < len(series); i++ {
 			if series[i] < series[i-1] {
 				t.Errorf("series %s decreases at row %d", tbl.Columns[col], i)
@@ -148,9 +161,9 @@ func TestFig13ELinkScalesBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	el := tbl.Column(SeriesELinkImplicit)
-	ce := tbl.Column(SeriesCentralized)
-	hi := tbl.Column(SeriesHierarchical)
+	el := column(t, tbl, SeriesELinkImplicit)
+	ce := column(t, tbl, SeriesCentralized)
+	hi := column(t, tbl, SeriesHierarchical)
 	lastIdx := len(tbl.Rows) - 1
 	if el[lastIdx] > ce[lastIdx] {
 		t.Errorf("at the largest N, elink (%v) should beat centralized (%v)", el[lastIdx], ce[lastIdx])
@@ -165,8 +178,8 @@ func TestFig14PruningBeatsTAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	el := tbl.Column(SeriesELinkImplicit)
-	tag := tbl.Column("tag")
+	el := column(t, tbl, SeriesELinkImplicit)
+	tag := column(t, tbl, "tag")
 	for i := range el {
 		// The clustered search must beat TAG at every radius in the
 		// sweep (the paper's gains reach 5x at the small end).
@@ -197,8 +210,8 @@ func TestPathQueriesClusterSearchWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	el := tbl.Column("elink-path")
-	fl := tbl.Column("bfs-flood")
+	el := column(t, tbl, "elink-path")
+	fl := column(t, tbl, "bfs-flood")
 	var eSum, fSum float64
 	for i := range el {
 		eSum += el[i]
@@ -214,9 +227,9 @@ func TestComplexityWithinBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	timeImp := tbl.Column("time-implicit")
-	bound := tbl.Column("bound-2*kappa*alpha")
-	msgs := tbl.Column("msgs-implicit-per-node")
+	timeImp := column(t, tbl, "time-implicit")
+	bound := column(t, tbl, "bound-2*kappa*alpha")
+	msgs := column(t, tbl, "msgs-implicit-per-node")
 	for i := range timeImp {
 		// The schedule sums to < 2*kappa*alpha; expansion adds a bounded
 		// tail. Allow 2x.
@@ -236,10 +249,10 @@ func TestAblationUnordered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered := tbl.Column("clusters-ordered")
-	unordered := tbl.Column("clusters-unordered")
-	tOrd := tbl.Column("time-ordered")
-	tUn := tbl.Column("time-unordered")
+	ordered := column(t, tbl, "clusters-ordered")
+	unordered := column(t, tbl, "clusters-unordered")
+	tOrd := column(t, tbl, "time-ordered")
+	tUn := column(t, tbl, "time-unordered")
 	var oSum, uSum float64
 	for i := range ordered {
 		oSum += ordered[i]
@@ -275,8 +288,8 @@ func TestKMedoidsComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elMsgs := tbl.Column("elink-messages")
-	kmMsgs := tbl.Column("kmedoids-messages")
+	elMsgs := column(t, tbl, "elink-messages")
+	kmMsgs := column(t, tbl, "kmedoids-messages")
 	for i := range elMsgs {
 		if kmMsgs[i] <= elMsgs[i] {
 			t.Errorf("row %d: k-medoids %v msgs should exceed elink %v", i, kmMsgs[i], elMsgs[i])
@@ -330,8 +343,8 @@ func TestRepresentativeSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gains := tbl.Column("lifetime-gain")
-	clusters := tbl.Column("clusters")
+	gains := column(t, tbl, "lifetime-gain")
+	clusters := column(t, tbl, "clusters")
 	for i, gain := range gains {
 		if gain < 1 {
 			t.Errorf("row %d: lifetime gain %v < 1; representative sampling cannot be worse", i, gain)
@@ -348,8 +361,8 @@ func TestHotspotSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elMax := tbl.Column("elink-max-tx")
-	ceMax := tbl.Column("central-max-tx")
+	elMax := column(t, tbl, "elink-max-tx")
+	ceMax := column(t, tbl, "central-max-tx")
 	for i := range elMax {
 		if elMax[i] >= ceMax[i] {
 			t.Errorf("row %d: elink hotspot %v should be cooler than centralized %v", i, elMax[i], ceMax[i])
@@ -362,9 +375,9 @@ func TestOptimalityGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := tbl.Column("optimal")
+	opt := column(t, tbl, "optimal")
 	for _, name := range []string{SeriesELinkImplicit, SeriesCentralized, SeriesHierarchical, SeriesForest} {
-		algo := tbl.Column(name)
+		algo := column(t, tbl, name)
 		for i := range opt {
 			if algo[i] < opt[i]-1e-9 {
 				t.Fatalf("%s mean %v beat the optimum %v at row %d — the exact solver or the algorithm is broken",
@@ -376,7 +389,7 @@ func TestOptimalityGap(t *testing.T) {
 	// where the optimum is non-trivial. (When δ covers the whole feature
 	// range the δ/2 admission rule is maximally conservative and the gap
 	// widens — see EXPERIMENTS.md.)
-	el := tbl.Column(SeriesELinkImplicit)
+	el := column(t, tbl, SeriesELinkImplicit)
 	for i := range opt {
 		if opt[i] > 2 && el[i] > 2.5*opt[i] {
 			t.Errorf("row %d: elink mean %v vs optimal %v — gap too wide", i, el[i], opt[i])

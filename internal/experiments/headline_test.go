@@ -49,7 +49,7 @@ func TestHeadlineRatios(t *testing.T) {
 		cellAt(t, cx, n, "time-implicit"), cellAt(t, cx, n, "bound-2*kappa*alpha"))
 	ab := tableTitled(t, tables, "Ablation: ordered")
 	line("ablation-unordered", "unordered/ordered clusters, summed over δ",
-		sum(ab.Column("clusters-unordered")), sum(ab.Column("clusters-ordered")))
+		sum(column(t, ab, "clusters-unordered")), sum(column(t, ab, "clusters-ordered")))
 
 	block := "```\n" + b.String() + "```\n"
 	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
@@ -104,16 +104,15 @@ func tableTitled(t *testing.T, tables []*Table, prefix string) *Table {
 }
 
 // cellAt returns the column value in the row whose x value is x.
-func cellAt(t *testing.T, tbl *Table, x float64, column string) float64 {
+func cellAt(t *testing.T, tbl *Table, x float64, name string) float64 {
 	t.Helper()
-	if col := tbl.Column(column); col != nil {
-		for i, r := range tbl.Rows {
-			if r.X == x {
-				return col[i]
-			}
+	col := column(t, tbl, name)
+	for i, r := range tbl.Rows {
+		if r.X == x {
+			return col[i]
 		}
 	}
-	t.Fatalf("%s: no %s at %s=%g", tbl.Title, column, tbl.XLabel, x)
+	t.Fatalf("%s: no %s at %s=%g", tbl.Title, name, tbl.XLabel, x)
 	return 0
 }
 

@@ -42,25 +42,6 @@ func (t *Table) AddRow(x float64, values ...float64) {
 	t.Rows = append(t.Rows, Row{X: x, Values: values})
 }
 
-// Column returns the series values of the named column.
-func (t *Table) Column(name string) []float64 {
-	idx := -1
-	for i, c := range t.Columns {
-		if c == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	out := make([]float64, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r.Values[idx]
-	}
-	return out
-}
-
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s ==\n", t.Title)

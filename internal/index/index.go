@@ -15,7 +15,6 @@ package index
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"elink/internal/cluster"
@@ -405,13 +404,3 @@ func (idx *Index) Validate() error {
 // the worst-case hop count of one M-tree descent, and the index-shape
 // gauge the streaming engine publishes per epoch.
 func (idx *Index) MaxDepth() int { return idx.maxDepth }
-
-// MaxRadius returns the largest root covering radius; useful to compare
-// with δ/2 (the paper's a-priori bound).
-func (idx *Index) MaxRadius() float64 {
-	r := 0.0
-	for ci := range idx.Clusters {
-		r = math.Max(r, idx.Radius[idx.Clusters[ci].Root])
-	}
-	return r
-}

@@ -3,6 +3,7 @@ package index
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"elink/internal/cluster"
@@ -177,8 +178,8 @@ func TestDepthAndMaxRadius(t *testing.T) {
 	if idx.Depth(2) != 2 || idx.Depth(0) != 0 {
 		t.Error("Depth wrong")
 	}
-	if idx.MaxRadius() != 2 {
-		t.Errorf("MaxRadius = %v, want 2", idx.MaxRadius())
+	if r0, r3 := idx.Radius[0], idx.Radius[3]; r0 != 2 || r3 != 2 {
+		t.Errorf("root radii = %v, %v, want 2, 2", r0, r3)
 	}
 }
 
@@ -341,7 +342,7 @@ func TestRefreshKeepsQueriesExact(t *testing.T) {
 	}
 	// The index's own feature copy must now match the evolved slice.
 	for u := range feats {
-		if !idx.Features[u].Equal(feats[u]) {
+		if !slices.Equal(idx.Features[u], feats[u]) {
 			t.Fatalf("feature drift at node %d", u)
 		}
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elink/internal/cluster"
@@ -132,7 +133,7 @@ func TestBatchedRefreshProperty(t *testing.T) {
 				t.Fatalf("trial %d: batch cost %d exceeds %d tree edges", trial, msgs, edges)
 			}
 			for u := range next {
-				if !idx.Features[u].Equal(next[u]) {
+				if !slices.Equal(idx.Features[u], next[u]) {
 					t.Fatalf("trial %d: feature of node %d not installed", trial, u)
 				}
 			}
@@ -214,7 +215,7 @@ func TestCloneCopyOnWrite(t *testing.T) {
 		}
 	}
 	sameRadii(t, "original after clone refresh", idx.Radius, wantRad)
-	if !cl.Features[0].Equal(next[0]) {
+	if !slices.Equal(cl.Features[0], next[0]) {
 		t.Error("clone did not take the refresh")
 	}
 	if cl.Clusters[0] != idx.Clusters[0] || &cl.ClusterOf[0] != &idx.ClusterOf[0] {

@@ -16,7 +16,7 @@ import (
 func TestMulVecsZeroAlloc(t *testing.T) {
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)
-	c := randomCSR(t, 800, 3000, 7)
+	c := randomCSR(800, 3000, 7)
 	x := newBlock(6, c.N)
 	fillRandom(x, rand.New(rand.NewSource(1)))
 	y := newBlock(6, c.N)

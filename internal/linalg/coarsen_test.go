@@ -15,10 +15,10 @@ func TestHeavyEdgeMatchProperties(t *testing.T) {
 	for e := 0; e < 150; e++ {
 		i, j := rng.Intn(60), rng.Intn(60)
 		if i != j {
-			s.Set(i, j, 1+rng.Float64())
+			setOnce(s, i, j, 1+rng.Float64())
 		}
 	}
-	c := s.Finalize()
+	c := mustFinalize(s)
 	match := heavyEdgeMatch(c)
 	for i, m := range match {
 		if match[m] != i {
@@ -42,7 +42,7 @@ func TestHeavyEdgeMatchProperties(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p.Set(i, i+1, 1)
 	}
-	pm := heavyEdgeMatch(p.Finalize())
+	pm := heavyEdgeMatch(mustFinalize(p))
 	want := []int{1, 0, 3, 2, 5, 4, 6} // trailing odd vertex stays single
 	for i := range want {
 		if pm[i] != want[i] {
@@ -139,10 +139,10 @@ func TestCoarsenDeterministic(t *testing.T) {
 	for e := 0; e < 700; e++ {
 		i, j := rng.Intn(200), rng.Intn(200)
 		if i != j {
-			s.Set(i, j, rng.Float64())
+			setOnce(s, i, j, rng.Float64())
 		}
 	}
-	c := s.Finalize()
+	c := mustFinalize(s)
 	a, b := coarsen(c), coarsen(c)
 	if a.op.N != b.op.N {
 		t.Fatalf("coarse sizes differ: %d vs %d", a.op.N, b.op.N)

@@ -12,8 +12,8 @@ import (
 // form: per-row column indices are sorted and duplicate-free, both
 // triangles are stored, and the layout is immutable after construction.
 // It is the input type of the sparse spectral engine (EigenBottomK): the
-// append-with-duplicates SparseSym is the mutable builder,
-// Finalize / FinalizeStrict is the one-way door into CSR.
+// append-only SparseSym is the mutable builder, Finalize is the one-way
+// door into CSR.
 type CSR struct {
 	N      int
 	RowPtr []int     // len N+1; row i occupies [RowPtr[i], RowPtr[i+1])
@@ -21,27 +21,15 @@ type CSR struct {
 	Vals   []float64 // matching values
 }
 
-// ErrDuplicateEntry is returned by FinalizeStrict when the builder holds
-// more than one entry for the same (i, j) position — the SparseSym.Set
-// accumulate-on-duplicate footgun this validation mode exists to catch.
+// ErrDuplicateEntry is returned by Finalize when the builder holds more
+// than one entry for the same (i, j) position: SparseSym.Set appends, so
+// a second Set of a position would otherwise be silently summed in.
 var ErrDuplicateEntry = fmt.Errorf("linalg: duplicate sparse entry")
 
 // Finalize converts the builder into CSR form, sorting each row by
-// column and merging duplicate (i, j) entries by summation (matching the
-// accumulate semantics MulVec and Dense already had on the raw builder).
-func (s *SparseSym) Finalize() *CSR {
-	c, _ := s.finalize(false)
-	return c
-}
-
-// FinalizeStrict is Finalize with duplicate validation: any (i, j)
-// position set more than once fails with an error wrapping
-// ErrDuplicateEntry instead of silently accumulating.
-func (s *SparseSym) FinalizeStrict() (*CSR, error) {
-	return s.finalize(true)
-}
-
-func (s *SparseSym) finalize(strict bool) (*CSR, error) {
+// column. Any (i, j) position set more than once fails with an error
+// wrapping ErrDuplicateEntry.
+func (s *SparseSym) Finalize() (*CSR, error) {
 	n := s.N
 	c := &CSR{N: n, RowPtr: make([]int, n+1)}
 	nnz := 0
@@ -63,12 +51,8 @@ func (s *SparseSym) finalize(strict bool) (*CSR, error) {
 		sort.Slice(row, func(a, b int) bool { return row[a].col < row[b].col })
 		for k := 0; k < len(row); k++ {
 			if k > 0 && row[k].col == row[k-1].col {
-				if strict {
-					return nil, fmt.Errorf("linalg: FinalizeStrict: position (%d,%d) set more than once: %w",
-						i, row[k].col, ErrDuplicateEntry)
-				}
-				c.Vals[len(c.Vals)-1] += row[k].val
-				continue
+				return nil, fmt.Errorf("linalg: Finalize: position (%d,%d) set more than once: %w",
+					i, row[k].col, ErrDuplicateEntry)
 			}
 			c.ColIdx = append(c.ColIdx, row[k].col)
 			c.Vals = append(c.Vals, row[k].val)
@@ -78,28 +62,12 @@ func (s *SparseSym) finalize(strict bool) (*CSR, error) {
 	return c, nil
 }
 
-// NNZ returns the number of stored entries (both triangles counted).
-func (c *CSR) NNZ() int { return len(c.Vals) }
-
-// MulVec computes y = C x.
-func (c *CSR) MulVec(x, y []float64) {
-	for i := 0; i < c.N; i++ {
-		var sum float64
-		lo, hi := c.RowPtr[i], c.RowPtr[i+1]
-		cols, vals := c.ColIdx[lo:hi], c.Vals[lo:hi]
-		for k, j := range cols {
-			sum += vals[k] * x[j]
-		}
-		y[i] = sum
-	}
-}
-
 // mulVecsGrain is the fixed row-chunk size of the parallel block-SpMM
 // path. The chunk layout depends only on (n, grain) — never on the
 // worker count — and every output element y[j][i] is computed by exactly
 // one chunk with serial per-element arithmetic, so MulVecs is bitwise
 // identical for every worker count and bitwise identical to b separate
-// MulVec calls.
+// one-column products.
 const mulVecsGrain = 512
 
 // MulVecs computes y[j] = C x[j] for every block column in one pass: the
@@ -126,8 +94,8 @@ func (c *CSR) MulVecs(x, y [][]float64) {
 // mulVecsRows is the MulVecs kernel over the row range [lo, hi): each
 // row's index/value data is read once and applied to four block columns
 // at a time. Each column's accumulation runs in ascending-k order — the
-// exact arithmetic MulVec performs — so the fused kernel is bitwise
-// equivalent to the per-column path.
+// exact arithmetic of a one-column product — so the fused kernel is
+// bitwise equivalent to the per-column path.
 func (c *CSR) mulVecsRows(lo, hi int, x, y [][]float64) {
 	for i := lo; i < hi; i++ {
 		a, b := c.RowPtr[i], c.RowPtr[i+1]

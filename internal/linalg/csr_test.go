@@ -4,21 +4,60 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elink/internal/par"
 )
 
-func TestFinalizeSortsAndMergesDuplicates(t *testing.T) {
+// mustFinalize is Finalize for a builder that sets each position once.
+func mustFinalize(s *SparseSym) *CSR {
+	c, err := s.Finalize()
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// MulVec computes y = C x: the one-column product MulVecs is held
+// bitwise equal to.
+func (c *CSR) MulVec(x, y []float64) {
+	for i := 0; i < c.N; i++ {
+		var sum float64
+		lo, hi := c.RowPtr[i], c.RowPtr[i+1]
+		cols, vals := c.ColIdx[lo:hi], c.Vals[lo:hi]
+		for k, j := range cols {
+			sum += vals[k] * x[j]
+		}
+		y[i] = sum
+	}
+}
+
+// setOnce sets (i, j) unless it, or its mirror (j, i), is already set:
+// a random builder that draws a position twice keeps the first value.
+func setOnce(s *SparseSym, i, j int, v float64) {
+	if !slices.Contains(s.Cols[i], int32(j)) {
+		s.Set(i, j, v)
+	}
+}
+
+// randomSparse sets up to edges random positions of an n x n builder,
+// the diagonal included, to normal values.
+func randomSparse(n, edges int, rng *rand.Rand) *SparseSym {
+	s := NewSparseSym(n)
+	for e := 0; e < edges; e++ {
+		setOnce(s, rng.Intn(n), rng.Intn(n), rng.NormFloat64())
+	}
+	return s
+}
+
+func TestFinalizeSortsRows(t *testing.T) {
 	s := NewSparseSym(4)
 	s.Set(0, 3, 2)
 	s.Set(0, 1, 1)
-	s.Set(0, 3, 5) // duplicate: must merge to 7
 	s.Set(2, 2, 4)
-	s.Set(2, 2, -1) // duplicate diagonal: must merge to 3
-	c := s.Finalize()
-
-	// Rows sorted, duplicates merged.
+	s.Set(3, 1, 5)
+	c := mustFinalize(s)
 	for i := 0; i < c.N; i++ {
 		cols := c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]]
 		for k := 1; k < len(cols); k++ {
@@ -27,58 +66,32 @@ func TestFinalizeSortsAndMergesDuplicates(t *testing.T) {
 			}
 		}
 	}
-	// The builder's accumulate semantics are preserved: CSR MulVec and
-	// Dense agree with the duplicate-accumulating SparseSym.
-	x := []float64{1, 2, 3, 4}
-	want := make([]float64, 4)
-	s.MulVec(x, want)
-	got := make([]float64, 4)
-	c.MulVec(x, got)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("MulVec[%d] = %v, want %v", i, got[i], want[i])
-		}
+	if d := c.Dense().MaxAbsDiff(s.Dense()); d != 0 {
+		t.Errorf("Dense disagrees with the builder: max diff %v", d)
 	}
-	if d := c.Dense().MaxAbsDiff(s.Dense()); d > 1e-12 {
-		t.Errorf("Dense disagrees after duplicate sets: max diff %v", d)
-	}
-	if c.Dense().At(0, 3) != 7 || c.Dense().At(2, 2) != 3 {
-		t.Errorf("duplicates not merged: (0,3)=%v (2,2)=%v", c.Dense().At(0, 3), c.Dense().At(2, 2))
+	if len(c.Vals) != 7 { // (0,1),(0,3),(1,0),(1,3),(2,2),(3,0),(3,1)
+		t.Errorf("%d stored entries, want 7", len(c.Vals))
 	}
 }
 
-func TestFinalizeStrictRejectsDuplicates(t *testing.T) {
-	s := NewSparseSym(3)
-	s.Set(0, 1, 1)
-	s.Set(1, 0, 2) // same position via the mirrored triangle
-	if _, err := s.FinalizeStrict(); !errors.Is(err, ErrDuplicateEntry) {
-		t.Fatalf("duplicate set not rejected: err = %v", err)
-	}
-
-	clean := NewSparseSym(3)
-	clean.Set(0, 1, 1)
-	clean.Set(1, 2, 2)
-	clean.Set(2, 2, 3)
-	c, err := clean.FinalizeStrict()
-	if err != nil {
-		t.Fatalf("clean builder rejected: %v", err)
-	}
-	if c.NNZ() != 5 { // (0,1),(1,0),(1,2),(2,1),(2,2)
-		t.Errorf("NNZ = %d, want 5", c.NNZ())
+func TestFinalizeRejectsDuplicates(t *testing.T) {
+	// Each case sets one position twice: through the mirrored
+	// triangle, twice as written, and on the diagonal.
+	for _, dup := range [][4]int{{0, 1, 1, 0}, {0, 2, 0, 2}, {2, 2, 2, 2}} {
+		s := NewSparseSym(3)
+		s.Set(1, 2, 1)
+		s.Set(dup[0], dup[1], 1)
+		s.Set(dup[2], dup[3], 2)
+		if c, err := s.Finalize(); !errors.Is(err, ErrDuplicateEntry) || c != nil {
+			t.Errorf("sets %v: duplicate not rejected: err = %v", dup, err)
+		}
 	}
 }
 
 func TestCSRMatchesSparseSym(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSparseSym(40)
-	for e := 0; e < 120; e++ {
-		i, j := rng.Intn(40), rng.Intn(40)
-		if i > j {
-			i, j = j, i
-		}
-		s.Set(i, j, rng.NormFloat64())
-	}
-	c := s.Finalize()
+	s := randomSparse(40, 120, rng)
+	c := mustFinalize(s)
 	x := make([]float64, 40)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -109,7 +122,7 @@ func TestNormalizedLaplacian(t *testing.T) {
 	s.Set(1, 2, 1)
 	s.Set(2, 3, 0.5)
 	// node 4 isolated: zero degree
-	c := s.Finalize()
+	c := mustFinalize(s)
 	l := c.NormalizedLaplacian()
 
 	// Dense reference.
@@ -140,25 +153,15 @@ func TestNormalizedLaplacian(t *testing.T) {
 	}
 }
 
-func randomCSR(t *testing.T, n, edges int, seed int64) *CSR {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	s := NewSparseSym(n)
-	for e := 0; e < edges; e++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i > j {
-			i, j = j, i
-		}
-		s.Set(i, j, rng.NormFloat64())
-	}
-	return s.Finalize()
+func randomCSR(n, edges int, seed int64) *CSR {
+	return mustFinalize(randomSparse(n, edges, rand.New(rand.NewSource(seed))))
 }
 
 // TestMulVecsMatchesMulVec pins the fused kernel's contract: for every
 // block width (exercising the 4-wide unroll and each remainder path) and
 // every worker count, MulVecs is bitwise equal to per-column MulVec.
 func TestMulVecsMatchesMulVec(t *testing.T) {
-	c := randomCSR(t, 700, 2500, 19) // > mulVecsGrain: multiple row chunks
+	c := randomCSR(700, 2500, 19) // > mulVecsGrain: multiple row chunks
 	rng := rand.New(rand.NewSource(2))
 	for _, b := range []int{1, 2, 3, 4, 5, 7, 9} {
 		x := newBlock(b, c.N)

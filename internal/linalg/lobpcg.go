@@ -41,6 +41,10 @@ func (e *ConvergenceError) Error() string {
 		e.Iters, worst, e.Tol)
 }
 
+// Unwrap makes errors.Is(err, ErrNoConvergence) hold for a
+// ConvergenceError.
+//
+//elink:allow deadexport — errors.Is finds Unwrap through an interface it never names
 func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
 
 // BottomKResult is a bottom-k eigensolve outcome. It is returned even

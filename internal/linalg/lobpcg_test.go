@@ -54,7 +54,7 @@ func gridLaplacian(rows, cols int) *CSR {
 			}
 		}
 	}
-	return s.Finalize().NormalizedLaplacian()
+	return mustFinalize(s).NormalizedLaplacian()
 }
 
 // TestEigenBottomKMatchesDense checks the LOBPCG engine against the
@@ -74,7 +74,7 @@ func TestEigenBottomKMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	c := s.Finalize()
+	c := mustFinalize(s)
 	res, err := c.EigenBottomK(k, 1e-6, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestEigenBottomKDisconnected(t *testing.T) {
 		}
 		base += cp.rows * cp.cols
 	}
-	l := s.Finalize().NormalizedLaplacian()
+	l := mustFinalize(s).NormalizedLaplacian()
 	rng := rand.New(rand.NewSource(3))
 	res, err := l.EigenBottomK(4, 1e-6, rng)
 	if err != nil {
@@ -412,7 +412,7 @@ func TestEigenBottomKDegenerateSpectrum(t *testing.T) {
 	for i := 0; i < s.N; i++ {
 		s.Set(i, i, 2)
 	}
-	res, err := s.Finalize().EigenBottomK(3, 1e-6, rand.New(rand.NewSource(1)))
+	res, err := mustFinalize(s).EigenBottomK(3, 1e-6, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestEigenBottomKIndefiniteMatchesDense(t *testing.T) {
 			s.Set(i, i+w, rng.NormFloat64())
 		}
 	}
-	c := s.Finalize()
+	c := mustFinalize(s)
 	st, _ := solvePlain(t, c, k, 1e-8, rng)
 	vals, _, err := EigenSym(c.Dense())
 	if err != nil {
@@ -524,7 +524,7 @@ func TestEigenBottomKClampsK(t *testing.T) {
 	s.Set(0, 0, 3)
 	s.Set(1, 1, 1)
 	s.Set(2, 2, 2)
-	res, err := s.Finalize().EigenBottomK(10, 1e-6, rand.New(rand.NewSource(2)))
+	res, err := mustFinalize(s).EigenBottomK(10, 1e-6, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +577,7 @@ func TestEigenBottomKSurfacesNonConvergence(t *testing.T) {
 		s.Set(i, i, float64(i)*1e-4)
 	}
 	setKnob(t, &maxIters, 5)
-	res, err := s.Finalize().EigenBottomK(1, 1e-10, rand.New(rand.NewSource(8)))
+	res, err := mustFinalize(s).EigenBottomK(1, 1e-10, rand.New(rand.NewSource(8)))
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("unconverged solve returned err = %v, want ErrNoConvergence", err)
 	}
@@ -612,7 +612,7 @@ func TestEigenBottomKResolvesMultiplicity(t *testing.T) {
 			}
 		}
 	}
-	l := s.Finalize().NormalizedLaplacian()
+	l := mustFinalize(s).NormalizedLaplacian()
 	res, err := l.EigenBottomK(3, 1e-6, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)

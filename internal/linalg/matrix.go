@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel the
-// reproduction needs: matrix arithmetic, linear solves and inversion for
-// least-squares AR fitting, a symmetric eigensolver for the centralized
+// reproduction needs: matrix arithmetic, linear solves for least-squares
+// AR fitting, a symmetric eigensolver for the centralized
 // spectral-clustering baseline, and k-means for the spectral embedding.
 // Everything is stdlib-only and sized for the problem (matrices up to a few
 // thousand rows); it is not a general-purpose BLAS.
@@ -25,21 +25,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -62,44 +47,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: cannot multiply %dx%d by %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			rowB := b.Data[k*b.Cols : (k+1)*b.Cols]
-			rowO := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, v := range rowB {
-				rowO[j] += a * v
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m * v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	return m.MulVecTo(make([]float64, m.Rows), v)
-}
-
 // MulVecTo writes the matrix-vector product m * v into out (length
 // m.Rows, not aliasing v) and returns it.
 func (m *Matrix) MulVecTo(out, v []float64) []float64 {
@@ -117,26 +64,6 @@ func (m *Matrix) MulVecTo(out, v []float64) []float64 {
 	return out
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	checkSameShape(m, b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	checkSameShape(m, b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
-	}
-	return out
-}
-
 // Scale returns s * m.
 func (m *Matrix) Scale(s float64) *Matrix {
 	out := m.Clone()
@@ -146,27 +73,8 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return out
 }
 
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// m and b; useful in tests.
-func (m *Matrix) MaxAbsDiff(b *Matrix) float64 {
-	checkSameShape(m, b)
-	var max float64
-	for i := range m.Data {
-		if d := math.Abs(m.Data[i] - b.Data[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-func checkSameShape(a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-}
-
-// ErrSingular is returned by Solve and Inverse when the system matrix is
-// singular (or numerically indistinguishable from singular).
+// ErrSingular is returned by Solve when the system matrix is singular
+// (or numerically indistinguishable from singular).
 var ErrSingular = fmt.Errorf("linalg: singular matrix")
 
 // Solve solves the square system A x = b by Gaussian elimination with
@@ -221,30 +129,6 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		x[i] = s / m.At(i, i)
 	}
 	return x, nil
-}
-
-// Inverse returns A^{-1}, solving column by column.
-func Inverse(a *Matrix) (*Matrix, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("linalg: Inverse requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	out := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := Solve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out, nil
 }
 
 func swapRows(m *Matrix, i, j int) {

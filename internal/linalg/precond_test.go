@@ -35,7 +35,7 @@ func TestChebyshevDefaults(t *testing.T) {
 	if math.Abs(m.lo-m.hi/chebRatio) > 1e-15 {
 		t.Errorf("lo = %v, want hi/%d = %v", m.lo, chebRatio, m.hi/chebRatio)
 	}
-	if z := newChebyshev(NewSparseSym(4).Finalize()); z.hi != 1 || z.lo != 1.0/chebRatio {
+	if z := newChebyshev(mustFinalize(NewSparseSym(4))); z.hi != 1 || z.lo != 1.0/chebRatio {
 		t.Errorf("zero matrix: interval [%v, %v], want [1/%d, 1]", z.lo, z.hi, chebRatio)
 	}
 }

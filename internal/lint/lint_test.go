@@ -28,16 +28,17 @@ func fixtureConfig() *Config {
 // good package must stay silent — the goldens pin both.
 func TestFixtures(t *testing.T) {
 	cases := []struct {
-		name      string
-		analyzers []*Analyzer
+		name       string
+		analyzers  []*Analyzer
+		suppressed int // findings of rule name its fixture excuses
 	}{
-		{"seededrand", []*Analyzer{SeededRand}},
-		{"walltime", []*Analyzer{WallTime}},
-		{"godiscipline", []*Analyzer{GoDiscipline}},
-		{"maporder", []*Analyzer{MapOrder}},
-		{"metrichelp", []*Analyzer{MetricHelp}},
-		{"nodecodepanic", []*Analyzer{NoDecodePanic}},
-		{"deadexport", []*Analyzer{DeadExport}},
+		{"seededrand", []*Analyzer{SeededRand}, 0},
+		{"walltime", []*Analyzer{WallTime}, 0},
+		{"godiscipline", []*Analyzer{GoDiscipline}, 0},
+		{"maporder", []*Analyzer{MapOrder}, 0},
+		{"metrichelp", []*Analyzer{MetricHelp}, 0},
+		{"nodecodepanic", []*Analyzer{NoDecodePanic}, 0},
+		{"deadexport", []*Analyzer{DeadExport}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,6 +50,9 @@ func TestFixtures(t *testing.T) {
 				if strings.Contains(d.Pos.Filename, string(filepath.Separator)+"good"+string(filepath.Separator)) {
 					t.Errorf("finding in a good fixture package: %s", Render(d, fixtureRoot(t, tc.name)))
 				}
+			}
+			if n := got.Suppressed[tc.name]; n != tc.suppressed {
+				t.Errorf("%d %s findings suppressed, want %d", n, tc.name, tc.suppressed)
 			}
 			compareGolden(t, tc.name, got)
 		})

@@ -10,5 +10,6 @@ import (
 
 func main() {
 	var c lib.Counter
+	c.Inc()
 	fmt.Println(lib.Used(), c)
 }

@@ -26,20 +26,6 @@ func (f Feature) Clone() Feature {
 	return c
 }
 
-// Equal reports whether f and g have the same length and identical
-// coordinates.
-func (f Feature) Equal(g Feature) bool {
-	if len(f) != len(g) {
-		return false
-	}
-	for i := range f {
-		if f[i] != g[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the feature as a parenthesized coordinate tuple.
 func (f Feature) String() string {
 	s := "("
@@ -209,6 +195,8 @@ func checkDims(a, b Feature) {
 // and returns an error describing the first violation found, or nil. eps
 // absorbs floating-point slack in the triangle inequality. It is used by
 // property tests and by callers wiring in custom metrics.
+//
+//elink:allow deadexport — the metric-axiom oracle that tests of two packages share
 func VerifyMetric(m Metric, samples []Feature, eps float64) error {
 	n := len(samples)
 	for i := 0; i < n; i++ {

@@ -3,6 +3,7 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -92,25 +93,8 @@ func TestFeatureCloneIsIndependent(t *testing.T) {
 	if f[0] != 1 {
 		t.Error("Clone shares backing storage with original")
 	}
-	if !f.Equal(Feature{1, 2, 3}) {
+	if !slices.Equal(f, Feature{1, 2, 3}) {
 		t.Error("original mutated")
-	}
-}
-
-func TestFeatureEqual(t *testing.T) {
-	cases := []struct {
-		a, b Feature
-		want bool
-	}{
-		{Feature{1, 2}, Feature{1, 2}, true},
-		{Feature{1, 2}, Feature{1, 3}, false},
-		{Feature{1}, Feature{1, 2}, false},
-		{Feature{}, Feature{}, true},
-	}
-	for _, c := range cases {
-		if got := c.a.Equal(c.b); got != c.want {
-			t.Errorf("%v.Equal(%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
 	}
 }
 

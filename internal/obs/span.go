@@ -165,6 +165,8 @@ func (t *SpanTracer) nowNs() int64 {
 // SetClock injects the tracer's time source (tests drive spans
 // deterministically with it). Passing nil restores time.Now. Set it
 // before handing out spans; in-flight spans keep their start times.
+//
+//elink:allow deadexport — the clock seam the span tests drive; production keeps time.Now
 func (t *SpanTracer) SetClock(fn func() time.Time) {
 	if t == nil {
 		return
@@ -412,16 +414,6 @@ func (t *SpanTracer) Total() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
-}
-
-// Len returns how many traces the recent ring currently holds.
-func (t *SpanTracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.len()
 }
 
 func (t *SpanTracer) len() int {

@@ -305,6 +305,8 @@ func (w *WAL) syncLocked() error {
 }
 
 // Sync flushes any buffered appends to stable storage.
+//
+//elink:allow deadexport — durability on demand between the WAL's own periodic syncs
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

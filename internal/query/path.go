@@ -1,8 +1,6 @@
 package query
 
 import (
-	"sort"
-
 	"elink/internal/cluster"
 	"elink/internal/index"
 	"elink/internal/metric"
@@ -231,33 +229,4 @@ func BFSFlood(g *topology.Graph, feats []metric.Feature, m metric.Metric, danger
 	res.Stats.Breakdown["trace"] += int64(len(path) - 1)
 	res.Stats.Messages += int64(len(path) - 1)
 	return res
-}
-
-// VerifyPath checks that a returned path is a legal answer: consecutive
-// nodes are graph neighbours and every node respects the safety margin.
-func VerifyPath(g *topology.Graph, feats []metric.Feature, m metric.Metric, danger metric.Feature, gamma float64, path []topology.NodeID) bool {
-	if len(path) == 0 {
-		return false
-	}
-	for i, u := range path {
-		if m.Distance(feats[u], danger) < gamma {
-			return false
-		}
-		if i > 0 && !g.HasEdge(path[i-1], u) {
-			return false
-		}
-	}
-	return true
-}
-
-// SafeSet computes the ground-truth safe node set centrally, for tests.
-func SafeSet(feats []metric.Feature, m metric.Metric, danger metric.Feature, gamma float64) []topology.NodeID {
-	var out []topology.NodeID
-	for u, f := range feats {
-		if m.Distance(f, danger) >= gamma {
-			out = append(out, topology.NodeID(u))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

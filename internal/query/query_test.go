@@ -138,7 +138,7 @@ func TestPathFindsSafeRoute(t *testing.T) {
 	if !res.Found {
 		t.Fatal("safe path exists through the gap but was not found")
 	}
-	if !VerifyPath(g, feats, metric.Scalar{}, danger, 5, res.Path) {
+	if !verifyPath(g, feats, metric.Scalar{}, danger, 5, res.Path) {
 		t.Fatalf("returned path is not safe/connected: %v", res.Path)
 	}
 	if res.Path[0] != 0 || res.Path[len(res.Path)-1] != topology.NodeID(g.N()-1) {
@@ -207,7 +207,7 @@ func TestPathAgreesWithFloodOnExistence(t *testing.T) {
 			t.Fatalf("seed %d: cluster search found=%v, flood found=%v", seed, a.Found, b.Found)
 		}
 		if a.Found {
-			if !VerifyPath(g, feats, metric.Scalar{}, danger, gamma, a.Path) {
+			if !verifyPath(g, feats, metric.Scalar{}, danger, gamma, a.Path) {
 				t.Fatalf("seed %d: invalid path %v", seed, a.Path)
 			}
 			if len(a.Path) != len(b.Path) {
@@ -233,22 +233,35 @@ func TestPathCheaperThanFlood(t *testing.T) {
 	}
 }
 
-func TestSafeSetAndVerifyPath(t *testing.T) {
+// verifyPath checks that a returned path is a legal answer: consecutive
+// nodes are graph neighbours and every node respects the safety margin.
+func verifyPath(g *topology.Graph, feats []metric.Feature, m metric.Metric, danger metric.Feature, gamma float64, path []topology.NodeID) bool {
+	if len(path) == 0 {
+		return false
+	}
+	for i, u := range path {
+		if m.Distance(feats[u], danger) < gamma {
+			return false
+		}
+		if i > 0 && !g.HasEdge(path[i-1], u) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestVerifyPath(t *testing.T) {
 	feats := []metric.Feature{{0}, {3}, {6}}
-	safe := SafeSet(feats, metric.Scalar{}, metric.Feature{0}, 2)
-	if len(safe) != 2 || safe[0] != 1 || safe[1] != 2 {
-		t.Errorf("SafeSet = %v, want [1 2]", safe)
-	}
 	g := topology.NewGrid(1, 3)
-	if VerifyPath(g, feats, metric.Scalar{}, metric.Feature{0}, 2, []topology.NodeID{0, 1}) {
-		t.Error("VerifyPath accepted a path through an unsafe node")
+	if verifyPath(g, feats, metric.Scalar{}, metric.Feature{0}, 2, []topology.NodeID{0, 1}) {
+		t.Error("verifyPath accepted a path through an unsafe node")
 	}
-	if VerifyPath(g, feats, metric.Scalar{}, metric.Feature{0}, 2, []topology.NodeID{1, 1}) {
+	if verifyPath(g, feats, metric.Scalar{}, metric.Feature{0}, 2, []topology.NodeID{1, 1}) {
 		// 1-1 is not an edge
-		t.Error("VerifyPath accepted a non-edge step")
+		t.Error("verifyPath accepted a non-edge step")
 	}
-	if !VerifyPath(g, feats, metric.Scalar{}, metric.Feature{0}, 2, []topology.NodeID{1, 2}) {
-		t.Error("VerifyPath rejected a legal path")
+	if !verifyPath(g, feats, metric.Scalar{}, metric.Feature{0}, 2, []topology.NodeID{1, 2}) {
+		t.Error("verifyPath rejected a legal path")
 	}
 }
 

@@ -204,8 +204,10 @@ func (rs *rangeSearch) markSubtree(u topology.NodeID) {
 	}
 }
 
-// BruteForce computes the exact answer set centrally; tests and the
-// experiment harness use it to verify query correctness.
+// BruteForce computes the exact answer set centrally; the tests of this
+// package and of internal/stream verify query answers against it.
+//
+//elink:allow deadexport — the range-query oracle that tests of two packages share
 func BruteForce(feats []metric.Feature, m metric.Metric, q metric.Feature, r float64) []topology.NodeID {
 	var out []topology.NodeID
 	for u, f := range feats {

@@ -57,7 +57,7 @@ func TestEventHeapOrderProperty(t *testing.T) {
 func TestDispatchAllocs(t *testing.T) {
 	g := topology.NewGrid(4, 4)
 	n := NewNetwork(g, nil, 1)
-	n.SetAll(func(topology.NodeID) Protocol { return protoFunc{} })
+	setAll(n, func(topology.NodeID) Protocol { return protoFunc{} })
 	n.Run()
 	ctx := &n.ctxs[0]
 	nb := g.Neighbors(0)[0]

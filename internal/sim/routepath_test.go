@@ -27,7 +27,7 @@ func recordingNet(g *topology.Graph, delay DelayModel, seed int64, loss float64)
 		n.SetLoss(loss)
 	}
 	log := new([]delivery)
-	n.SetAll(func(topology.NodeID) Protocol {
+	setAll(n, func(topology.NodeID) Protocol {
 		return protoFunc{onMsg: func(ctx Context, m Message) {
 			*log = append(*log, delivery{at: ctx.Now(), from: m.From, to: m.To, hops: m.Hops})
 		}}
@@ -35,11 +35,38 @@ func recordingNet(g *topology.Graph, delay DelayModel, seed int64, loss float64)
 	return n, log
 }
 
-// TestRoutePathMatchesRoute sends the same random pairs through Route on
-// one network and through RoutePath along Graph.ShortestPath on a second
-// network with the same seed. Both must charge the same hops to the same
-// senders, lose the same frames, deliver at the same times with the same
-// hop counts, and leave the random source at the same point.
+// routeRef is the reference RoutePath is held to: it walks the
+// smallest-id shortest path from the sender to to hop by hop with
+// Graph.Walk, charging and drawing each hop through Network.hop, and
+// delivers after the sum of the hop delays unless a hop lost the frame.
+// A send to the sender itself is free and immediate.
+func routeRef(c *nodeCtx, to topology.NodeID, kind string, payload any) {
+	n := c.net
+	if to == c.id {
+		n.pushMessage(n.now, c.id, to, kind, payload, 0)
+		return
+	}
+	var delay float64
+	lost := false
+	hops := n.Graph.Walk(c.id, to, func(cur, next topology.NodeID) bool {
+		d, ok := n.hop(kind, cur, next)
+		delay += d
+		lost = !ok
+		return ok
+	})
+	if hops < 0 {
+		panic(fmt.Sprintf("routeRef from %d to unreachable %d", c.id, to))
+	}
+	if !lost {
+		n.pushMessage(n.now+delay, c.id, to, kind, payload, hops)
+	}
+}
+
+// TestRoutePathMatchesRoute sends the same random pairs through routeRef
+// on one network and through RoutePath along Graph.ShortestPath on a
+// second network with the same seed. Both must charge the same hops to
+// the same senders, lose the same frames, deliver at the same times with
+// the same hop counts, and leave the random source at the same point.
 func TestRoutePathMatchesRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	graphs := []struct {
@@ -71,15 +98,15 @@ func TestRoutePathMatchesRoute(t *testing.T) {
 					to = from
 				}
 				kind := []string{"a", "b", "c"}[i%3]
-				routed.ctxs[from].Route(to, kind, nil)
+				routeRef(&routed.ctxs[from], to, kind, nil)
 				routed.drain()
 				laid.ctxs[from].RoutePath(tg.g.ShortestPath(from, to), kind, nil)
 				laid.drain()
 			}
 			if !slices.Equal(*routedLog, *laidLog) {
-				t.Fatalf("%s: deliveries differ:\nRoute     %v\nRoutePath %v", where, *routedLog, *laidLog)
+				t.Fatalf("%s: deliveries differ:\nrouteRef  %v\nRoutePath %v", where, *routedLog, *laidLog)
 			}
-			if m.loss > 0 && routed.Dropped() == 0 {
+			if m.loss > 0 && routed.dropped == 0 {
 				t.Fatalf("%s: no frame was lost; the loss draws went untested", where)
 			}
 			if a, b := routed.MessageBreakdown(), laid.MessageBreakdown(); fmt.Sprint(a) != fmt.Sprint(b) {
@@ -88,8 +115,8 @@ func TestRoutePathMatchesRoute(t *testing.T) {
 			if !slices.Equal(routed.TxPerNode(), laid.TxPerNode()) {
 				t.Fatalf("%s: per-node transmissions differ", where)
 			}
-			if routed.Dropped() != laid.Dropped() {
-				t.Fatalf("%s: dropped %d vs %d", where, routed.Dropped(), laid.Dropped())
+			if routed.dropped != laid.dropped {
+				t.Fatalf("%s: dropped %d vs %d", where, routed.dropped, laid.dropped)
 			}
 			if a, b := routed.rng.Float64(), laid.rng.Float64(); a != b {
 				t.Fatalf("%s: random source diverged: next draw %v vs %v", where, a, b)
@@ -99,7 +126,7 @@ func TestRoutePathMatchesRoute(t *testing.T) {
 }
 
 // TestRoutePathAllocs pins a send along a laid-out path at zero
-// allocations, as TestRouteMissAllocs does for Route.
+// allocations.
 func TestRoutePathAllocs(t *testing.T) {
 	g := topology.NewGrid(16, 16)
 	n := NewNetwork(g, nil, 1)
@@ -143,7 +170,7 @@ func payloadFlood(g *topology.Graph, delay DelayModel, seed int64) *Network {
 	n := NewNetwork(g, delay, seed)
 	payload := &struct{ hops int }{}
 	heard := make([]bool, g.N())
-	n.SetAll(func(u topology.NodeID) Protocol {
+	setAll(n, func(u topology.NodeID) Protocol {
 		relay := func(ctx Context) {
 			for _, nb := range ctx.Neighbors() {
 				ctx.Send(nb, "flood", payload)

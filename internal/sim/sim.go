@@ -3,10 +3,11 @@
 //
 // A Protocol is the per-node state machine (message handler + timers). The
 // event-driven Network delivers single-hop messages between communication-
-// graph neighbours and routed multi-hop messages along shortest hop paths,
-// charging one message per radio hop, exactly the accounting the paper's
-// experiments use (§8.2). Per-kind message counters let each experiment
-// decompose its cost into expand/ack/phase traffic and so on.
+// graph neighbours and routed multi-hop messages along paths the protocol
+// lays out (Graph.ShortestPath), charging one message per radio hop,
+// exactly the accounting the paper's experiments use (§8.2). Per-kind
+// message counters let each experiment decompose its cost into
+// expand/ack/phase traffic and so on.
 //
 // The paper's synchronous setting corresponds to the default unit hop
 // delay; the asynchronous setting is modelled by a randomized hop delay
@@ -46,14 +47,13 @@ type Context interface {
 	// neighbour or the node itself (self-sends are free and immediate,
 	// used when one physical node plays several protocol roles).
 	Send(to topology.NodeID, kind string, payload any)
-	// Route transmits a message along the shortest hop path to an
-	// arbitrary node, charging one message per hop.
-	Route(to topology.NodeID, kind string, payload any)
 	// RoutePath transmits a message along a path laid out in advance,
 	// from path[0], which must be this node, to its last node, charging
-	// one message per hop exactly as Route does. Given Graph.ShortestPath's
-	// path, it leaves the network as Route would; a protocol that sends
-	// between the same pairs again and again lays each path once.
+	// one message per hop and delivering after the sum of the hop delays.
+	// A frame lost on a hop is not delivered; the hops before it stay
+	// paid for. A one-node path is a free, immediate self-send. A protocol
+	// that sends between the same pairs again and again lays each path
+	// once (Graph.ShortestPath gives the deterministic shortest one).
 	RoutePath(path []topology.NodeID, kind string, payload any)
 	// SetTimer schedules OnTimer(key) after delay time units.
 	SetTimer(delay float64, key string)
@@ -286,11 +286,10 @@ type Network struct {
 	now float64
 	seq int64
 
-	counts    map[string]int64
-	perNode   []int64 // transmissions attributed to each sender
-	delivered int64
-	dropped   int64
-	loss      float64
+	counts  map[string]int64
+	perNode []int64 // transmissions attributed to each sender
+	dropped int64   // transmissions lost to injected faults
+	loss    float64
 
 	maxEvents int64 // guards against protocol bugs that never quiesce
 }
@@ -327,18 +326,8 @@ func NewNetwork(g *topology.Graph, delay DelayModel, seed int64) *Network {
 // SetProtocol installs the state machine for node u.
 func (n *Network) SetProtocol(u topology.NodeID, p Protocol) { n.protocols[u] = p }
 
-// SetAll installs a protocol per node from a factory.
-func (n *Network) SetAll(factory func(u topology.NodeID) Protocol) {
-	for u := range n.protocols {
-		n.protocols[u] = factory(topology.NodeID(u))
-	}
-}
-
 // Now returns the current simulated time.
 func (n *Network) Now() float64 { return n.now }
-
-// Messages returns the number of radio transmissions of the given kind.
-func (n *Network) Messages(kind string) int64 { return n.counts[kind] }
 
 // TotalMessages returns all radio transmissions across kinds.
 func (n *Network) TotalMessages() int64 {
@@ -367,9 +356,6 @@ func (n *Network) SetLoss(p float64) {
 	}
 	n.loss = p
 }
-
-// Dropped returns how many transmissions were lost to injected faults.
-func (n *Network) Dropped() int64 { return n.dropped }
 
 // TxPerNode returns, for every node, how many radio transmissions it has
 // performed (each hop is attributed to its sender). Energy models divide
@@ -415,8 +401,7 @@ func (n *Network) drain() float64 {
 	return n.now
 }
 
-// dispatch runs one event's handler, keeping the clock and the delivery
-// accounting in step.
+// dispatch advances the clock to an event and runs its handler.
 func (n *Network) dispatch(e event) {
 	n.now = e.time
 	p := n.protocols[e.node]
@@ -426,7 +411,6 @@ func (n *Network) dispatch(e event) {
 	ctx := &n.ctxs[e.node]
 	switch e.kind {
 	case evMessage:
-		n.delivered++
 		p.OnMessage(ctx, Message{From: topology.NodeID(e.from), To: topology.NodeID(e.node),
 			Kind: e.label, Payload: e.payload, Hops: int(e.hops)})
 	case evTimer:
@@ -467,36 +451,11 @@ func (c *nodeCtx) Send(to topology.NodeID, kind string, payload any) {
 		return
 	}
 	if !n.Graph.HasEdge(c.id, to) {
-		panic(fmt.Sprintf("sim: Send from %d to non-neighbour %d (use Route)", c.id, to))
+		panic(fmt.Sprintf("sim: Send from %d to non-neighbour %d (use RoutePath)", c.id, to))
 	}
 	if d, ok := n.hop(kind, c.id, to); ok {
 		n.pushMessage(n.now+d, c.id, to, kind, payload, 1)
 	}
-}
-
-func (c *nodeCtx) Route(to topology.NodeID, kind string, payload any) {
-	n := c.net
-	if to == c.id {
-		n.pushMessage(n.now, c.id, to, kind, payload, 0)
-		return
-	}
-	// The graph walks the smallest-id shortest path over a truncated BFS
-	// on pooled scratch: no allocation on the per-message hot path.
-	var delay float64
-	lost := false
-	hops := n.Graph.Walk(c.id, to, func(cur, next topology.NodeID) bool {
-		d, ok := n.hop(kind, cur, next)
-		delay += d
-		lost = !ok
-		return ok
-	})
-	if hops < 0 {
-		panic(fmt.Sprintf("sim: Route from %d to unreachable %d", c.id, to))
-	}
-	if lost {
-		return
-	}
-	n.pushMessage(n.now+delay, c.id, to, kind, payload, hops)
 }
 
 func (c *nodeCtx) RoutePath(path []topology.NodeID, kind string, payload any) {

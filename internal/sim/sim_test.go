@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,7 +62,7 @@ func TestFloodReachesEveryoneAtHopTime(t *testing.T) {
 	g := topology.NewGrid(4, 5)
 	net := NewNetwork(g, nil, 1)
 	f := newFlood()
-	net.SetAll(func(topology.NodeID) Protocol { return f })
+	setAll(net, func(topology.NodeID) Protocol { return f })
 	end := net.Run()
 
 	for u := 0; u < g.N(); u++ {
@@ -73,7 +75,7 @@ func TestFloodReachesEveryoneAtHopTime(t *testing.T) {
 		}
 	}
 	// Flood sends deg(u) messages per node => total = sum of degrees = 2E.
-	if got, want := net.Messages("flood"), int64(2*g.Edges()); got != want {
+	if got, want := net.counts["flood"], int64(2*g.Edges()); got != want {
 		t.Errorf("flood messages = %d, want %d", got, want)
 	}
 	if end != net.Now() {
@@ -97,11 +99,11 @@ func TestRouteChargesHops(t *testing.T) {
 	g := topology.NewGrid(1, 5) // path, 0..4
 	net := NewNetwork(g, nil, 1)
 	var arrived Message
-	net.SetProtocol(0, protoFunc{init: func(ctx Context) { ctx.Route(4, "hello", "payload") }})
+	net.SetProtocol(0, protoFunc{init: func(ctx Context) { ctx.RoutePath(g.ShortestPath(0, 4), "hello", "payload") }})
 	net.SetProtocol(4, protoFunc{onMsg: func(ctx Context, m Message) { arrived = m }})
 	end := net.Run()
-	if net.Messages("hello") != 4 {
-		t.Errorf("routed message cost = %d, want 4 hops", net.Messages("hello"))
+	if net.counts["hello"] != 4 {
+		t.Errorf("routed message cost = %d, want 4 hops", net.counts["hello"])
 	}
 	if arrived.Hops != 4 || arrived.Payload != "payload" || arrived.From != 0 {
 		t.Errorf("arrived = %+v", arrived)
@@ -116,7 +118,7 @@ func TestSelfSendIsFree(t *testing.T) {
 	net := NewNetwork(g, nil, 1)
 	got := 0
 	net.SetProtocol(0, protoFunc{
-		init:  func(ctx Context) { ctx.Send(0, "self", nil); ctx.Route(0, "self", nil) },
+		init:  func(ctx Context) { ctx.Send(0, "self", nil); ctx.RoutePath([]topology.NodeID{0}, "self", nil) },
 		onMsg: func(ctx Context, m Message) { got++ },
 	})
 	net.Run()
@@ -126,6 +128,44 @@ func TestSelfSendIsFree(t *testing.T) {
 	if net.TotalMessages() != 0 {
 		t.Errorf("self sends cost = %d, want 0", net.TotalMessages())
 	}
+}
+
+// TestUniformDelayValidation checks inverted, negative and non-finite
+// bounds are rejected before they can schedule events in the past or at
+// a NaN or infinite time.
+func TestUniformDelayValidation(t *testing.T) {
+	cases := []struct {
+		delay UniformDelay
+		bad   bool
+	}{
+		{UniformDelay{Min: 2, Max: 1}, true},
+		{UniformDelay{Min: -1, Max: 1}, true},
+		{UniformDelay{Min: 0.5, Max: 1.5}, false},
+		{UniformDelay{Min: 1, Max: 1}, false},
+		{UniformDelay{Min: 0, Max: math.NaN()}, true},
+		{UniformDelay{Min: 0, Max: math.Inf(1)}, true},
+		{UniformDelay{Min: math.NaN(), Max: 1}, true},
+		{UniformDelay{Min: math.Inf(1), Max: math.Inf(1)}, true},
+	}
+	for _, c := range cases {
+		err := ValidateDelay(c.delay)
+		if c.bad && err == nil {
+			t.Errorf("ValidateDelay(%+v) accepted invalid bounds", c.delay)
+		}
+		if !c.bad && err != nil {
+			t.Errorf("ValidateDelay(%+v) = %v, want nil", c.delay, err)
+		}
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("NewNetwork accepted UniformDelay{Min:2, Max:1}")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "inverted") {
+			t.Fatalf("panic message %q does not explain the inverted bounds", msg)
+		}
+	}()
+	NewNetwork(topology.NewGrid(1, 2), UniformDelay{Min: 2, Max: 1}, 1)
 }
 
 func TestTimersFireInOrder(t *testing.T) {
@@ -154,7 +194,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 		g := topology.NewGrid(5, 5)
 		net := NewNetwork(g, UniformDelay{Min: 0.5, Max: 1.5}, 99)
 		f := newFlood()
-		net.SetAll(func(topology.NodeID) Protocol { return f })
+		setAll(net, func(topology.NodeID) Protocol { return f })
 		return net.Run(), net.TotalMessages()
 	}
 	t1, m1 := run()
@@ -181,7 +221,7 @@ func TestMaxEventsGuard(t *testing.T) {
 	net := NewNetwork(g, nil, 1)
 	net.maxEvents = 100
 	// Ping-pong forever.
-	net.SetAll(func(u topology.NodeID) Protocol {
+	setAll(net, func(u topology.NodeID) Protocol {
 		return protoFunc{
 			init:  func(ctx Context) { ctx.Send(1-ctx.ID(), "ping", nil) },
 			onMsg: func(ctx Context, m Message) { ctx.Send(m.From, "ping", nil) },
@@ -193,6 +233,13 @@ func TestMaxEventsGuard(t *testing.T) {
 		}
 	}()
 	net.Run()
+}
+
+// setAll installs a protocol per node from a factory.
+func setAll(n *Network, factory func(u topology.NodeID) Protocol) {
+	for u := range n.protocols {
+		n.protocols[u] = factory(topology.NodeID(u))
+	}
 }
 
 // protoFunc adapts closures to the Protocol interface.
@@ -230,14 +277,14 @@ func TestLossDropsButStillCharges(t *testing.T) {
 	}})
 	net.SetProtocol(1, protoFunc{onMsg: func(Context, Message) { received++ }})
 	net.Run()
-	if net.Messages("x") != 200 {
-		t.Errorf("charged = %d, want all 200 (radio energy is spent)", net.Messages("x"))
+	if net.counts["x"] != 200 {
+		t.Errorf("charged = %d, want all 200 (radio energy is spent)", net.counts["x"])
 	}
-	if net.Dropped() == 0 || received == 200 {
-		t.Errorf("dropped = %d received = %d; loss had no effect", net.Dropped(), received)
+	if net.dropped == 0 || received == 200 {
+		t.Errorf("dropped = %d received = %d; loss had no effect", net.dropped, received)
 	}
-	if net.Dropped()+int64(received) != 200 {
-		t.Errorf("dropped %d + received %d != 200", net.Dropped(), received)
+	if net.dropped+int64(received) != 200 {
+		t.Errorf("dropped %d + received %d != 200", net.dropped, received)
 	}
 	// Roughly half should survive.
 	if received < 60 || received > 140 {
@@ -251,8 +298,9 @@ func TestLossOnRoutedPath(t *testing.T) {
 	net.SetLoss(0.3)
 	delivered := 0
 	net.SetProtocol(0, protoFunc{init: func(ctx Context) {
+		path := g.ShortestPath(0, 5)
 		for i := 0; i < 100; i++ {
-			ctx.Route(5, "far", nil)
+			ctx.RoutePath(path, "far", nil)
 		}
 	}})
 	net.SetProtocol(5, protoFunc{onMsg: func(Context, Message) { delivered++ }})
@@ -263,8 +311,8 @@ func TestLossOnRoutedPath(t *testing.T) {
 	}
 	// Partial paths are still charged: cost strictly between the
 	// delivered-only floor and the loss-free total.
-	if net.Messages("far") >= 500 || net.Messages("far") <= int64(delivered*5) {
-		t.Errorf("charged = %d; expected partial-path charging", net.Messages("far"))
+	if net.counts["far"] >= 500 || net.counts["far"] <= int64(delivered*5) {
+		t.Errorf("charged = %d; expected partial-path charging", net.counts["far"])
 	}
 }
 
@@ -286,8 +334,8 @@ func TestTxPerNodeAttribution(t *testing.T) {
 	g := topology.NewGrid(1, 4) // 0-1-2-3
 	net := NewNetwork(g, nil, 1)
 	net.SetProtocol(0, protoFunc{init: func(ctx Context) {
-		ctx.Send(1, "a", nil)  // 0 transmits once
-		ctx.Route(3, "b", nil) // 0, 1, 2 each transmit once
+		ctx.Send(1, "a", nil)                         // 0 transmits once
+		ctx.RoutePath(g.ShortestPath(0, 3), "b", nil) // 0, 1, 2 each transmit once
 	}})
 	for u := 1; u < 4; u++ {
 		net.SetProtocol(topology.NodeID(u), protoFunc{})

@@ -311,6 +311,8 @@ func (e *Engine) ingestLocked(batch []Reading, sp *obs.Span) (*IngestResult, err
 // models and ship drift directly. Before bootstrap the updates accumulate
 // until every node has a feature; afterwards each batch flows through the
 // same maintenance/index/policy path as Ingest.
+//
+//elink:allow deadexport — the untraced feature-push entry Example_streaming documents; folds into IngestFeaturesSpanned with the *Spanned twins
 func (e *Engine) IngestFeatures(batch []FeatureUpdate) (*IngestResult, error) {
 	return e.IngestFeaturesSpanned(batch, nil)
 }

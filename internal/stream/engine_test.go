@@ -78,7 +78,7 @@ func TestBootstrapFromReadings(t *testing.T) {
 		if g.Pos[u].X >= 2 {
 			alpha[u] = 0.8
 		}
-		series[u] = ar.Simulate([]float64{alpha[u]}, 120, []float64{1}, ar.GaussianNoise(rng, 0.2))
+		series[u] = ar.Simulate([]float64{alpha[u]}, 120, []float64{1}, func() float64 { return rng.NormFloat64() * 0.2 })
 	}
 	delta := 0.3
 	e, err := New(g, Config{

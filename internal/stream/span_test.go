@@ -27,7 +27,7 @@ func spanEngine(t *testing.T, spans *obs.SpanTracer) *Engine {
 		if g.Pos[u].X >= 2 {
 			alpha = 0.8
 		}
-		series[u] = ar.Simulate([]float64{alpha}, 120, []float64{1}, ar.GaussianNoise(rng, 0.2))
+		series[u] = ar.Simulate([]float64{alpha}, 120, []float64{1}, func() float64 { return rng.NormFloat64() * 0.2 })
 	}
 	e, err := New(g, Config{
 		Order: 1, Delta: 0.3, Slack: 0.03, Metric: metric.Scalar{},

@@ -85,6 +85,8 @@ func (g *Graph) Edges() int {
 }
 
 // MaxDegree returns the largest node degree (the paper's constant d).
+//
+//elink:allow deadexport — the paper's d in elink's Theorem 2 message-bound tests
 func (g *Graph) MaxDegree() int {
 	var d int
 	for _, a := range g.Adj {
@@ -93,14 +95,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return d
-}
-
-// AvgDegree returns the mean node degree.
-func (g *Graph) AvgDegree() float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return 2 * float64(g.Edges()) / float64(g.N())
 }
 
 // HopDistances returns BFS hop counts from src to every node (-1 when

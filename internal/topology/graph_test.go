@@ -130,7 +130,7 @@ func TestRandomGeometricConnectivityAndDegree(t *testing.T) {
 	if !g.Connected() {
 		t.Fatal("graph should be stitched into one component")
 	}
-	if d := g.AvgDegree(); d < 2.5 || d > 7 {
+	if d := 2 * float64(g.Edges()) / float64(g.N()); d < 2.5 || d > 7 {
 		t.Errorf("average degree = %v, want near 4", d)
 	}
 }

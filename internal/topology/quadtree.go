@@ -71,6 +71,8 @@ func BuildQuadtree(g *Graph) *Quadtree {
 
 // Nodes returns the nodes whose position falls in the given cell. The
 // slice aliases the quadtree's permutation and must not be modified.
+//
+//elink:allow deadexport — a cell's members, which the quadtree and elink tests check
 func (qt *Quadtree) Nodes(cell int) []NodeID {
 	c := &qt.Cells[cell]
 	return qt.order[c.lo:c.hi]

@@ -463,3 +463,23 @@ func TestHopDistancesToAllocs(t *testing.T) {
 		t.Fatalf("HopDistancesTo allocates %v objects per call, want 0", allocs)
 	}
 }
+
+// TestWalkAllocs pins a steady-state walk at zero allocations: Walk runs
+// a truncated BFS on pooled scratch, and explicit ELink lays its wave
+// paths with it.
+func TestWalkAllocs(t *testing.T) {
+	g := NewGrid(16, 16)
+	hops := 0
+	count := func(_, _ NodeID) bool { hops++; return true }
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		g.Walk(NodeID((i*37)%g.N()), NodeID((i*101+5)%g.N()), count)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Walk allocates %v objects per call, want 0", allocs)
+	}
+	if hops == 0 {
+		t.Fatal("no walk took a hop")
+	}
+}

@@ -219,9 +219,6 @@ func (m *Maintainer) Clustering() *cluster.Clustering {
 	return m.clustering
 }
 
-// Feature returns node u's current feature.
-func (m *Maintainer) Feature(u topology.NodeID) metric.Feature { return m.feats[u] }
-
 // Update processes one feature update at node u, applying the screening
 // conditions and any required re-clustering, and charging messages.
 func (m *Maintainer) Update(u topology.NodeID, newFeat metric.Feature) {
@@ -357,10 +354,7 @@ type CentralizedUpdater struct {
 	hops  []int
 	feats []metric.Feature
 	coefs int64
-
-	stats    cluster.Stats
-	screened int
-	shipped  int
+	stats cluster.Stats
 }
 
 // NewCentralizedUpdater builds the baseline with the base station at
@@ -383,21 +377,16 @@ func NewCentralizedUpdater(g *topology.Graph, base topology.NodeID, feats []metr
 // Update processes one feature update at node u.
 func (c *CentralizedUpdater) Update(u topology.NodeID, newFeat metric.Feature) {
 	if c.cfg.Metric.Distance(c.feats[u], newFeat) <= c.cfg.Slack {
-		c.screened++
 		return
 	}
 	c.feats[u] = newFeat.Clone()
 	cost := int64(c.hops[u]) * c.coefs
 	c.stats.Breakdown["ship"] += cost
 	c.stats.Messages += cost
-	c.shipped++
 }
 
 // Stats returns the accumulated cost.
 func (c *CentralizedUpdater) Stats() cluster.Stats { return c.stats }
-
-// Shipped returns how many updates crossed the slack and were shipped.
-func (c *CentralizedUpdater) Shipped() int { return c.shipped }
 
 // Fragmentation reports how far the maintained clustering has drifted
 // from its initial shape: the ratio of current clusters to initial

@@ -40,12 +40,13 @@ test:
 	for p in 1 2; do GOMAXPROCS=$$p ELINK_WORKERS=$$p $(GO) test -count 1 -run '^Example' . || exit 1; done
 
 ## race: the concurrent subsystems (streaming engine, the free-listed
-## routing walkers behind the allocation-free Graph.Walk, query scratch,
-## the simulator's free-listed event queues, metrics registry/span
-## tracer, parallel execution layer and the kernels/figures running on
-## it) under the race detector
+## routing walkers behind the allocation-free Graph.Walk, the graph's
+## quadtree memo and its once-laid wave paths, which concurrent ELink
+## runs build and share, query scratch, the simulator's free-listed
+## event queues, metrics registry/span tracer, parallel execution layer
+## and the kernels/figures running on it) under the race detector
 race:
-	$(GO) test -race ./internal/stream ./internal/topology ./internal/sim ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
+	$(GO) test -race ./internal/stream ./internal/topology ./internal/elink ./internal/sim ./internal/query ./internal/obs ./internal/par ./internal/linalg ./internal/experiments ./cmd/elink-serve .
 
 ## fuzz-smoke: a few seconds of each fuzz target — the snapshot decoder
 ## (whose decodable inputs are also restored into an engine, rebuilding
@@ -60,8 +61,10 @@ fuzz-smoke:
 	$(GO) test ./cmd/elink-serve -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime 5s -fuzzminimizetime 0
 
 ## bench: one pass of every micro-benchmark — the facade's (with ELink
-## and both §8.3 baselines on the 2500-node Death Valley network, whose
-## B/op show the explicit wave's laid-out paths, the reused event queue
+## and both §8.3 baselines on the 2500-node Death Valley network; ELink's
+## implicit/explicit rows reuse the graph's sentinel layout and its
+## cold/implicit and cold/explicit rows build it on a fresh graph every
+## run; the baselines' B/op show the reused event queue
 ## in BenchmarkSpanningForestDeathValley2500 and the slice-indexed
 ## rounds of BenchmarkHierarchicalDeathValley2500), the quadtree build
 ## (internal/topology), range queries (internal/query), the spectral kernels

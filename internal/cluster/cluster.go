@@ -10,7 +10,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"elink/internal/metric"
@@ -80,17 +82,41 @@ func FromRoots(rootOf []topology.NodeID) *Clustering {
 // original root; other components are rooted at their smallest member.
 func (c *Clustering) SplitDisconnected(g *topology.Graph) *Clustering {
 	out := &Clustering{Assign: make([]int, len(c.Assign))}
+	// One pass over the clusters: a component grows from each unseen
+	// member through neighbours assigned to the same cluster, and every
+	// component is a range of one N-sized arena.
+	seen := make([]bool, len(c.Assign))
+	arena := make([]topology.NodeID, 0, len(c.Assign))
 	for ci, members := range c.Members {
-		comps := g.ComponentsOf(members)
-		for _, comp := range comps {
-			idx := len(out.Members)
-			out.Members = append(out.Members, comp)
-			root := comp[0]
-			for _, u := range comp {
-				if u == c.Roots[ci] {
-					root = c.Roots[ci]
+		first := len(out.Members)
+		for _, s := range members {
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			lo := len(arena)
+			arena = append(arena, s)
+			for i := lo; i < len(arena); i++ {
+				for _, v := range g.Adj[arena[i]] {
+					if c.Assign[v] == ci && !seen[v] {
+						seen[v] = true
+						arena = append(arena, v)
+					}
 				}
-				out.Assign[u] = idx
+			}
+			comp := arena[lo:len(arena):len(arena)]
+			slices.Sort(comp)
+			out.Members = append(out.Members, comp)
+		}
+		comps := out.Members[first:]
+		slices.SortFunc(comps, func(a, b []topology.NodeID) int { return cmp.Compare(a[0], b[0]) })
+		for k, comp := range comps {
+			root := comp[0]
+			if _, ok := slices.BinarySearch(comp, c.Roots[ci]); ok {
+				root = c.Roots[ci]
+			}
+			for _, u := range comp {
+				out.Assign[u] = first + k
 			}
 			out.Roots = append(out.Roots, root)
 		}

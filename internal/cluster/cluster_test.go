@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,5 +174,71 @@ func TestJSONRoundTrip(t *testing.T) {
 	const want = `{"clusters":[{"root":0,"members":[0,1]},{"root":2,"members":[2,3,4]}]}`
 	if string(data) != want {
 		t.Errorf("MarshalJSON = %s, want %s", data, want)
+	}
+}
+
+// splitDisconnectedRef is the per-cluster SplitDisconnected: one
+// Graph.ComponentsOf call per cluster, each building its own membership
+// and seen maps.
+func splitDisconnectedRef(c *Clustering, g *topology.Graph) *Clustering {
+	out := &Clustering{Assign: make([]int, len(c.Assign))}
+	for ci, members := range c.Members {
+		for _, comp := range g.ComponentsOf(members) {
+			idx := len(out.Members)
+			out.Members = append(out.Members, comp)
+			root := comp[0]
+			for _, u := range comp {
+				if u == c.Roots[ci] {
+					root = c.Roots[ci]
+				}
+				out.Assign[u] = idx
+			}
+			out.Roots = append(out.Roots, root)
+		}
+	}
+	return out
+}
+
+// TestSplitDisconnectedMatchesReference holds the one-pass split to the
+// per-cluster reference on random clusterings of random geometric graphs:
+// few labels make disconnected clusters, many make singletons, members
+// are listed in shuffled order, and roots are a member, a non-member or
+// -1.
+func TestSplitDisconnectedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	split, singletons, unsorted := 0, 0, 0
+	for trial := 0; trial < 200; trial++ {
+		g := topology.RandomGeometricForDegree(1+rng.Intn(150), 2+rng.Float64()*4, rng)
+		labels := make([]int, g.N())
+		k := 1 + rng.Intn(g.N())
+		for u := range labels {
+			labels[u] = rng.Intn(k)
+		}
+		c := FromAssignment(labels)
+		for ci, members := range c.Members {
+			if len(members) == 1 {
+				singletons++
+			}
+			if len(members) > 1 && rng.Intn(2) == 0 {
+				rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+				unsorted++
+			}
+			switch rng.Intn(3) {
+			case 0:
+				c.Roots[ci] = members[rng.Intn(len(members))]
+			case 1:
+				c.Roots[ci] = topology.NodeID(rng.Intn(g.N()))
+			}
+		}
+		got, want := c.SplitDisconnected(g), splitDisconnectedRef(c, g)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d, %d labels):\n got %+v\nwant %+v", trial, g.N(), k, got, want)
+		}
+		if len(got.Members) > len(c.Members) {
+			split++
+		}
+	}
+	if split == 0 || singletons == 0 || unsorted == 0 {
+		t.Fatalf("%d splits, %d singletons, %d shuffled clusters: a case went untested", split, singletons, unsorted)
 	}
 }

@@ -25,7 +25,6 @@ package elink
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -197,7 +196,12 @@ func simulate(g *topology.Graph, cfg Config) (*sim.Network, []topology.NodeID, e
 		return nil, nil, err
 	}
 	cfg = cfg.withDefaults(g.N())
-	sh := newShared(g, topology.BuildQuadtree(g), cfg)
+	qt := g.Quadtree()
+	sh := &shared{qt: qt, cfg: cfg, starts: implicitSchedule(g.N(), qt.Depth, cfg.Gamma)}
+	if cfg.Mode == Explicit {
+		sh.obligated = make([]bool, len(qt.Cells))
+		sh.phase1Seen = make([]int32, len(qt.Cells))
+	}
 	net := sim.NewNetwork(g, cfg.Delay, cfg.Seed)
 	if cfg.Loss > 0 {
 		net.SetLoss(cfg.Loss)
@@ -218,138 +222,22 @@ func simulate(g *topology.Graph, cfg Config) (*sim.Network, []topology.NodeID, e
 	return net, rootOf, nil
 }
 
-// shared holds the inputs every node reads, derived once per run, and
-// explicit mode's per-cell synchronization state.
+// shared holds the inputs every node reads and explicit mode's per-cell
+// synchronization state. The quadtree and everything derived from it
+// alone (leader buckets, subtree depths, wave paths) belong to the graph
+// and are shared across runs (Graph.Quadtree); shared keeps only what
+// one run owns.
 type shared struct {
-	g   *topology.Graph
 	qt  *topology.Quadtree
 	cfg Config
 
 	// Implicit schedule.
 	starts []float64
 
-	// Explicit-mode cell bookkeeping, all derived from the quadtree.
-	maxDepth []int // per cell: deepest occupied level in its subtree
-
-	// Explicit mode's synchronization wave routes between the same leader
-	// pairs round after round, so their paths are laid out once. For each
-	// non-root cell c whose leader differs from its parent cell's, c's up
-	// path runs from ℓ(c) to ℓ(parent) and is paths[pathOff[c]:pathOff[c+1]];
-	// the down path runs back from ℓ(parent) to ℓ(c) and has the same
-	// length, so the down paths follow the up paths with the same offsets
-	// shifted by the up half's size, pathOff[len(Cells)]. Other cells'
-	// ranges are empty.
-	pathOff []int32
-	paths   []topology.NodeID
-
 	// Explicit mode's per-cell wave state. Only a cell's leader reads or
 	// writes its entries, so they are node-local state held in one array.
 	obligated  []bool
 	phase1Seen []int32 // phase1 reports received for the active round
-
-	// Cells each node leads, shallowest first: node u's are
-	// ledCells[ledStart[u]:ledStart[u+1]].
-	ledStart []int
-	ledCells []int
-}
-
-func newShared(g *topology.Graph, qt *topology.Quadtree, cfg Config) *shared {
-	sh := &shared{g: g, qt: qt, cfg: cfg}
-	sh.starts = implicitSchedule(g.N(), qt.Depth, cfg.Gamma)
-	sh.maxDepth = make([]int, len(qt.Cells))
-	// Cells are created parent-before-children, so a reverse sweep
-	// propagates subtree depths upward.
-	for i := len(qt.Cells) - 1; i >= 0; i-- {
-		c := &qt.Cells[i]
-		sh.maxDepth[i] = c.Level
-		for _, ch := range c.Children {
-			if sh.maxDepth[ch] > sh.maxDepth[i] {
-				sh.maxDepth[i] = sh.maxDepth[ch]
-			}
-		}
-	}
-	// Bucket cells by leader: count, prefix-sum, then fill in cell-id
-	// order, which is shallowest first along each leader's chain of
-	// nested cells. (An empty network's lone root cell has no leader.)
-	sh.ledStart = make([]int, g.N()+1)
-	for i := range qt.Cells {
-		if u := qt.Cells[i].Leader; u >= 0 {
-			sh.ledStart[u+1]++
-		}
-	}
-	for u := 0; u < g.N(); u++ {
-		sh.ledStart[u+1] += sh.ledStart[u]
-	}
-	sh.ledCells = make([]int, sh.ledStart[g.N()])
-	fill := append([]int(nil), sh.ledStart[:g.N()]...)
-	for i := range qt.Cells {
-		if u := qt.Cells[i].Leader; u >= 0 {
-			sh.ledCells[fill[u]] = i
-			fill[u]++
-		}
-	}
-	if cfg.Mode == Explicit {
-		sh.layPaths()
-		sh.obligated = make([]bool, len(qt.Cells))
-		sh.phase1Seen = make([]int32, len(qt.Cells))
-	}
-	return sh
-}
-
-// layPaths fills the path arena: every up path first, walked exactly as
-// Graph.Walk routes, then the down half, whose size the up paths fix.
-// Explicit mode requires a connected network, so every walk arrives.
-func (sh *shared) layPaths() {
-	cells := sh.qt.Cells
-	sh.pathOff = make([]int32, len(cells)+1)
-	var paths []topology.NodeID
-	for c := range cells {
-		sh.pathOff[c] = int32(len(paths))
-		if from, to, ok := sh.pair(c); ok {
-			paths = append(paths, from)
-			sh.g.Walk(from, to, func(_, next topology.NodeID) bool {
-				paths = append(paths, next)
-				return true
-			})
-		}
-	}
-	half := len(paths)
-	sh.pathOff[len(cells)] = int32(half)
-	sh.paths = slices.Grow(paths, half)[:2*half]
-	for c := range cells {
-		if from, to, ok := sh.pair(c); ok {
-			down := sh.downPath(c)
-			down[0] = to
-			k := 1
-			sh.g.Walk(to, from, func(_, next topology.NodeID) bool {
-				down[k] = next
-				k++
-				return true
-			})
-		}
-	}
-}
-
-// pair returns the leaders of cell c and of its parent cell when c's
-// synchronization messages travel between two nodes.
-func (sh *shared) pair(c int) (leader, parentLeader topology.NodeID, ok bool) {
-	cell := &sh.qt.Cells[c]
-	if cell.Parent < 0 {
-		return 0, 0, false
-	}
-	leader, parentLeader = cell.Leader, sh.qt.Cells[cell.Parent].Leader
-	return leader, parentLeader, leader != parentLeader
-}
-
-// upPath is the route from cell c's leader to its parent cell's leader.
-func (sh *shared) upPath(c int) []topology.NodeID {
-	return sh.paths[sh.pathOff[c]:sh.pathOff[c+1]]
-}
-
-// downPath is the route from cell c's parent cell's leader to c's leader.
-func (sh *shared) downPath(c int) []topology.NodeID {
-	half := sh.pathOff[len(sh.pathOff)-1]
-	return sh.paths[half+sh.pathOff[c] : half+sh.pathOff[c+1]]
 }
 
 // implicitSchedule computes the timer offsets of the implicit signalling
@@ -371,11 +259,6 @@ func implicitSchedule(n, depth int, gamma float64) []float64 {
 func (sh *shared) feature(u topology.NodeID) metric.Feature { return sh.cfg.Features[u] }
 
 func (sh *shared) dist(a, b metric.Feature) float64 { return sh.cfg.Metric.Distance(a, b) }
-
-// cellsLedBy returns the cells u leads, shallowest first.
-func (sh *shared) cellsLedBy(u topology.NodeID) []int {
-	return sh.ledCells[sh.ledStart[u]:sh.ledStart[u+1]]
-}
 
 // expandPayload carries a cluster-expansion offer.
 type expandPayload struct {
@@ -452,7 +335,7 @@ func (n *node) explicit() bool { return n.sh.cfg.Mode == Explicit }
 func (n *node) Init(ctx sim.Context) {
 	switch n.sh.cfg.Mode {
 	case Implicit, Unordered:
-		for _, cid := range n.sh.cellsLedBy(n.id) {
+		for _, cid := range n.sh.qt.CellsLedBy(n.id) {
 			l := n.sh.qt.Cells[cid].Level
 			var at float64
 			if n.sh.cfg.Mode == Implicit {
@@ -658,7 +541,7 @@ func (n *node) reportObligation(ctx sim.Context, cellID int) {
 		n.onPhase1(ctx, payload)
 		return
 	}
-	ctx.RoutePath(n.sh.upPath(cellID), KindPhase1, payload)
+	ctx.RoutePath(n.sh.qt.UpPath(cellID), KindPhase1, payload)
 }
 
 // onPhase1 aggregates completion reports at a cell and forwards them up
@@ -669,7 +552,7 @@ func (n *node) onPhase1(ctx sim.Context, p phasePayload) {
 	*seen++
 	var expected int32
 	for _, ch := range c.Children {
-		if n.sh.maxDepth[ch] >= p.Round {
+		if n.sh.qt.Cells[ch].Deepest >= p.Round {
 			expected++
 		}
 	}
@@ -688,7 +571,7 @@ func (n *node) onPhase1(ctx sim.Context, p phasePayload) {
 		n.onPhase1(ctx, payload)
 		return
 	}
-	ctx.RoutePath(n.sh.upPath(p.ToCell), KindPhase1, payload)
+	ctx.RoutePath(n.sh.qt.UpPath(p.ToCell), KindPhase1, payload)
 }
 
 // onPhase2 forwards the go-ahead wave down to the round's cells, which
@@ -705,7 +588,7 @@ func (n *node) onPhase2(ctx sim.Context, p phasePayload) {
 func (n *node) sendPhase2Down(ctx sim.Context, cellID, round int) {
 	c := &n.sh.qt.Cells[cellID]
 	for _, ch := range c.Children {
-		if n.sh.maxDepth[ch] < round {
+		if n.sh.qt.Cells[ch].Deepest < round {
 			continue
 		}
 		payload := phasePayload{Round: round, ToCell: ch}
@@ -713,7 +596,7 @@ func (n *node) sendPhase2Down(ctx sim.Context, cellID, round int) {
 			n.onPhase2(ctx, payload)
 			continue
 		}
-		ctx.RoutePath(n.sh.downPath(ch), KindPhase2, payload)
+		ctx.RoutePath(n.sh.qt.DownPath(ch), KindPhase2, payload)
 	}
 }
 
@@ -726,6 +609,6 @@ func (n *node) startNextLevel(ctx sim.Context, cellID, level int) {
 			n.runObligation(ctx, ch)
 			continue
 		}
-		ctx.RoutePath(n.sh.downPath(ch), KindStart, startPayload{ToCell: ch})
+		ctx.RoutePath(n.sh.qt.DownPath(ch), KindStart, startPayload{ToCell: ch})
 	}
 }

@@ -18,10 +18,10 @@ import (
 // Every laid path must be the route Graph.ShortestPath gives for its
 // leader pair. With hops(c) the length of cell c's up path (0 when c and
 // its parent cell share a leader), each cell reports once per round from
-// its own level to the deepest level under it, and its parent starts it
-// once, so the run must send
+// its own level to the deepest level under it (QTCell.Deepest), and its
+// parent starts it once, so the run must send
 //
-//	phase1 = phase2 = Σ_c (maxDepth(c) − level(c) + 1)·hops(c)
+//	phase1 = phase2 = Σ_c (Deepest(c) − level(c) + 1)·hops(c)
 //	start  = Σ_c hops(c)
 //
 // whatever δ and the delay schedule.
@@ -40,17 +40,17 @@ func TestSyncWaveLedgerProperty(t *testing.T) {
 		}
 		where := fmt.Sprintf("trial %d N %d δ %.3g delay %v", trial, g.N(), cfg.Delta, cfg.Delay)
 
-		sh := newShared(g, topology.BuildQuadtree(g), cfg.withDefaults(g.N()))
+		qt := g.Quadtree()
 		var phase, start int64
-		for c, cell := range sh.qt.Cells {
-			up, down := sh.upPath(c), sh.downPath(c)
-			from, to, ok := sh.pair(c)
-			if !ok {
+		for c, cell := range qt.Cells {
+			up, down := qt.UpPath(c), qt.DownPath(c)
+			if cell.Parent < 0 || cell.Leader == qt.Cells[cell.Parent].Leader {
 				if len(up) != 0 || len(down) != 0 {
 					t.Fatalf("%s: cell %d sends no routed message but has paths %v and %v", where, c, up, down)
 				}
 				continue
 			}
+			from, to := cell.Leader, qt.Cells[cell.Parent].Leader
 			if want := g.ShortestPath(from, to); !slices.Equal(up, want) {
 				t.Fatalf("%s: cell %d up path %v, ShortestPath %v", where, c, up, want)
 			}
@@ -58,7 +58,7 @@ func TestSyncWaveLedgerProperty(t *testing.T) {
 				t.Fatalf("%s: cell %d down path %v, ShortestPath %v", where, c, down, want)
 			}
 			hops := int64(len(up) - 1)
-			phase += int64(sh.maxDepth[c]-cell.Level+1) * hops
+			phase += int64(cell.Deepest-cell.Level+1) * hops
 			start += hops
 		}
 

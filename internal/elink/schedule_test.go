@@ -3,64 +3,15 @@ package elink
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"elink/internal/topology"
 )
 
-// cellsLedByScan is the full scan newShared's leader buckets replace: the
-// ids of the cells u leads, in cell-id order.
-func cellsLedByScan(qt *topology.Quadtree, u topology.NodeID) []int {
-	var out []int
-	for id, c := range qt.Cells {
-		if c.Leader == u {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// TestCellsLedByMatchesFullScan checks every node's leader list against
-// the full scan over random geometric graphs. Half the instances stack
-// nodes on shared positions, so subdivision stops at the quadtree's depth
-// cap with several nodes in one leaf cell.
-func TestCellsLedByMatchesFullScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	capped := 0
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(300)
-		g := topology.RandomGeometricForDegree(n, 4+rng.Float64()*4, rng)
-		if trial%2 == 1 {
-			for k := rng.Intn(n/2 + 1); k >= 0; k-- {
-				g.Pos[rng.Intn(n)] = g.Pos[rng.Intn(n)]
-			}
-		}
-		qt := topology.BuildQuadtree(g)
-		for id, c := range qt.Cells {
-			if len(c.Children) == 0 && len(qt.Nodes(id)) > 1 {
-				capped++
-				break
-			}
-		}
-		sh := newShared(g, qt, Config{Gamma: 0.3})
-		for u := 0; u < n; u++ {
-			got := sh.cellsLedBy(topology.NodeID(u))
-			want := cellsLedByScan(qt, topology.NodeID(u))
-			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d, node %d: cellsLedBy = %v, full scan = %v", trial, u, got, want)
-			}
-		}
-	}
-	if capped == 0 {
-		t.Fatal("no instance reached the quadtree depth cap; the coincident-position case went untested")
-	}
-}
-
 func TestImplicitSchedule(t *testing.T) {
 	g := topology.NewGrid(8, 8)
-	starts := implicitSchedule(g.N(), topology.BuildQuadtree(g).Depth, 0.3)
+	starts := implicitSchedule(g.N(), g.Quadtree().Depth, 0.3)
 	kappa := 1.3 * math.Sqrt(64.0/2)
 	if starts[0] != 0 {
 		t.Errorf("start_0 = %v, want 0", starts[0])
@@ -93,7 +44,7 @@ func TestImplicitScheduleBoundsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := topology.RandomGeometricForDegree(20+rng.Intn(100), 4, rng)
 		gamma := 0.2 + rng.Float64()*0.2
-		starts := implicitSchedule(g.N(), topology.BuildQuadtree(g).Depth, gamma)
+		starts := implicitSchedule(g.N(), g.Quadtree().Depth, gamma)
 		kappa := (1 + gamma) * math.Sqrt(float64(g.N())/2)
 		for l := 0; l+1 < len(starts); l++ {
 			budget := starts[l+1] - starts[l]

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies a sensor node. IDs are dense in [0, N).
@@ -26,13 +27,18 @@ func (p Point) Dist(q Point) float64 {
 }
 
 // Graph is an undirected communication graph over positioned nodes.
-// Topology is fixed after construction. Routing keeps no per-graph state
-// (see HopDistance), so a built Graph is safe for concurrent readers: the
-// streaming engine serves queries while ingest computes routes, and async
-// simulator nodes route over one graph.
+// Topology is fixed after construction, and Pos is fixed once the graph
+// is built. Routing keeps no per-graph state (see HopDistance). The graph
+// keeps exactly one memo, its quadtree with ELink's sentinel layout
+// (Quadtree), which AddEdge drops. A built Graph is safe for concurrent
+// readers: the streaming engine serves queries while ingest computes
+// routes, async simulator nodes route over one graph, and concurrent
+// ELink runs share one quadtree.
 type Graph struct {
 	Pos []Point
 	Adj [][]NodeID // sorted neighbour lists
+
+	qt atomic.Pointer[Quadtree] // built on first use; see Quadtree
 }
 
 // NewGraph returns an edgeless graph over the given positions.
@@ -44,11 +50,13 @@ func NewGraph(pos []Point) *Graph {
 func (g *Graph) N() int { return len(g.Pos) }
 
 // AddEdge inserts the undirected edge {u, v}. Duplicate edges and self
-// loops are ignored.
+// loops are ignored. It drops the quadtree memo, whose wave paths route
+// over the edges; like every mutation it must not race a reader.
 func (g *Graph) AddEdge(u, v NodeID) {
 	if u == v {
 		return
 	}
+	g.qt.Store(nil)
 	g.addDirected(u, v)
 	g.addDirected(v, u)
 }
@@ -70,6 +78,23 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	adj := g.Adj[u]
 	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
 	return i < len(adj) && adj[i] == v
+}
+
+// Quadtree returns the quadtree decomposition of the graph (paper §3.2)
+// with ELink's sentinel layout: cell leaders, each node's led cells and
+// the explicit wave's leader-to-leader paths. None of it depends on δ, so
+// the graph builds it on the first call and returns the same pointer
+// until AddEdge drops it. Concurrent first callers may each build one;
+// all are identical and one is kept.
+func (g *Graph) Quadtree() *Quadtree {
+	if qt := g.qt.Load(); qt != nil {
+		return qt
+	}
+	qt := buildQuadtree(g)
+	if g.qt.CompareAndSwap(nil, qt) {
+		return qt
+	}
+	return g.qt.Load()
 }
 
 // Neighbors returns u's neighbour list. The caller must not modify it.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -10,12 +11,13 @@ import (
 
 // refCell and refQuadtree are a direct quadtree builder: each cell keeps
 // its own copy of its node list, and each quadrant's nodes are filtered
-// into a fresh slice. BuildQuadtree must match it cell for cell.
+// into a fresh slice. buildQuadtree must match it cell for cell.
 type refCell struct {
 	Level    int
 	Parent   int
 	Children []int
 	Leader   NodeID
+	Deepest  int
 	Nodes    []NodeID
 }
 
@@ -35,10 +37,11 @@ func refQuadtree(g *Graph) (cells []refCell, depth int) {
 		center := Point{X: x0 + side/2, Y: y0 + side/2}
 		id := len(cells)
 		cells = append(cells, refCell{
-			Level:  level,
-			Parent: parent,
-			Leader: electLeader(g, nodes, center),
-			Nodes:  append([]NodeID(nil), nodes...),
+			Level:   level,
+			Parent:  parent,
+			Leader:  electLeader(g, nodes, center),
+			Deepest: level,
+			Nodes:   append([]NodeID(nil), nodes...),
 		})
 		if len(nodes) <= 1 || level >= maxQuadtreeDepth {
 			return id
@@ -60,6 +63,7 @@ func refQuadtree(g *Graph) (cells []refCell, depth int) {
 			}
 			child := subdivide(sub, q[0], q[1], half, level+1, id)
 			cells[id].Children = append(cells[id].Children, child)
+			cells[id].Deepest = max(cells[id].Deepest, cells[child].Deepest)
 		}
 		return id
 	}
@@ -82,14 +86,14 @@ func sameAsRef(g *Graph, qt *Quadtree) string {
 		got := slices.Clone(qt.Nodes(i))
 		slices.Sort(got)
 		if c.Level != want.Level || c.Parent != want.Parent || c.Leader != want.Leader ||
-			!slices.Equal(c.Children, want.Children) || !slices.Equal(got, want.Nodes) {
+			c.Deepest != want.Deepest || !slices.Equal(c.Children, want.Children) || !slices.Equal(got, want.Nodes) {
 			return "cell differs"
 		}
 	}
 	return ""
 }
 
-// TestQuadtreeMatchesReference compares BuildQuadtree with refQuadtree on
+// TestQuadtreeMatchesReference compares buildQuadtree with refQuadtree on
 // seeded random geometric graphs and on small grids. Half the random
 // instances stack nodes on shared positions, so subdivision stops at the
 // depth cap with several nodes in one leaf cell.
@@ -104,7 +108,7 @@ func TestQuadtreeMatchesReference(t *testing.T) {
 				g.Pos[rng.Intn(n)] = g.Pos[rng.Intn(n)]
 			}
 		}
-		qt := BuildQuadtree(g)
+		qt := buildQuadtree(g)
 		if msg := sameAsRef(g, qt); msg != "" {
 			t.Fatalf("trial %d (n=%d): %s", trial, n, msg)
 		}
@@ -117,7 +121,7 @@ func TestQuadtreeMatchesReference(t *testing.T) {
 	}
 	for _, dims := range [][2]int{{1, 3}, {1, 4}, {2, 2}, {2, 3}, {3, 3}, {4, 4}} {
 		g := NewGrid(dims[0], dims[1])
-		if msg := sameAsRef(g, BuildQuadtree(g)); msg != "" {
+		if msg := sameAsRef(g, buildQuadtree(g)); msg != "" {
 			t.Errorf("%dx%d grid: %s", dims[0], dims[1], msg)
 		}
 	}
@@ -125,7 +129,7 @@ func TestQuadtreeMatchesReference(t *testing.T) {
 
 func TestQuadtreeGrid(t *testing.T) {
 	g := NewGrid(4, 4)
-	qt := BuildQuadtree(g)
+	qt := buildQuadtree(g)
 	if qt.Cells[0].Level != 0 || len(qt.Nodes(0)) != 16 {
 		t.Fatal("root cell malformed")
 	}
@@ -139,7 +143,7 @@ func TestQuadtreeGrid(t *testing.T) {
 func TestQuadtreeSentinelsDisjointCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, g := range []*Graph{NewGrid(4, 4), RandomGeometricForDegree(60, 4, rng)} {
-		qt := BuildQuadtree(g)
+		qt := buildQuadtree(g)
 		leads := make([]bool, g.N())
 		s0 := 0
 		for _, c := range qt.Cells {
@@ -161,7 +165,7 @@ func TestQuadtreeSentinelsDisjointCover(t *testing.T) {
 
 func TestQuadtreeCellStructure(t *testing.T) {
 	g := NewGrid(4, 4)
-	qt := BuildQuadtree(g)
+	qt := buildQuadtree(g)
 	for id, c := range qt.Cells {
 		nodes := qt.Nodes(id)
 		if c.Parent >= 0 {
@@ -194,7 +198,7 @@ func TestQuadtreeCellStructure(t *testing.T) {
 
 func TestQuadtreeSingleNode(t *testing.T) {
 	g := NewGraph([]Point{{0, 0}})
-	qt := BuildQuadtree(g)
+	qt := buildQuadtree(g)
 	if qt.Depth != 0 || len(qt.Cells) != 1 {
 		t.Errorf("single-node quadtree: depth=%d cells=%d", qt.Depth, len(qt.Cells))
 	}
@@ -210,7 +214,7 @@ func TestQuadtreeLevelsPartitionProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := RandomGeometricForDegree(25+rng.Intn(50), 4, rng)
-		qt := BuildQuadtree(g)
+		qt := buildQuadtree(g)
 		for level := 0; level <= qt.Depth; level++ {
 			counts := make(map[NodeID]int)
 			for id, c := range qt.Cells {
@@ -250,12 +254,108 @@ func TestQuadtreeLevelsPartitionProperty(t *testing.T) {
 	}
 }
 
+// cellsLedByScan is the full scan the leader buckets replace: the ids of
+// the cells u leads, in cell-id order.
+func cellsLedByScan(qt *Quadtree, u NodeID) []int {
+	var out []int
+	for id, c := range qt.Cells {
+		if c.Leader == u {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestCellsLedByMatchesFullScan checks every node's leader list against
+// the full scan over random geometric graphs. Half the instances stack
+// nodes on shared positions, so subdivision stops at the quadtree's depth
+// cap with several nodes in one leaf cell.
+func TestCellsLedByMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	capped := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(300)
+		g := RandomGeometricForDegree(n, 4+rng.Float64()*4, rng)
+		if trial%2 == 1 {
+			for k := rng.Intn(n/2 + 1); k >= 0; k-- {
+				g.Pos[rng.Intn(n)] = g.Pos[rng.Intn(n)]
+			}
+		}
+		qt := g.Quadtree()
+		for id, c := range qt.Cells {
+			if len(c.Children) == 0 && len(qt.Nodes(id)) > 1 {
+				capped++
+				break
+			}
+		}
+		for u := 0; u < n; u++ {
+			got := qt.CellsLedBy(NodeID(u))
+			want := cellsLedByScan(qt, NodeID(u))
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d, node %d: CellsLedBy = %v, full scan = %v", trial, u, got, want)
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no instance reached the quadtree depth cap; the coincident-position case went untested")
+	}
+}
+
+// checkWavePaths reports the first cell whose laid up or down path is not
+// Graph.ShortestPath's route between its leader pair, or whose paths are
+// not empty when the cell sends no routed message, or "" when all agree.
+func checkWavePaths(g *Graph, qt *Quadtree) string {
+	for c, cell := range qt.Cells {
+		up, down := qt.UpPath(c), qt.DownPath(c)
+		if cell.Parent < 0 || cell.Leader == qt.Cells[cell.Parent].Leader {
+			if len(up) != 0 || len(down) != 0 {
+				return fmt.Sprintf("cell %d sends no routed message but has paths %v and %v", c, up, down)
+			}
+			continue
+		}
+		from, to := cell.Leader, qt.Cells[cell.Parent].Leader
+		if want := g.ShortestPath(from, to); !slices.Equal(up, want) {
+			return fmt.Sprintf("cell %d up path %v, ShortestPath %v", c, up, want)
+		}
+		if want := g.ShortestPath(to, from); !slices.Equal(down, want) {
+			return fmt.Sprintf("cell %d down path %v, ShortestPath %v", c, down, want)
+		}
+	}
+	return ""
+}
+
+// TestQuadtreeMemo checks that a graph builds its quadtree once, that its
+// wave paths are Graph.ShortestPath's, that AddEdge drops it, and that
+// the rebuilt one lays its paths over the new edge. (elink's
+// TestSyncWaveLedgerProperty checks the paths on random graphs.)
+func TestQuadtreeMemo(t *testing.T) {
+	g := NewGrid(6, 6)
+	qt := g.Quadtree()
+	if g.Quadtree() != qt {
+		t.Fatal("a second call built a second quadtree")
+	}
+	if msg := checkWavePaths(g, qt); msg != "" {
+		t.Fatal(msg)
+	}
+	g.AddEdge(0, 35)
+	fresh := g.Quadtree()
+	if fresh == qt {
+		t.Fatal("AddEdge kept the quadtree whose paths predate the edge")
+	}
+	if msg := sameAsRef(g, fresh); msg != "" {
+		t.Fatal(msg)
+	}
+	if msg := checkWavePaths(g, fresh); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
 // BenchmarkBuildQuadtree decomposes a 2500-node random geometric graph of
 // average degree 5, the size of the paper's Death Valley network.
 func BenchmarkBuildQuadtree(b *testing.B) {
 	g := RandomGeometricForDegree(2500, 5, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		BuildQuadtree(g)
+		buildQuadtree(g)
 	}
 }
